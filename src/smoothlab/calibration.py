@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .datasets import write_csv
 from .errors import DimensionError, DomainError
 
 _ROW_SUM_TOL = 1e-6
@@ -100,10 +100,9 @@ def ece(probs, labels, num_bins: int = 10) -> float:
 def write_reliability_csv(bins: ReliabilityBins, path) -> None:
     """Export bins as bin_lo,bin_hi,count,mean_conf,accuracy rows, 6 dp."""
     edges = bins.edges()
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_lo,bin_hi,count,mean_conf,accuracy\n")
-        for m in range(bins.num_bins):
-            fh.write(
-                f"{edges[m]:.6f},{edges[m + 1]:.6f},{int(bins.counts[m])},"
-                f"{bins.mean_confidence[m]:.6f},{bins.accuracy[m]:.6f}\n"
-            )
+    rows = (
+        [f"{edges[m]:.6f}", f"{edges[m + 1]:.6f}", str(int(bins.counts[m]))]
+        + [f"{bins.mean_confidence[m]:.6f}", f"{bins.accuracy[m]:.6f}"]
+        for m in range(bins.num_bins)
+    )
+    write_csv(path, rows, ("bin_lo", "bin_hi", "count", "mean_conf", "accuracy"))

@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .errors import SmoothlabError
 from .experiment import (
-    parse_config,
+    config_from_values,
     parse_kv_text,
     run_compare,
     run_generate,
     run_report,
     run_training,
-    strategy_from_values,
 )
 from .smoothing import STRATEGY_KINDS
 
@@ -47,12 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    cfg = parse_config(args.config)
+    """Read the config file once; command-line flags override its keys."""
+    path = Path(args.config)
+    values = parse_kv_text(path.read_text(encoding="utf-8"), str(path))
     if args.out:
-        cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
+        values["out"] = args.out
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    return cfg
+        values["seeds"] = str(args.seed)
+    if getattr(args, "strategy", None):
+        values["strategies"] = args.strategy
+    return config_from_values(values)
 
 
 def main(argv=None) -> int:
@@ -64,12 +66,7 @@ def main(argv=None) -> int:
                 print(f"{name}: {path}")
         elif args.command == "train":
             cfg = _load_config(args)
-            if args.strategy:
-                raw = parse_kv_text(Path(args.config).read_text(encoding="utf-8"), args.config)
-                strategy = strategy_from_values(args.strategy, raw)
-            else:
-                strategy = cfg.strategies[0]
-            record = run_training(cfg, strategy, cfg.seeds[0])
+            record = run_training(cfg, cfg.strategies[0], cfg.seeds[0])
             print(
                 f"strategy={record.strategy} seed={record.seed} "
                 f"test_accuracy={record.test_accuracy:.6f} test_ece={record.test_ece:.6f}"

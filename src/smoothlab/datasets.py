@@ -257,15 +257,26 @@ def stratified_split(
     return splits[0], splits[1], splits[2]
 
 
+def write_csv(path, rows, header=None) -> None:
+    """Write the one artifact CSV format: UTF-8, comma-joined cells, every line
+    (the optional header included) ending in LF. Cells are already-formatted
+    strings; rows are streamed, never joined into one string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def save_csv(ds: LabeledDataset, path) -> None:
     """Write a dataset under the CSV contract: header f0..f{d-1},label, 6 dp."""
-    path = Path(path)
-    d = ds.n_features
-    header = ",".join([f"f{i}" for i in range(d)] + ["label"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, label in zip(ds.features, ds.labels):
-            fh.write(",".join(f"{v:.6f}" for v in row) + f",{label}\n")
+    header = [f"f{i}" for i in range(ds.n_features)] + ["label"]
+    # Formatting Python floats is faster than numpy scalars; converting row by
+    # row keeps the whole matrix from being copied into Python objects at once.
+    rows = (
+        [f"{v:.6f}" for v in row.tolist()] + [str(label)]
+        for row, label in zip(ds.features, ds.labels.tolist())
+    )
+    write_csv(path, rows, header)
 
 
 def load_csv(path) -> LabeledDataset:

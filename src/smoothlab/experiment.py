@@ -20,18 +20,17 @@ from .datasets import (
     save_csv,
     standardize,
     stratified_split,
+    write_csv,
 )
 from .errors import ConfigError, ParseError
 from .smoothing import STRATEGY_KINDS, TargetStrategy, write_confusion_csv
 from .trainer import (
     EpochMetrics,
     MlpConfig,
-    ModelParams,
     TrainConfig,
     evaluate,
     extract_features,
     fit,
-    init_params,
 )
 
 _DEFAULTS: dict[str, str] = {
@@ -209,11 +208,6 @@ def parse_config(path) -> ExperimentConfig:
     return config_from_values(parse_kv_text(path.read_text(encoding="utf-8"), str(path)))
 
 
-def strategy_from_values(name: str, values: dict[str, str]) -> TargetStrategy:
-    """Build one strategy by kind name, taking its parameters from config values."""
-    return _build_strategy(name, {**_DEFAULTS, **values})
-
-
 def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
     # repr-precision floats so the manifest round-trips to an equal BlobSpec.
     centers = ";".join(":".join(repr(float(v)) for v in row) for row in blob.class_centers)
@@ -292,22 +286,6 @@ def run_generate(cfg: ExperimentConfig, seed: int | None = None) -> dict[str, Pa
     return paths
 
 
-def _write_metrics_csv(metrics: list[EpochMetrics], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,phase,train_loss,val_loss,val_accuracy,val_ece\n")
-        for m in metrics:
-            fh.write(
-                f"{m.epoch},{m.phase},{m.train_loss:.6f},{m.val_loss:.6f},"
-                f"{m.val_accuracy:.6f},{m.val_ece:.6f}\n"
-            )
-
-
-def _write_counts_csv(counts: np.ndarray, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in counts:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-
 def _write_summary(record: RunRecord, path: Path) -> None:
     lines = [
         f"strategy={record.strategy}",
@@ -327,7 +305,6 @@ def run_single(
     strategy: TargetStrategy,
     seed: int,
     run_dir: Path,
-    initial_params: ModelParams | None = None,
 ) -> RunRecord:
     """Train one (strategy, seed) pair on prepared splits and emit its artifacts."""
     train, val, test = splits
@@ -351,22 +328,26 @@ def run_single(
             write_confusion_csv(tracker.normalized, path)
             artifacts[f"confusion_epoch_{epoch}"] = path
 
-    params, metrics, _ = fit(
-        train, val, mlp, train_cfg, initial_params=initial_params, on_epoch=snapshot_confusion
-    )
+    params, metrics, _ = fit(train, val, mlp, train_cfg, on_epoch=snapshot_confusion)
 
     # The test split is touched exactly once, after training finishes.
     test_accuracy, test_probs, test_confusion = evaluate(params, test)
     test_ece = ece(test_probs, test.labels, cfg.ece_bins)
 
     artifacts["metrics"] = run_dir / "metrics.csv"
-    _write_metrics_csv(metrics, artifacts["metrics"])
+    metric_rows = (
+        [str(m.epoch), m.phase]
+        + [f"{v:.6f}" for v in (m.train_loss, m.val_loss, m.val_accuracy, m.val_ece)]
+        for m in metrics
+    )
+    header = ("epoch", "phase", "train_loss", "val_loss", "val_accuracy", "val_ece")
+    write_csv(artifacts["metrics"], metric_rows, header)
     artifacts["reliability"] = run_dir / "reliability.csv"
     write_reliability_csv(
         reliability_bins(test_probs, test.labels, cfg.ece_bins), artifacts["reliability"]
     )
     artifacts["test_confusion"] = run_dir / "test_confusion.csv"
-    _write_counts_csv(test_confusion, artifacts["test_confusion"])
+    write_csv(artifacts["test_confusion"], (map(str, row) for row in test_confusion.tolist()))
     if mlp.num_hidden > 0:
         feats = extract_features(params, test)
         artifacts["features"] = run_dir / "features.csv"
@@ -400,7 +381,8 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     """Run every (strategy x seed) combination and emit the comparison table.
 
     For a given seed, every strategy trains on bit-identical splits and from
-    bit-identical initial parameters; only the loss targets differ.
+    bit-identical initial parameters (``fit`` draws them from the model shape
+    and the seed alone); only the loss targets differ.
     """
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least 2 strategies")
@@ -409,12 +391,10 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     by_strategy: list[list[RunRecord]] = [[] for _ in cfg.strategies]
     for seed in cfg.seeds:
         splits = prepare_splits(cfg, seed)
-        mlp = MlpConfig((splits[0].n_features, *cfg.hidden, splits[0].num_classes))
-        shared_init = init_params(mlp, seed)
         for pos, strategy in enumerate(cfg.strategies):
             run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
             try:
-                record = run_single(splits, cfg, strategy, seed, run_dir, initial_params=shared_init)
+                record = run_single(splits, cfg, strategy, seed, run_dir)
             except Exception as exc:
                 raise RuntimeError(
                     f"run failed for strategy={strategy.kind} seed={seed}: {exc}"
@@ -422,18 +402,18 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
             records.append(record)
             by_strategy[pos].append(record)
 
+    rows = [
+        [r.strategy, str(r.seed), f"{r.test_accuracy:.6f}", f"{r.test_ece * 100:.6f}"]
+        for runs in by_strategy
+        for r in runs
+    ]
+    for runs in by_strategy:
+        accs = [r.test_accuracy for r in runs]
+        eces = [r.test_ece * 100 for r in runs]
+        for label, stat in (("median", statistics.median), ("mean", statistics.mean)):
+            rows.append([runs[0].strategy, label, f"{stat(accs):.6f}", f"{stat(eces):.6f}"])
     table_path = cfg.out_dir / "comparison.csv"
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("strategy,seed,test_accuracy,test_ece_x100\n")
-        for runs in by_strategy:
-            for r in runs:
-                fh.write(f"{r.strategy},{r.seed},{r.test_accuracy:.6f},{r.test_ece * 100:.6f}\n")
-        for runs in by_strategy:
-            accs = [r.test_accuracy for r in runs]
-            eces = [r.test_ece * 100 for r in runs]
-            name = runs[0].strategy
-            fh.write(f"{name},median,{statistics.median(accs):.6f},{statistics.median(eces):.6f}\n")
-            fh.write(f"{name},mean,{statistics.mean(accs):.6f},{statistics.mean(eces):.6f}\n")
+    write_csv(table_path, rows, ("strategy", "seed", "test_accuracy", "test_ece_x100"))
     return table_path, records
 
 
@@ -470,9 +450,9 @@ def run_report(run_dir) -> str:
         lines.append(f"{strategy:<10} {seed:>6} {acc:>14} {ece_value:>10}  {metrics_path}")
     text = "\n".join(lines) + "\n"
 
-    report_path = run_dir / "report.csv"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("strategy,seed,test_accuracy,test_ece\n")
-        for strategy, seed, acc, ece_value, _ in rows:
-            fh.write(f"{strategy},{seed},{acc},{ece_value}\n")
+    write_csv(
+        run_dir / "report.csv",
+        ([strategy, str(seed), acc, ece_value] for strategy, seed, acc, ece_value, _ in rows),
+        ("strategy", "seed", "test_accuracy", "test_ece"),
+    )
     return text

@@ -5,10 +5,10 @@ smoothing), plus the validation confusion tracker that powers the last one."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .datasets import write_csv
 from .errors import DimensionError, DomainError
 
 # Probabilities are floored before taking logs so a zero prediction yields a
@@ -124,6 +124,15 @@ def soft_ce(p, target) -> float:
     return float(-(tv @ floored_log(pv)))
 
 
+def _row_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row i of ``sums`` divided by ``counts[i]``; a row with a zero count is
+    the identity row, so an unseen class keeps its hard target."""
+    means = np.eye(counts.shape[0])
+    seen = counts > 0
+    means[seen] = sums[seen] / counts[seen, None]
+    return means
+
+
 class ConfusionTracker:
     """Per-epoch confusion counts over validation data and their row-normalized
     form, which doubles as the soft-target table for confusion-penalty smoothing.
@@ -159,12 +168,7 @@ class ConfusionTracker:
         return self
 
     def normalize(self) -> "ConfusionTracker":
-        sums = self.counts.sum(axis=1)
-        normalized = np.eye(self.num_classes)
-        seen = sums > 0
-        if np.any(seen):
-            normalized[seen] = self.counts[seen] / sums[seen, None]
-        self.normalized = normalized
+        self.normalized = _row_means(self.counts, self.counts.sum(axis=1))
         self.counts = np.zeros_like(self.counts)
         self.epoch_tag += 1
         return self
@@ -233,11 +237,7 @@ class OnlineLabelSmoother:
         return self.targets[y]
 
     def advance_epoch(self) -> None:
-        targets = np.eye(self.num_classes)
-        seen = self._counts > 0
-        if np.any(seen):
-            targets[seen] = self._sums[seen] / self._counts[seen, None]
-        self.targets = targets
+        self.targets = _row_means(self._sums, self._counts)
         self._sums = np.zeros_like(self._sums)
         self._counts = np.zeros_like(self._counts)
 
@@ -247,6 +247,4 @@ def write_confusion_csv(matrix: np.ndarray, path) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        for row in m:
-            fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
+    write_csv(path, ([f"{v:.6f}" for v in row] for row in m.tolist()))

@@ -294,15 +294,13 @@ def fit(
     mlp_config: MlpConfig,
     config: TrainConfig,
     initial_params: ModelParams | None = None,
-    refresh_confusion: bool = True,
     on_epoch: Callable[[int, ModelParams, EpochMetrics, ConfusionTracker], None] | None = None,
 ) -> tuple[ModelParams, list[EpochMetrics], ConfusionTracker]:
     """Run the full warmup-then-hybrid training schedule.
 
     Every epoch ends with a validation pass whose confusion counts are folded
     into the tracker and re-normalized, so the hybrid phase always works from
-    the freshest matrix; warmup epochs keep the matrix warm but unused. Passing
-    ``refresh_confusion=False`` pins the tracker at the identity (test hook).
+    the freshest matrix; warmup epochs keep the matrix warm but unused.
     ``initial_params`` is copied, never mutated; when omitted, parameters are
     drawn from (mlp_config, config.seed).
     """
@@ -335,9 +333,8 @@ def fit(
         val_ece = ece(val_probs, val.labels, config.ece_bins)
         record = EpochMetrics(epoch, phase, train_loss, val_loss, val_accuracy, val_ece)
         metrics.append(record)
-        if refresh_confusion:
-            tracker.accumulate_counts(val_confusion)
-            tracker.normalize()
+        tracker.accumulate_counts(val_confusion)
+        tracker.normalize()
         if smoother is not None:
             smoother.advance_epoch()
         if on_epoch is not None:

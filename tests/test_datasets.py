@@ -163,6 +163,12 @@ class TestCsv:
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.num_classes == ds.num_classes
 
+    def test_save_csv_exact_bytes(self, tmp_path):
+        ds = LabeledDataset(np.array([[1.0, -0.5], [0.1234567, 20.0]]), np.array([1, 0]), 2)
+        path = tmp_path / "hand.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == b"f0,f1,label\n1.000000,-0.500000,1\n0.123457,20.000000,0\n"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")

@@ -32,6 +32,15 @@ out = {out}
 """
 
 
+def assert_artifact_csv(path):
+    """The one artifact CSV format: LF line ends only, a trailing LF, and every
+    row as many fields as the first (the header, where there is one)."""
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n"), path
+    rows = data[:-1].split(b"\n")
+    assert len(rows) > 1 and len({row.count(b",") for row in rows}) == 1, path
+
+
 def write_config(tmp_path, text=FAST_CONFIG, **extra):
     out = tmp_path / "runs"
     body = text.format(out=out)
@@ -271,6 +280,17 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(out_dir)]) == 0
         assert "cpls" in capsys.readouterr().out
+        written = sorted(out_dir.rglob("*.csv"))
+        assert {p.relative_to(out_dir).as_posix() for p in written} >= {
+            "comparison.csv",
+            "report.csv",
+            "hard_seed1/metrics.csv",
+            "hard_seed1/test_confusion.csv",
+            "cpls_seed1/metrics.csv",
+            "cpls_seed1/test_confusion.csv",
+        }
+        for path in written:
+            assert_artifact_csv(path)
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing")]) == 1
@@ -281,3 +301,28 @@ class TestCli:
         override = tmp_path / "elsewhere"
         assert main(["generate", "--config", str(cfg_path), "--out", str(override)]) == 0
         assert (override / "train.csv").exists()
+        compare_dir = tmp_path / "compare_elsewhere"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(compare_dir)]) == 0
+        assert (compare_dir / "comparison.csv").exists()
+        assert (compare_dir / "hard_seed1" / "summary.txt").exists()
+        assert not (tmp_path / "runs").exists()
+
+    def test_seed_zero_overrides_config(self, tmp_path, capsys):
+        # 0 is falsy: the override must still replace the config's seeds = 1
+        cfg_path = write_config(tmp_path)
+        assert main(["compare", "--config", str(cfg_path), "--seed", "0"]) == 0
+        out_dir = tmp_path / "runs"
+        assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == [
+            "cpls_seed0",
+            "hard_seed0",
+        ]
+        rows = (out_dir / "comparison.csv").read_text().splitlines()[1:3]
+        assert [row.split(",")[1] for row in rows] == ["0", "0"]
+
+    def test_train_strategy_missing_from_config_list(self, tmp_path, capsys):
+        # strategies = hard,cpls in the file; ols still takes ols.warmup from it
+        cfg_path = write_config(tmp_path, ols_warmup=3)
+        assert main(["train", "--config", str(cfg_path), "--strategy", "ols"]) == 0
+        assert "strategy=ols seed=1" in capsys.readouterr().out
+        metrics = (tmp_path / "runs" / "ols_seed1" / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in metrics[1:]] == ["warmup"] * 3 + ["hybrid"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothlab.trainer
 from smoothlab import (
     BlobSpec,
     ConfigError,
@@ -25,8 +26,12 @@ from smoothlab import (
     fit,
     forward,
     generate_confusable_blobs,
+    hard_ce,
+    hybrid_loss,
     init_params,
     loss_and_gradients,
+    soft_ce,
+    softmax,
     standardize,
     stratified_split,
     train_epoch,
@@ -232,6 +237,40 @@ class TestGradients:
             assert rel < 1e-5, f"strategy {name}: relative gradient error {rel}"
 
 
+class TestOracleLink:
+    """The batch loss on the table the trainer builds equals the mean of the
+    per-sample loss definitions, for every strategy."""
+
+    @pytest.mark.parametrize("kind", ["hard", "vanilla", "ols", "cpls"])
+    def test_batch_loss_equals_mean_per_sample_oracle(self, kind):
+        c = 5
+        rng = np.random.default_rng(21)
+        tracker = ConfusionTracker(c)
+        tracker.accumulate_counts(rng.integers(0, 6, size=(c, c)))
+        tracker.normalize()
+        smoother = OnlineLabelSmoother(c)
+        smoother.update_batch(rng.integers(0, c, size=200), rng.dirichlet(np.ones(c), size=200))
+        smoother.advance_epoch()
+        strategy, oracle = {
+            "hard": (TargetStrategy.hard(), hard_ce),
+            "vanilla": (
+                TargetStrategy.vanilla(0.2),
+                lambda p, y: soft_ce(p, vanilla_ls_target(y, 0.2, c)),
+            ),
+            "ols": (TargetStrategy.ols(1), lambda p, y: soft_ce(p, smoother.target(y))),
+            "cpls": (TargetStrategy.cpls(0.3, 1), lambda p, y: hybrid_loss(p, y, tracker, 0.3)),
+        }[kind]
+        # epoch 2 is past the one-epoch warmup, so ols and cpls use their own tables
+        table = smoothlab.trainer._target_table(strategy, c, 2, tracker, smoother)
+        assert kind == "hard" or not np.allclose(table, np.eye(c))
+        params = init_params(MlpConfig((4, 6, c)), 3)
+        x = rng.normal(size=(16, 4))
+        labels = rng.integers(0, c, size=16)
+        loss, _, _ = loss_and_gradients(params, x, table[labels])
+        per_sample = [oracle(softmax(forward(params, xi)[0]), y) for xi, y in zip(x, labels)]
+        assert abs(loss - np.mean(per_sample)) <= 1e-12
+
+
 class TestEvaluate:
     def test_constant_predictor(self):
         params = init_params(MlpConfig((2, 3)), 0)
@@ -331,19 +370,20 @@ class TestFit:
             for h_arr, c_arr in zip(h_epoch, c_epoch):
                 assert np.array_equal(h_arr, c_arr)
 
-    def test_identity_tracker_matches_hard_for_any_beta(self):
-        # confusion refresh disabled: the tracker stays the identity, so the
-        # hybrid loss must coincide with hard CE bit for bit, beta irrelevant
+    def test_identity_tracker_matches_hard_for_any_beta(self, monkeypatch):
+        # a tracker whose normalize() keeps the identity: the hybrid loss must
+        # coincide with hard CE bit for bit, beta irrelevant
+        class IdentityTracker(ConfusionTracker):
+            def normalize(self):
+                return self
+
         train, val, _ = split_blob(seed=2, overlap=((0, 1),))
         hard = self.trajectories(train, val, make_config(epochs=4, seed=5))
-        snapshots = []
-
-        def grab(epoch, params, record, tracker):
-            snapshots.append([w.copy() for w in params.weights] + [b.copy() for b in params.biases])
-
+        monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", IdentityTracker)
         cfg = make_config(strategy=TargetStrategy.cpls(0.3, 0), epochs=4, seed=5)
-        fit(train, val, MlpConfig((4, 6, 3)), cfg, refresh_confusion=False, on_epoch=grab)
-        for h_epoch, c_epoch in zip(hard, snapshots):
+        cpls = self.trajectories(train, val, cfg)
+        assert len(cpls) == len(hard) == 4
+        for h_epoch, c_epoch in zip(hard, cpls):
             for h_arr, c_arr in zip(h_epoch, c_epoch):
                 assert np.array_equal(h_arr, c_arr)
 
