@@ -35,6 +35,9 @@ def _validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"probs must be a non-empty 2-D matrix, got shape {p.shape}")
     if y.ndim != 1 or y.shape[0] != p.shape[0]:
         raise DimensionError(f"labels must be 1-D with one entry per row of probs")
+    nonfinite = np.nonzero(~np.isfinite(p).all(axis=1))[0]
+    if nonfinite.size:
+        raise DomainError(f"row {nonfinite[0]} of probs has a non-finite entry")
     if np.any(p < 0.0) or np.any(p > 1.0 + _ROW_SUM_TOL):
         raise DomainError("probability entries must lie in [0, 1]")
     row_sums = p.sum(axis=1)
@@ -99,10 +102,13 @@ def ece(probs, labels, num_bins: int = 10) -> float:
 
 def write_reliability_csv(bins: ReliabilityBins, path) -> None:
     """Export bins as bin_lo,bin_hi,count,mean_conf,accuracy rows, 6 dp."""
-    edges = bins.edges()
-    rows = (
-        [f"{edges[m]:.6f}", f"{edges[m + 1]:.6f}", str(int(bins.counts[m]))]
-        + [f"{bins.mean_confidence[m]:.6f}", f"{bins.accuracy[m]:.6f}"]
-        for m in range(bins.num_bins)
+    edges = bins.edges().tolist()
+    rows = zip(
+        edges[:-1],
+        edges[1:],
+        bins.counts.tolist(),
+        bins.mean_confidence.tolist(),
+        bins.accuracy.tolist(),
     )
-    write_csv(path, rows, ("bin_lo", "bin_hi", "count", "mean_conf", "accuracy"))
+    header = ("bin_lo", "bin_hi", "count", "mean_conf", "accuracy")
+    write_csv(path, ("%.6f", "%.6f", "%d", "%.6f", "%.6f"), rows, header)

@@ -257,14 +257,21 @@ def stratified_split(
     return splits[0], splits[1], splits[2]
 
 
-def write_csv(path, rows, header=None) -> None:
+def write_csv(path, cells, rows, header=None) -> None:
     """Write the one artifact CSV format: UTF-8, comma-joined cells, every line
-    (the optional header included) ending in LF. Cells are already-formatted
-    strings; rows are streamed, never joined into one string."""
+    (the optional header included) ending in LF.
+
+    ``cells`` holds one %-conversion per column (``"%.6f"`` for a 6 dp float,
+    ``"%d"`` for an integer, ``"%s"`` for text); each row is a tuple of Python
+    scalars formatted by the one line template they make. Rows are streamed,
+    never joined into one string."""
+    if header is not None and len(header) != len(cells):
+        raise DimensionError(f"{len(header)} header fields for {len(cells)} columns")
+    line = ",".join(cells) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(line % row for row in rows)
 
 
 def save_csv(ds: LabeledDataset, path) -> None:
@@ -272,11 +279,8 @@ def save_csv(ds: LabeledDataset, path) -> None:
     header = [f"f{i}" for i in range(ds.n_features)] + ["label"]
     # Formatting Python floats is faster than numpy scalars; converting row by
     # row keeps the whole matrix from being copied into Python objects at once.
-    rows = (
-        [f"{v:.6f}" for v in row.tolist()] + [str(label)]
-        for row, label in zip(ds.features, ds.labels.tolist())
-    )
-    write_csv(path, rows, header)
+    rows = ((*row.tolist(), label) for row, label in zip(ds.features, ds.labels.tolist()))
+    write_csv(path, ("%.6f",) * ds.n_features + ("%d",), rows, header)
 
 
 def load_csv(path) -> LabeledDataset:

@@ -182,6 +182,9 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     strategy_names = [s.strip() for s in merged["strategies"].split(",") if s.strip()]
     if not strategy_names:
         raise ConfigError("at least one strategy is required")
+    for pos, name in enumerate(strategy_names):
+        if name in strategy_names[:pos]:
+            raise ConfigError(f"strategies lists {name!r} more than once")
     strategies = tuple(_build_strategy(name, merged) for name in strategy_names)
     seeds = _parse_int_list(merged["seeds"], "seeds")
     if not seeds:
@@ -336,18 +339,20 @@ def run_single(
 
     artifacts["metrics"] = run_dir / "metrics.csv"
     metric_rows = (
-        [str(m.epoch), m.phase]
-        + [f"{v:.6f}" for v in (m.train_loss, m.val_loss, m.val_accuracy, m.val_ece)]
-        for m in metrics
+        (m.epoch, m.phase, m.train_loss, m.val_loss, m.val_accuracy, m.val_ece) for m in metrics
     )
     header = ("epoch", "phase", "train_loss", "val_loss", "val_accuracy", "val_ece")
-    write_csv(artifacts["metrics"], metric_rows, header)
+    write_csv(artifacts["metrics"], ("%d", "%s") + ("%.6f",) * 4, metric_rows, header)
     artifacts["reliability"] = run_dir / "reliability.csv"
     write_reliability_csv(
         reliability_bins(test_probs, test.labels, cfg.ece_bins), artifacts["reliability"]
     )
     artifacts["test_confusion"] = run_dir / "test_confusion.csv"
-    write_csv(artifacts["test_confusion"], (map(str, row) for row in test_confusion.tolist()))
+    write_csv(
+        artifacts["test_confusion"],
+        ("%d",) * test_confusion.shape[1],
+        map(tuple, test_confusion.tolist()),
+    )
     if mlp.num_hidden > 0:
         feats = extract_features(params, test)
         artifacts["features"] = run_dir / "features.csv"
@@ -382,17 +387,22 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
 
     For a given seed, every strategy trains on bit-identical splits and from
     bit-identical initial parameters (``fit`` draws them from the model shape
-    and the seed alone); only the loss targets differ.
+    and the seed alone); only the loss targets differ. An output directory that
+    already holds a comparison table or a run summary is refused before
+    anything is written, so no report mixes runs of two invocations.
     """
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least 2 strategies")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir
+    if (out / "comparison.csv").exists() or any(out.glob("*/summary.txt")):
+        raise ConfigError(f"output directory {out} already holds runs; compare into a new one")
+    out.mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
     by_strategy: list[list[RunRecord]] = [[] for _ in cfg.strategies]
     for seed in cfg.seeds:
         splits = prepare_splits(cfg, seed)
         for pos, strategy in enumerate(cfg.strategies):
-            run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+            run_dir = out / f"{strategy.kind}_seed{seed}"
             try:
                 record = run_single(splits, cfg, strategy, seed, run_dir)
             except Exception as exc:
@@ -402,8 +412,9 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
             records.append(record)
             by_strategy[pos].append(record)
 
+    # The seed column holds a seed or the name of a summary statistic.
     rows = [
-        [r.strategy, str(r.seed), f"{r.test_accuracy:.6f}", f"{r.test_ece * 100:.6f}"]
+        (r.strategy, r.seed, r.test_accuracy, r.test_ece * 100)
         for runs in by_strategy
         for r in runs
     ]
@@ -411,9 +422,10 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
         accs = [r.test_accuracy for r in runs]
         eces = [r.test_ece * 100 for r in runs]
         for label, stat in (("median", statistics.median), ("mean", statistics.mean)):
-            rows.append([runs[0].strategy, label, f"{stat(accs):.6f}", f"{stat(eces):.6f}"])
-    table_path = cfg.out_dir / "comparison.csv"
-    write_csv(table_path, rows, ("strategy", "seed", "test_accuracy", "test_ece_x100"))
+            rows.append((runs[0].strategy, label, stat(accs), stat(eces)))
+    table_path = out / "comparison.csv"
+    header = ("strategy", "seed", "test_accuracy", "test_ece_x100")
+    write_csv(table_path, ("%s", "%s", "%.6f", "%.6f"), rows, header)
     return table_path, records
 
 
@@ -452,7 +464,8 @@ def run_report(run_dir) -> str:
 
     write_csv(
         run_dir / "report.csv",
-        ([strategy, str(seed), acc, ece_value] for strategy, seed, acc, ece_value, _ in rows),
+        ("%s", "%d", "%s", "%s"),
+        (row[:4] for row in rows),
         ("strategy", "seed", "test_accuracy", "test_ece"),
     )
     return text

@@ -36,11 +36,18 @@ def log_softmax(logits) -> np.ndarray:
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of a 2-D array."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.array(z, dtype=np.float64)  # a copy: the softmax overwrites it
     if z.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got shape {z.shape}")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_rows_inplace(z)
+
+
+def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
+    """Overwrite a 2-D float64 array with its row-wise stable softmax; returns it."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
 def affine_forward(weights, bias, x) -> np.ndarray:

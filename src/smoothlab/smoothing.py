@@ -247,4 +247,4 @@ def write_confusion_csv(matrix: np.ndarray, path) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    write_csv(path, ([f"{v:.6f}" for v in row] for row in m.tolist()))
+    write_csv(path, ("%.6f",) * m.shape[1], map(tuple, m.tolist()))

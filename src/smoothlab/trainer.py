@@ -10,7 +10,7 @@ the online-smoothing accumulator all live in ``fit``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -18,8 +18,9 @@ import numpy as np
 from .calibration import ece
 from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .datasets import LabeledDataset
-from .mathkit import affine_forward, softmax_rows
+from .mathkit import affine_forward, softmax_rows_inplace
 from .smoothing import (
+    PROB_FLOOR,
     ConfusionTracker,
     OnlineLabelSmoother,
     TargetStrategy,
@@ -78,12 +79,42 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Per-layer weights (out x in), biases, and their momentum buffers."""
+    """Per-layer weights (out x in), biases, and their momentum buffers.
+
+    The constructor copies the given arrays into two flat float64 buffers that
+    the instance owns: ``flat`` holds every weight matrix and then every bias,
+    layer by layer, and ``flat_velocity`` holds their momentum in the same
+    layout. The four lists are views into those buffers, so one SGD step can
+    update every layer at once.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     w_velocity: list[np.ndarray]
     b_velocity: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+    flat_velocity: np.ndarray = field(init=False, repr=False)
+    _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in self.weights + self.biases]
+        if [np.shape(a) for a in self.w_velocity + self.b_velocity] != shapes:
+            raise DimensionError("velocity buffers must match the weight and bias shapes")
+        self._layout = []
+        stop = 0
+        for shape in shapes:
+            start, stop = stop, stop + math.prod(shape)
+            self._layout.append((start, stop, shape))
+        self.flat = _pack(self.weights + self.biases)
+        self.flat_velocity = _pack(self.w_velocity + self.b_velocity)
+        self.weights, self.biases = self.split(self.flat)
+        self.w_velocity, self.b_velocity = self.split(self.flat_velocity)
+
+    def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a flat buffer in this layout."""
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
+        half = len(views) // 2
+        return views[:half], views[half:]
 
     @property
     def num_layers(self) -> int:
@@ -98,12 +129,11 @@ class ModelParams:
         return self.weights[-1].shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [v.copy() for v in self.w_velocity],
-            [v.copy() for v in self.b_velocity],
-        )
+        return ModelParams(self.weights, self.biases, self.w_velocity, self.b_velocity)
+
+
+def _pack(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
 @dataclass(frozen=True)
@@ -147,9 +177,12 @@ def _forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list
     activations = [x]
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
-    logits = h @ params.weights[-1].T + params.biases[-1]
+    logits = h @ params.weights[-1].T
+    logits += params.biases[-1]
     return logits, activations
 
 
@@ -160,7 +193,8 @@ def loss_and_gradients(
     and the gradients w.r.t. every weight and bias.
 
     The logit gradient per sample is probs - target; everything else is the
-    chain rule through ReLU affine layers.
+    chain rule through ReLU affine layers. The gradient lists are views of one
+    flat gradient (their common ``.base``) laid out like ``params.flat``.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -171,19 +205,24 @@ def loss_and_gradients(
             f"expected targets of shape ({x.shape[0]}, {params.output_dim}), got {targets.shape}"
         )
     logits, activations = _forward_batch(params, x)
-    probs = softmax_rows(logits)
-    loss = float(-(targets * floored_log(probs)).sum(axis=1).mean())
-
+    probs = softmax_rows_inplace(logits)
     n = x.shape[0]
-    delta = (probs - targets) / n
-    grads_w: list[np.ndarray] = [None] * params.num_layers  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * params.num_layers  # type: ignore[list-item]
+    # targets * floored_log(probs), row sums, then their mean, in place.
+    terms = np.maximum(probs, PROB_FLOOR)
+    np.log(terms, out=terms)
+    terms *= targets
+    loss = float(-(np.add.reduce(np.add.reduce(terms, axis=1)) / n))
+
+    delta = probs - targets
+    delta /= n
+    grads_w, grads_b = params.split(np.empty_like(params.flat))
     for layer in range(params.num_layers - 1, -1, -1):
-        grads_w[layer] = delta.T @ activations[layer]
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[layer], out=grads_w[layer])
+        np.add.reduce(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             # ReLU output is positive exactly where its pre-activation was.
-            delta = (delta @ params.weights[layer]) * (activations[layer] > 0.0)
+            delta = delta @ params.weights[layer]
+            delta *= activations[layer] > 0.0
     return loss, probs, (grads_w, grads_b)
 
 
@@ -209,25 +248,29 @@ def train_epoch(
         )
     n = train.n_samples
     order = np.random.default_rng([config.seed, epoch]).permutation(n)
+    features = train.features[order]
+    labels = train.labels[order]
     total = 0.0
     lr = config.learning_rate
     mu = config.momentum
+    weights, velocity = params.flat, params.flat_velocity
+    step = np.empty_like(weights)
     for batch_no, start in enumerate(range(0, n, config.batch_size)):
-        idx = order[start : start + config.batch_size]
-        batch_labels = train.labels[idx]
-        loss, probs, (grads_w, grads_b) = loss_and_gradients(
-            params, train.features[idx], target_table[batch_labels]
+        stop = start + config.batch_size
+        batch_labels = labels[start:stop]
+        loss, probs, (grads_w, _) = loss_and_gradients(
+            params, features[start:stop], target_table[batch_labels]
         )
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
         if on_batch is not None:
             on_batch(batch_labels, probs)
-        for layer in range(params.num_layers):
-            params.w_velocity[layer] = mu * params.w_velocity[layer] + grads_w[layer]
-            params.b_velocity[layer] = mu * params.b_velocity[layer] + grads_b[layer]
-            params.weights[layer] -= lr * params.w_velocity[layer]
-            params.biases[layer] -= lr * params.b_velocity[layer]
-        total += loss * idx.size
+        # v = mu * v + g; w -= lr * v, for every layer at once on the flat buffers.
+        velocity *= mu
+        velocity += grads_w[0].base
+        np.multiply(velocity, lr, out=step)
+        weights -= step
+        total += loss * batch_labels.size
     return total / n
 
 
@@ -240,7 +283,7 @@ def evaluate(params: ModelParams, ds: LabeledDataset) -> tuple[float, np.ndarray
     if ds.n_features != params.input_dim:
         raise DimensionError(f"expected {params.input_dim} features, got {ds.n_features}")
     logits, _ = _forward_batch(params, ds.features)
-    probs = softmax_rows(logits)
+    probs = softmax_rows_inplace(logits)
     predictions = probs.argmax(axis=1)
     accuracy = float((predictions == ds.labels).mean())
     confusion = np.zeros((ds.num_classes, ds.num_classes), dtype=np.int64)

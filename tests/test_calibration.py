@@ -105,6 +105,18 @@ class TestReliabilityBins:
 
 
 class TestEce:
+    def test_nan_row_rejected_by_row(self):
+        probs = np.array([[0.3, 0.7], [0.6, 0.4], [np.nan, np.nan], [0.5, 0.5]])
+        with pytest.raises(DomainError, match="row 2 of probs has a non-finite entry"):
+            ece(probs, np.zeros(4, dtype=int), 10)
+
+    def test_inf_row_rejected_by_row(self):
+        probs = np.array([[0.3, 0.7], [np.inf, 0.0], [0.1, np.inf]])
+        with pytest.raises(DomainError, match="row 1 of probs has a non-finite entry"):
+            ece(probs, np.zeros(3, dtype=int), 10)
+        with pytest.raises(DomainError, match="row 1 of probs"):
+            reliability_bins(probs, np.zeros(3, dtype=int), 10)
+
     def test_perfectly_calibrated_degenerate(self):
         probs = np.tile([1.0, 0.0], (8, 1))
         assert ece(probs, np.zeros(8, dtype=int), 10) == 0.0

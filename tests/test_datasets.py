@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     BlobSpec,
@@ -15,6 +19,7 @@ from smoothlab import (
     standardize,
     stratified_split,
 )
+from smoothlab.datasets import write_csv
 
 
 def small_blob(dim=2, per_class=10, classes=2, overlap=()):
@@ -168,6 +173,22 @@ class TestCsv:
         path = tmp_path / "hand.csv"
         save_csv(ds, path)
         assert path.read_bytes() == b"f0,f1,label\n1.000000,-0.500000,1\n0.123457,20.000000,0\n"
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(st.floats(), st.integers()), min_size=1, max_size=6))
+    @example([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308, 7])
+    @example([-(2**70), 0, 1.5e300, -0.0000005, 0.0000005])
+    def test_line_template_matches_per_cell_format(self, tmp_path, cells):
+        path = tmp_path / "cells.csv"
+        formats = tuple("%.6f" if isinstance(v, float) else "%d" for v in cells)
+        write_csv(path, formats, [tuple(cells)], [f"c{i}" for i in range(len(cells))])
+        expected = ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in cells)
+        header = ",".join(f"c{i}" for i in range(len(cells)))
+        assert path.read_bytes() == f"{header}\n{expected}\n".encode()
+
+    def test_header_must_match_columns(self, tmp_path):
+        with pytest.raises(DimensionError):
+            write_csv(tmp_path / "x.csv", ("%d", "%d"), [(1, 2)], ("a",))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

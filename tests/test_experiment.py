@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -188,12 +190,33 @@ class TestCompare:
         assert lines[3].startswith("hard,median,")
         assert lines[4].startswith("hard,mean,")
 
-    def test_duplicate_strategy_identical_rows(self, tmp_path):
-        path = write_config(tmp_path, strategies="hard,hard")
-        cfg = parse_config(path)
-        table_path, records = run_compare(cfg)
-        assert records[0].test_accuracy == records[1].test_accuracy
-        assert records[0].test_ece == records[1].test_ece
+    def test_duplicate_strategy_rejected(self, tmp_path):
+        # a second run of a kind would overwrite the first's directory and
+        # put two identical blocks into comparison.csv
+        path = write_config(tmp_path, strategies="cpls,hard,cpls")
+        with pytest.raises(ConfigError, match="'cpls' more than once"):
+            parse_config(path)
+        assert not (tmp_path / "runs").exists()
+
+    def test_used_out_dir_refused_and_left_unchanged(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        out_dir = tmp_path / "runs"
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        assert out_dir / "comparison.csv" in before
+        capsys.readouterr()
+        assert main(["compare", "--config", str(cfg_path), "--seed", "7"]) == 1
+        assert f"output directory {out_dir} already holds runs" in capsys.readouterr().err
+        after = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        assert after == before
+
+    def test_out_dir_with_a_run_summary_refused(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        run_training(cfg, cfg.strategies[0], seed=1)
+        before = sorted(cfg.out_dir.rglob("*"))
+        with pytest.raises(ConfigError, match=re.escape(str(cfg.out_dir))):
+            run_compare(cfg)
+        assert sorted(cfg.out_dir.rglob("*")) == before
 
     def test_order_does_not_change_values(self, tmp_path):
         cfg_a = parse_config(write_config(tmp_path, strategies="hard,cpls"))

@@ -193,6 +193,85 @@ class TestTrainEpoch:
             train_epoch(params, ds, np.eye(3), make_config(), epoch=3)
 
 
+def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, epoch):
+    """One SGD epoch written the straightforward way, updating the four lists:
+    per-batch fancy indexing, out-of-place forward, softmax and backward, and
+    a per-layer momentum step. Returns the mean training loss."""
+    order = np.random.default_rng([config.seed, epoch]).permutation(ds.n_samples)
+    total = 0.0
+    for start in range(0, ds.n_samples, config.batch_size):
+        idx = order[start : start + config.batch_size]
+        x, targets = ds.features[idx], table[ds.labels[idx]]
+        activations = [x]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            activations.append(np.maximum(activations[-1] @ w.T + b, 0.0))
+        logits = activations[-1] @ weights[-1].T + biases[-1]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        loss = float(-(targets * np.log(np.maximum(probs, 1e-12))).sum(axis=1).mean())
+        delta = (probs - targets) / idx.size
+        grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+        for layer in range(len(weights) - 1, -1, -1):
+            grads_w[layer] = delta.T @ activations[layer]
+            grads_b[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ weights[layer]) * (activations[layer] > 0.0)
+        for layer in range(len(weights)):
+            w_vel[layer] = config.momentum * w_vel[layer] + grads_w[layer]
+            b_vel[layer] = config.momentum * b_vel[layer] + grads_b[layer]
+            weights[layer] -= config.learning_rate * w_vel[layer]
+            biases[layer] -= config.learning_rate * b_vel[layer]
+        total += loss * idx.size
+    return total / ds.n_samples
+
+
+class TestFlatBuffers:
+    def test_lists_are_views_of_the_flat_buffers(self):
+        params = init_params(MlpConfig((4, 6, 3)), 0)
+        arrays = params.weights + params.biases
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in arrays]))
+        params.flat[:] = 1.0
+        params.flat_velocity[:] = 2.0
+        assert all(np.all(a == 1.0) for a in arrays)
+        assert all(np.all(v == 2.0) for v in params.w_velocity + params.b_velocity)
+
+    def test_gradients_are_views_of_one_flat_gradient(self):
+        ds = tiny_dataset()
+        params = init_params(MlpConfig((4, 6, 5, 3)), 1)
+        _, _, (grads_w, grads_b) = loss_and_gradients(params, ds.features, np.eye(3)[ds.labels])
+        flat = grads_w[0].base
+        assert flat.shape == params.flat.shape
+        assert all(g.base is flat for g in grads_w + grads_b)
+        assert np.array_equal(flat, np.concatenate([g.ravel() for g in grads_w + grads_b]))
+
+    def test_velocity_shapes_must_match(self):
+        w, b = np.zeros((2, 3)), np.zeros(2)
+        with pytest.raises(DimensionError):
+            ModelParams([w], [b], [np.zeros((3, 2))], [b])
+
+
+class TestBitExactOracle:
+    """train_epoch on the flat buffers equals ``reference_epoch`` bit for bit."""
+
+    @pytest.mark.parametrize("sizes", [(4, 3), (4, 6, 3), (4, 6, 5, 3)])
+    @pytest.mark.parametrize("batch_size", [1, 7, 36])  # 7 leaves a ragged last batch of 1
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_three_epochs(self, sizes, batch_size, momentum):
+        ds = tiny_dataset(seed=2)
+        assert ds.n_samples == 36
+        table = 0.7 * np.eye(3) + 0.3 * np.random.default_rng(5).dirichlet(np.ones(3), size=3)
+        config = make_config(lr=0.1, seed=4, batch_size=batch_size, momentum=momentum)
+        params = init_params(MlpConfig(sizes), 4)
+        lists = (params.weights, params.biases, params.w_velocity, params.b_velocity)
+        reference = [[a.copy() for a in arrays] for arrays in lists]
+        for epoch in (1, 2, 3):
+            loss = train_epoch(params, ds, table, config, epoch)
+            assert loss == reference_epoch(*reference, ds, table, config, epoch)
+        for got, want in zip(lists, reference):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestGradients:
     def strategy_tables(self):
         """Effective target tables for all four strategies, C = 8."""
