@@ -38,25 +38,10 @@ from .experiment import (
     run_training,
     write_manifest,
 )
-from .mathkit import (
-    affine_forward,
-    ce_softmax_gradient,
-    finite_difference_gradient,
-    log_softmax,
-    softmax,
-    softmax_rows,
-)
 from .smoothing import (
-    PROB_FLOOR,
     ConfusionTracker,
     OnlineLabelSmoother,
     TargetStrategy,
-    cpls_ce,
-    hard_ce,
-    hard_target,
-    hybrid_loss,
-    soft_ce,
-    vanilla_ls_target,
     write_confusion_csv,
 )
 from .trainer import (
@@ -67,10 +52,8 @@ from .trainer import (
     evaluate,
     extract_features,
     fit,
-    forward,
     init_params,
     loss_and_gradients,
-    strategy_phase,
     train_epoch,
 )
 

@@ -375,9 +375,15 @@ def run_single(
 def run_training(
     cfg: ExperimentConfig, strategy: TargetStrategy, seed: int, run_dir: Path | None = None
 ) -> RunRecord:
-    """Standalone single run: prepare splits for the seed, then train and emit."""
+    """Standalone single run: prepare splits for the seed, then train and emit.
+
+    A run directory that already holds a file is refused before anything is
+    written, so no run's artifacts sit beside those of an earlier one.
+    """
     if run_dir is None:
         run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+    if run_dir.is_dir() and any(run_dir.iterdir()):
+        raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
     splits = prepare_splits(cfg, seed)
     return run_single(splits, cfg, strategy, seed, run_dir)
 

@@ -1,6 +1,7 @@
-"""Soft-target construction and cross-entropy losses for the four training
-strategies (hard labels, vanilla smoothing, online smoothing, confusion-penalty
-smoothing), plus the validation confusion tracker that powers the last one."""
+"""The four training strategies (hard labels, vanilla smoothing, online
+smoothing, confusion-penalty smoothing) and the per-epoch state behind the last
+two: the validation confusion tracker and the online-smoothing accumulator.
+The trainer folds them into one soft-target table per epoch."""
 
 from __future__ import annotations
 
@@ -76,54 +77,6 @@ class TargetStrategy:
         return cls("cpls", beta=beta, warmup_epochs=warmup_epochs)
 
 
-def _check_class_id(y: int, num_classes: int) -> int:
-    y = int(y)
-    if not 0 <= y < num_classes:
-        raise DomainError(f"class id {y} out of range [0, {num_classes})")
-    return y
-
-
-def _as_prob_vector(p, name: str) -> np.ndarray:
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 1-D vector, got shape {v.shape}")
-    return v
-
-
-def hard_target(y: int, num_classes: int) -> np.ndarray:
-    """One-hot target vector for class y."""
-    y = _check_class_id(y, num_classes)
-    t = np.zeros(num_classes)
-    t[y] = 1.0
-    return t
-
-
-def vanilla_ls_target(y: int, alpha: float, num_classes: int) -> np.ndarray:
-    """Smoothed target (1 - alpha) * one_hot(y) + alpha / C per entry."""
-    if not (0.0 <= alpha < 1.0):
-        raise DomainError(f"alpha must be in [0, 1), got {alpha}")
-    y = _check_class_id(y, num_classes)
-    t = np.full(num_classes, alpha / num_classes)
-    t[y] += 1.0 - alpha
-    return t
-
-
-def hard_ce(p, y: int) -> float:
-    """-log p[y], the per-sample cross-entropy against a hard label."""
-    pv = _as_prob_vector(p, "p")
-    y = _check_class_id(y, pv.size)
-    return float(-floored_log(pv[y]))
-
-
-def soft_ce(p, target) -> float:
-    """-sum_c target[c] * log p[c] for an arbitrary soft target."""
-    pv = _as_prob_vector(p, "p")
-    tv = _as_prob_vector(target, "target")
-    if pv.size != tv.size:
-        raise DimensionError(f"length mismatch: p has {pv.size} entries, target has {tv.size}")
-    return float(-(tv @ floored_log(pv)))
-
-
 def _row_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row i of ``sums`` divided by ``counts[i]``; a row with a zero count is
     the identity row, so an unseen class keeps its hard target."""
@@ -151,12 +104,6 @@ class ConfusionTracker:
         self.normalized = np.eye(num_classes)
         self.epoch_tag = 0
 
-    def accumulate(self, true_class: int, predicted_class: int) -> "ConfusionTracker":
-        t = _check_class_id(true_class, self.num_classes)
-        p = _check_class_id(predicted_class, self.num_classes)
-        self.counts[t, p] += 1
-        return self
-
     def accumulate_counts(self, counts: np.ndarray) -> "ConfusionTracker":
         """Add a whole count matrix (e.g. one validation pass) at once."""
         c = np.asarray(counts)
@@ -172,31 +119,6 @@ class ConfusionTracker:
         self.counts = np.zeros_like(self.counts)
         self.epoch_tag += 1
         return self
-
-    def row(self, y: int) -> np.ndarray:
-        y = _check_class_id(y, self.num_classes)
-        return self.normalized[y]
-
-
-def cpls_ce(p, tracker: ConfusionTracker, y: int) -> float:
-    """Cross-entropy of p against the tracker's normalized row for class y."""
-    y = _check_class_id(y, tracker.num_classes)
-    return soft_ce(p, tracker.normalized[y])
-
-
-def hybrid_loss(p, y: int, tracker: ConfusionTracker, beta: float) -> float:
-    """beta * hard_ce + (1 - beta) * cpls_ce.
-
-    beta is nominally in (0, 1); the endpoints are accepted and short-circuit
-    to the corresponding pure loss so they are exact.
-    """
-    if not (0.0 <= beta <= 1.0):
-        raise DomainError(f"beta must be in [0, 1], got {beta}")
-    if beta == 1.0:
-        return hard_ce(p, y)
-    if beta == 0.0:
-        return cpls_ce(p, tracker, y)
-    return beta * hard_ce(p, y) + (1.0 - beta) * cpls_ce(p, tracker, y)
 
 
 class OnlineLabelSmoother:
@@ -216,25 +138,12 @@ class OnlineLabelSmoother:
         self._sums = np.zeros((num_classes, num_classes))
         self._counts = np.zeros(num_classes, dtype=np.int64)
 
-    def update(self, p, y: int) -> None:
-        pv = _as_prob_vector(p, "p")
-        y = _check_class_id(y, self.num_classes)
-        if pv.size != self.num_classes:
-            raise DimensionError(f"expected {self.num_classes} probabilities, got {pv.size}")
-        if int(np.argmax(pv)) == y:
-            self._sums[y] += pv
-            self._counts[y] += 1
-
     def update_batch(self, labels: np.ndarray, probs: np.ndarray) -> None:
         preds = np.argmax(probs, axis=1)
         correct = preds == labels
         if np.any(correct):
             np.add.at(self._sums, labels[correct], probs[correct])
             np.add.at(self._counts, labels[correct], 1)
-
-    def target(self, y: int) -> np.ndarray:
-        y = _check_class_id(y, self.num_classes)
-        return self.targets[y]
 
     def advance_epoch(self) -> None:
         self.targets = _row_means(self._sums, self._counts)

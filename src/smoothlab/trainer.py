@@ -18,14 +18,12 @@ import numpy as np
 from .calibration import ece
 from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .datasets import LabeledDataset
-from .mathkit import affine_forward, softmax_rows_inplace
 from .smoothing import (
     PROB_FLOOR,
     ConfusionTracker,
     OnlineLabelSmoother,
     TargetStrategy,
     floored_log,
-    vanilla_ls_target,
 )
 
 
@@ -79,36 +77,32 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Per-layer weights (out x in), biases, and their momentum buffers.
+    """Per-layer weights (out x in) and biases, plus their momentum.
 
-    The constructor copies the given arrays into two flat float64 buffers that
-    the instance owns: ``flat`` holds every weight matrix and then every bias,
-    layer by layer, and ``flat_velocity`` holds their momentum in the same
-    layout. The four lists are views into those buffers, so one SGD step can
-    update every layer at once.
+    The constructor copies the given arrays into a flat float64 buffer that the
+    instance owns: ``flat`` holds every weight matrix and then every bias,
+    layer by layer, and the two lists are views into it. ``flat_velocity``
+    holds the momentum in the same layout and starts at zero, so one SGD step
+    can update every layer at once.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    w_velocity: list[np.ndarray]
-    b_velocity: list[np.ndarray]
     flat: np.ndarray = field(init=False, repr=False)
     flat_velocity: np.ndarray = field(init=False, repr=False)
     _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = [np.shape(a) for a in self.weights + self.biases]
-        if [np.shape(a) for a in self.w_velocity + self.b_velocity] != shapes:
-            raise DimensionError("velocity buffers must match the weight and bias shapes")
         self._layout = []
         stop = 0
-        for shape in shapes:
+        for shape in [np.shape(a) for a in self.weights + self.biases]:
             start, stop = stop, stop + math.prod(shape)
             self._layout.append((start, stop, shape))
-        self.flat = _pack(self.weights + self.biases)
-        self.flat_velocity = _pack(self.w_velocity + self.b_velocity)
+        self.flat = np.concatenate(
+            [np.asarray(a, dtype=np.float64).ravel() for a in self.weights + self.biases]
+        )
+        self.flat_velocity = np.zeros_like(self.flat)
         self.weights, self.biases = self.split(self.flat)
-        self.w_velocity, self.b_velocity = self.split(self.flat_velocity)
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a flat buffer in this layout."""
@@ -128,13 +122,6 @@ class ModelParams:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.weights, self.biases, self.w_velocity, self.b_velocity)
-
-
-def _pack(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
 
 @dataclass(frozen=True)
 class EpochMetrics:
@@ -149,27 +136,20 @@ class EpochMetrics:
 def init_params(config: MlpConfig, seed: int) -> ModelParams:
     """He-normal weights (std sqrt(2 / fan_in)), zero biases, zero momentum."""
     rng = np.random.default_rng(seed)
-    weights, biases, w_vel, b_vel = [], [], [], []
+    weights, biases = [], []
     sizes = config.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-        w_vel.append(np.zeros((fan_out, fan_in)))
-        b_vel.append(np.zeros(fan_out))
-    return ModelParams(weights, biases, w_vel, b_vel)
+    return ModelParams(weights, biases)
 
 
-def forward(params: ModelParams, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Single-sample forward pass; returns the logits and every hidden activation."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 1 or h.size != params.input_dim:
-        raise DimensionError(f"expected input of length {params.input_dim}, got shape {h.shape}")
-    hidden: list[np.ndarray] = []
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(affine_forward(w, b, h), 0.0)
-        hidden.append(h)
-    logits = affine_forward(params.weights[-1], params.biases[-1], h)
-    return logits, hidden
+def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
+    """Overwrite a 2-D float64 array with its row-wise stable softmax; returns it."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -319,9 +299,10 @@ def _target_table(
     if strategy.kind == "hard":
         return identity
     if strategy.kind == "vanilla":
-        return np.stack(
-            [vanilla_ls_target(y, strategy.alpha, num_classes) for y in range(num_classes)]
-        )
+        # row y is (1 - alpha) * one_hot(y) + alpha / C
+        table = np.full((num_classes, num_classes), strategy.alpha / num_classes)
+        table += (1.0 - strategy.alpha) * identity
+        return table
     if strategy_phase(strategy, epoch) == "warmup":
         return identity
     if strategy.kind == "cpls":
@@ -336,7 +317,6 @@ def fit(
     val: LabeledDataset,
     mlp_config: MlpConfig,
     config: TrainConfig,
-    initial_params: ModelParams | None = None,
     on_epoch: Callable[[int, ModelParams, EpochMetrics, ConfusionTracker], None] | None = None,
 ) -> tuple[ModelParams, list[EpochMetrics], ConfusionTracker]:
     """Run the full warmup-then-hybrid training schedule.
@@ -344,8 +324,7 @@ def fit(
     Every epoch ends with a validation pass whose confusion counts are folded
     into the tracker and re-normalized, so the hybrid phase always works from
     the freshest matrix; warmup epochs keep the matrix warm but unused.
-    ``initial_params`` is copied, never mutated; when omitted, parameters are
-    drawn from (mlp_config, config.seed).
+    Initial parameters are drawn from (mlp_config, config.seed).
     """
     if train.n_features != val.n_features or train.num_classes != val.num_classes:
         raise DimensionError("train and val splits must share feature count and class count")
@@ -357,9 +336,7 @@ def fit(
         raise DimensionError(
             f"model emits {mlp_config.layer_sizes[-1]} classes, data has {train.num_classes}"
         )
-    params = initial_params.copy() if initial_params is not None else init_params(
-        mlp_config, config.seed
-    )
+    params = init_params(mlp_config, config.seed)
     strategy = config.strategy
     num_classes = train.num_classes
     tracker = ConfusionTracker(num_classes)

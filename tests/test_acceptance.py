@@ -9,34 +9,39 @@ import time
 import numpy as np
 import pytest
 
+import smoothlab.trainer
 from smoothlab import (
     BlobSpec,
     ConfusionTracker,
     MlpConfig,
+    ModelParams,
     OnlineLabelSmoother,
     SplitSpec,
     TargetStrategy,
     TrainConfig,
-    ce_softmax_gradient,
-    cpls_ce,
     ece,
     evaluate,
-    finite_difference_gradient,
     fit,
     generate_confusable_blobs,
-    hard_ce,
-    hard_target,
-    hybrid_loss,
     init_params,
     loss_and_gradients,
-    soft_ce,
-    softmax,
     standardize,
     stratified_split,
-    vanilla_ls_target,
 )
 from smoothlab.experiment import config_from_values, prepare_splits, run_compare
 
+from oracles import (
+    accumulate,
+    ce_softmax_gradient,
+    cpls_ce,
+    finite_difference_gradient,
+    hard_ce,
+    hard_target,
+    hybrid_loss,
+    soft_ce,
+    softmax,
+    vanilla_ls_target,
+)
 from test_calibration import brute_force_ece, probs_with_confidence
 
 
@@ -59,8 +64,8 @@ def test_criterion_1_loss_oracles():
 
     tracker = ConfusionTracker(4)
     for _ in range(3):
-        tracker.accumulate(0, 0)
-    tracker.accumulate(0, 1)
+        accumulate(tracker, 0, 0)
+    accumulate(tracker, 0, 1)
     tracker.normalize()
     mid = hybrid_loss(p, 0, tracker, 0.5)
     mean = (hard_ce(p, 0) + cpls_ce(p, tracker, 0)) / 2.0
@@ -98,7 +103,7 @@ def test_criterion_2_equivalence_identities():
 
     busy_tracker = ConfusionTracker(6)
     for _ in range(60):
-        busy_tracker.accumulate(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+        accumulate(busy_tracker, int(rng.integers(0, 6)), int(rng.integers(0, 6)))
     busy_tracker.normalize()
     for _ in range(50):
         p = rng.dirichlet(np.ones(6))
@@ -128,17 +133,16 @@ def test_criterion_3_gradient_suite():
     # effective target tables for all four strategies, C = 8
     tracker = ConfusionTracker(8)
     for _ in range(300):
-        tracker.accumulate(int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+        accumulate(tracker, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
     tracker.normalize()
     smoother = OnlineLabelSmoother(8)
     smoother.update_batch(rng.integers(0, 8, size=120), rng.dirichlet(np.ones(8), size=120))
     smoother.advance_epoch()
-    identity = np.eye(8)
+    strategies = [TargetStrategy.hard(), TargetStrategy.vanilla(0.1)]
+    strategies += [TargetStrategy.cpls(0.5, 0), TargetStrategy.ols(0)]
+    # epoch 1 is past the zero-epoch warmups: the tables the trainer builds
     tables = {
-        "hard": identity,
-        "vanilla": np.stack([vanilla_ls_target(y, 0.1, 8) for y in range(8)]),
-        "cpls": identity + 0.5 * (tracker.normalized - identity),
-        "ols": smoother.targets,
+        s.kind: smoothlab.trainer._target_table(s, 8, 1, tracker, smoother) for s in strategies
     }
 
     x = rng.normal(size=(5, 4))
@@ -159,7 +163,7 @@ def test_criterion_3_gradient_suite():
         targets = table[labels]
         _, _, (grads_w, grads_b) = loss_and_gradients(params, x, targets)
         analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
-        probe = params.copy()
+        probe = ModelParams(params.weights, params.biases)
 
         def loss_at(vec, probe=probe, targets=targets):
             pos = 0
@@ -219,8 +223,8 @@ def test_criterion_5_confusion_tracker():
     ok = True
     tracker = ConfusionTracker(4)
     for _ in range(3):
-        tracker.accumulate(0, 0)
-    tracker.accumulate(0, 1)
+        accumulate(tracker, 0, 0)
+    accumulate(tracker, 0, 1)
     tracker.normalize()
     ok &= np.array_equal(tracker.normalized[0], [0.75, 0.25, 0.0, 0.0])
 
@@ -229,12 +233,12 @@ def test_criterion_5_confusion_tracker():
         c = int(rng.integers(2, 10))
         tracker = ConfusionTracker(c)
         for _ in range(int(rng.integers(0, 60))):
-            tracker.accumulate(int(rng.integers(0, c)), int(rng.integers(0, c)))
+            accumulate(tracker, int(rng.integers(0, c)), int(rng.integers(0, c)))
         tracker.normalize()
         ok &= np.max(np.abs(tracker.normalized.sum(axis=1) - 1.0)) <= 1e-12
 
     empty = ConfusionTracker(5)
-    empty.accumulate(0, 1)
+    accumulate(empty, 0, 1)
     empty.normalize()
     for r in range(1, 5):
         ok &= np.array_equal(empty.normalized[r], np.eye(5)[r])
@@ -258,7 +262,6 @@ def headline_runs():
     for seed in range(1, 11):
         train, val, test = prepare_splits(cfg, seed)
         mlp = MlpConfig((train.n_features, *cfg.hidden, train.num_classes))
-        shared = init_params(mlp, seed)
         for name, strategy in strategies.items():
             snapshot = {}
 
@@ -275,9 +278,7 @@ def headline_runs():
                 momentum=cfg.momentum,
                 ece_bins=cfg.ece_bins,
             )
-            params, metrics, tracker = fit(
-                train, val, mlp, train_cfg, initial_params=shared, on_epoch=grab
-            )
+            params, metrics, tracker = fit(train, val, mlp, train_cfg, on_epoch=grab)
             accuracy, probs, _ = evaluate(params, test)
             results[name]["acc"].append(accuracy)
             results[name]["ece"].append(ece(probs, test.labels, cfg.ece_bins))

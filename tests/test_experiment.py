@@ -295,6 +295,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "strategy=cpls" in out
 
+    def test_used_run_dir_refused_and_left_unchanged(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--strategy", "cpls"]) == 0
+        run_dir = tmp_path / "runs" / "cpls_seed1"
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        assert run_dir / "confusion_epoch_4.csv" in before
+        capsys.readouterr()
+        # a shorter run would leave the first run's later confusion snapshots behind
+        cfg_path = write_config(tmp_path, train_epochs=2)
+        assert main(["train", "--config", str(cfg_path), "--strategy", "cpls"]) == 1
+        assert f"run directory {run_dir} is not empty" in capsys.readouterr().err
+        after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        assert after == before
+
     def test_compare_and_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         assert main(["compare", "--config", str(cfg_path)]) == 0

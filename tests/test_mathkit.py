@@ -1,12 +1,13 @@
+"""The numeric oracles of ``oracles.py`` and the trainer's in-place row softmax."""
+
 import math
 
 import numpy as np
 import pytest
 
-from smoothlab import (
-    DimensionError,
-    DomainError,
-    NumericError,
+from smoothlab import DimensionError, DomainError, NumericError
+
+from oracles import (
     affine_forward,
     ce_softmax_gradient,
     finite_difference_gradient,

@@ -3,19 +3,30 @@ import math
 import numpy as np
 import pytest
 
+import smoothlab.trainer
 from smoothlab import (
     ConfusionTracker,
     DimensionError,
     DomainError,
     OnlineLabelSmoother,
     TargetStrategy,
+    write_confusion_csv,
+)
+
+from oracles import (
+    accumulate,
+    ce_softmax_gradient,
     cpls_ce,
+    finite_difference_gradient,
     hard_ce,
     hard_target,
     hybrid_loss,
+    log_softmax,
+    smoother_target,
+    smoother_update,
     soft_ce,
+    softmax,
     vanilla_ls_target,
-    write_confusion_csv,
 )
 
 P4 = np.array([0.7, 0.1, 0.1, 0.1])
@@ -137,7 +148,7 @@ class TestConfusionTracker:
 
     def test_single_accumulation(self):
         tr = ConfusionTracker(4)
-        tr.accumulate(0, 1)
+        accumulate(tr, 0, 1)
         assert tr.counts[0, 1] == 1
         assert tr.counts.sum() == 1
         assert np.array_equal(tr.normalized, np.eye(4))  # unchanged until normalize
@@ -146,7 +157,7 @@ class TestConfusionTracker:
         tr = ConfusionTracker(3)
         rng = np.random.default_rng(2)
         for _ in range(57):
-            tr.accumulate(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+            accumulate(tr, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
         assert tr.counts.sum() == 57
 
     def test_order_independence(self):
@@ -154,22 +165,22 @@ class TestConfusionTracker:
         a = ConfusionTracker(3)
         b = ConfusionTracker(3)
         for t, p in events:
-            a.accumulate(t, p)
+            accumulate(a, t, p)
         for t, p in reversed(events):
-            b.accumulate(t, p)
+            accumulate(b, t, p)
         assert np.array_equal(a.counts, b.counts)
 
     def test_normalize_hand_row(self):
         tr = ConfusionTracker(4)
         for _ in range(3):
-            tr.accumulate(0, 0)
-        tr.accumulate(0, 1)
+            accumulate(tr, 0, 0)
+        accumulate(tr, 0, 1)
         tr.normalize()
         assert np.array_equal(tr.normalized[0], [0.75, 0.25, 0.0, 0.0])
 
     def test_zero_row_identity_fallback(self):
         tr = ConfusionTracker(4)
-        tr.accumulate(0, 1)
+        accumulate(tr, 0, 1)
         tr.normalize()
         assert np.array_equal(tr.normalized[2], [0.0, 0.0, 1.0, 0.0])
 
@@ -177,13 +188,13 @@ class TestConfusionTracker:
         tr = ConfusionTracker(3)
         for c in range(3):
             for _ in range(5):
-                tr.accumulate(c, c)
+                accumulate(tr, c, c)
         tr.normalize()
         assert np.array_equal(tr.normalized, np.eye(3))
 
     def test_normalize_resets_counts_and_tags_epoch(self):
         tr = ConfusionTracker(3)
-        tr.accumulate(0, 1)
+        accumulate(tr, 0, 1)
         tr.normalize()
         assert tr.counts.sum() == 0
         assert tr.epoch_tag == 1
@@ -196,7 +207,7 @@ class TestConfusionTracker:
             c = int(rng.integers(2, 9))
             tr = ConfusionTracker(c)
             for _ in range(int(rng.integers(0, 40))):
-                tr.accumulate(int(rng.integers(0, c)), int(rng.integers(0, c)))
+                accumulate(tr, int(rng.integers(0, c)), int(rng.integers(0, c)))
             tr.normalize()
             sums = tr.normalized.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-12
@@ -205,9 +216,9 @@ class TestConfusionTracker:
     def test_out_of_range_ids(self):
         tr = ConfusionTracker(3)
         with pytest.raises(DomainError):
-            tr.accumulate(3, 0)
+            accumulate(tr, 3, 0)
         with pytest.raises(DomainError):
-            tr.accumulate(0, -1)
+            accumulate(tr, 0, -1)
 
 
 class TestCplsLoss:
@@ -222,16 +233,16 @@ class TestCplsLoss:
     def test_hand_value(self):
         tr = ConfusionTracker(4)
         for _ in range(3):
-            tr.accumulate(0, 0)
-        tr.accumulate(0, 1)
+            accumulate(tr, 0, 0)
+        accumulate(tr, 0, 1)
         tr.normalize()
         assert abs(cpls_ce(P4, tr, 0) - CPLS_CE_P4) < 1e-12
 
     def test_gibbs_inequality(self):
         tr = ConfusionTracker(4)
         for _ in range(3):
-            tr.accumulate(0, 0)
-        tr.accumulate(0, 1)
+            accumulate(tr, 0, 0)
+        accumulate(tr, 0, 1)
         tr.normalize()
         row = tr.normalized[0]
         entropy = -(row[row > 0] * np.log(row[row > 0])).sum()
@@ -243,8 +254,8 @@ class TestHybridLoss:
     def tracker(self):
         tr = ConfusionTracker(4)
         for _ in range(3):
-            tr.accumulate(0, 0)
-        tr.accumulate(0, 1)
+            accumulate(tr, 0, 0)
+        accumulate(tr, 0, 1)
         tr.normalize()
         return tr
 
@@ -274,37 +285,37 @@ class TestOnlineLabelSmoother:
     def test_fallback_is_one_hot(self):
         ols = OnlineLabelSmoother(3)
         ols.advance_epoch()
-        assert np.array_equal(ols.target(1), [0.0, 1.0, 0.0])
+        assert np.array_equal(smoother_target(ols, 1), [0.0, 1.0, 0.0])
 
     def test_single_sample(self):
         ols = OnlineLabelSmoother(2)
-        ols.update([0.6, 0.4], 0)
+        smoother_update(ols, [0.6, 0.4], 0)
         ols.advance_epoch()
-        assert np.array_equal(ols.target(0), [0.6, 0.4])
+        assert np.array_equal(smoother_target(ols, 0), [0.6, 0.4])
 
     def test_mean_of_accumulated(self):
         ols = OnlineLabelSmoother(2)
-        ols.update([0.6, 0.4], 0)
-        ols.update([0.8, 0.2], 0)
+        smoother_update(ols, [0.6, 0.4], 0)
+        smoother_update(ols, [0.8, 0.2], 0)
         ols.advance_epoch()
-        assert np.max(np.abs(ols.target(0) - [0.7, 0.3])) < 1e-15
+        assert np.max(np.abs(smoother_target(ols, 0) - [0.7, 0.3])) < 1e-15
 
     def test_incorrect_predictions_ignored(self):
         ols = OnlineLabelSmoother(2)
-        ols.update([0.4, 0.6], 0)  # argmax is 1, label is 0
+        smoother_update(ols, [0.4, 0.6], 0)  # argmax is 1, label is 0
         ols.advance_epoch()
-        assert np.array_equal(ols.target(0), [1.0, 0.0])
+        assert np.array_equal(smoother_target(ols, 0), [1.0, 0.0])
 
     def test_targets_come_from_previous_epoch(self):
         ols = OnlineLabelSmoother(2)
-        ols.update([0.6, 0.4], 0)
+        smoother_update(ols, [0.6, 0.4], 0)
         # not yet advanced: still serving the identity
-        assert np.array_equal(ols.target(0), [1.0, 0.0])
+        assert np.array_equal(smoother_target(ols, 0), [1.0, 0.0])
         ols.advance_epoch()
-        assert np.array_equal(ols.target(0), [0.6, 0.4])
+        assert np.array_equal(smoother_target(ols, 0), [0.6, 0.4])
         # a new epoch with no correct predictions falls back to one-hot
         ols.advance_epoch()
-        assert np.array_equal(ols.target(0), [1.0, 0.0])
+        assert np.array_equal(smoother_target(ols, 0), [1.0, 0.0])
 
     def test_update_batch_matches_scalar_update(self):
         rng = np.random.default_rng(5)
@@ -314,7 +325,7 @@ class TestOnlineLabelSmoother:
         b = OnlineLabelSmoother(3)
         a.update_batch(labels, probs)
         for p, y in zip(probs, labels):
-            b.update(p, int(y))
+            smoother_update(b, p, int(y))
         a.advance_epoch()
         b.advance_epoch()
         assert np.allclose(a.targets, b.targets, atol=1e-15)
@@ -325,8 +336,6 @@ class TestLossGradients:
     estimate over the logits is the oracle."""
 
     def check(self, target_of_y, loss_of_p):
-        from smoothlab import ce_softmax_gradient, finite_difference_gradient, log_softmax, softmax
-
         rng = np.random.default_rng(9)
         for _ in range(20):
             logits = rng.normal(0, 2, size=4)
@@ -352,7 +361,7 @@ class TestLossGradients:
         tr = ConfusionTracker(4)
         rng = np.random.default_rng(10)
         for _ in range(40):
-            tr.accumulate(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+            accumulate(tr, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
         tr.normalize()
         self.check(lambda y: tr.normalized[y], lambda p, y: cpls_ce(p, tr, y))
 
@@ -360,19 +369,16 @@ class TestLossGradients:
         tr = ConfusionTracker(4)
         rng = np.random.default_rng(11)
         for _ in range(40):
-            tr.accumulate(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+            accumulate(tr, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
         tr.normalize()
-        beta = 0.5
-        eye = np.eye(4)
-        self.check(
-            lambda y: eye[y] + (1.0 - beta) * (tr.normalized[y] - eye[y]),
-            lambda p, y: hybrid_loss(p, y, tr, beta),
-        )
+        # epoch 1 is past a zero-epoch warmup: the trainer's cpls table for beta 0.5
+        table = smoothlab.trainer._target_table(TargetStrategy.cpls(0.5, 0), 4, 1, tr, None)
+        self.check(lambda y: table[y], lambda p, y: hybrid_loss(p, y, tr, 0.5))
 
 
 def test_write_confusion_csv(tmp_path):
     tr = ConfusionTracker(3)
-    tr.accumulate(0, 1)
+    accumulate(tr, 0, 1)
     tr.normalize()
     path = tmp_path / "confusion.csv"
     write_confusion_csv(tr.normalized, path)

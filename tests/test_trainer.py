@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothlab.trainer
 from smoothlab import (
@@ -19,22 +21,27 @@ from smoothlab import (
     SplitSpec,
     TargetStrategy,
     TrainConfig,
-    affine_forward,
     evaluate,
     extract_features,
-    finite_difference_gradient,
     fit,
-    forward,
     generate_confusable_blobs,
-    hard_ce,
-    hybrid_loss,
     init_params,
     loss_and_gradients,
-    soft_ce,
-    softmax,
     standardize,
     stratified_split,
     train_epoch,
+)
+
+from oracles import (
+    accumulate,
+    affine_forward,
+    finite_difference_gradient,
+    forward,
+    hard_ce,
+    hybrid_loss,
+    smoother_target,
+    soft_ce,
+    softmax,
     vanilla_ls_target,
 )
 
@@ -111,7 +118,7 @@ class TestInit:
 
     def test_copy_is_deep(self):
         params = init_params(MlpConfig((3, 4, 2)), 2)
-        clone = params.copy()
+        clone = ModelParams(params.weights, params.biases)
         clone.weights[0][0, 0] += 1.0
         assert params.weights[0][0, 0] != clone.weights[0][0, 0]
 
@@ -136,11 +143,7 @@ class TestForward:
         b1 = np.array([0.0, -1.0])
         w2 = np.array([[1.0, 1.0], [-1.0, 0.5], [0.25, 0.0]])
         b2 = np.array([0.5, 0.0, -0.25])
-        params = ModelParams(
-            [w1, w2], [b1, b2],
-            [np.zeros_like(w1), np.zeros_like(w2)],
-            [np.zeros_like(b1), np.zeros_like(b2)],
-        )
+        params = ModelParams([w1, w2], [b1, b2])
         x = [1.0, 2.0]
         # by hand: z1 = [1*1 + -1*2, 0.5*1 + 2*2] + [0,-1] = [-1, 3.5]
         #          h  = [0, 3.5]
@@ -233,7 +236,8 @@ class TestFlatBuffers:
         params.flat[:] = 1.0
         params.flat_velocity[:] = 2.0
         assert all(np.all(a == 1.0) for a in arrays)
-        assert all(np.all(v == 2.0) for v in params.w_velocity + params.b_velocity)
+        w_velocity, b_velocity = params.split(params.flat_velocity)
+        assert all(np.all(v == 2.0) for v in w_velocity + b_velocity)
 
     def test_gradients_are_views_of_one_flat_gradient(self):
         ds = tiny_dataset()
@@ -243,11 +247,6 @@ class TestFlatBuffers:
         assert flat.shape == params.flat.shape
         assert all(g.base is flat for g in grads_w + grads_b)
         assert np.array_equal(flat, np.concatenate([g.ravel() for g in grads_w + grads_b]))
-
-    def test_velocity_shapes_must_match(self):
-        w, b = np.zeros((2, 3)), np.zeros(2)
-        with pytest.raises(DimensionError):
-            ModelParams([w], [b], [np.zeros((3, 2))], [b])
 
 
 class TestBitExactOracle:
@@ -262,7 +261,7 @@ class TestBitExactOracle:
         table = 0.7 * np.eye(3) + 0.3 * np.random.default_rng(5).dirichlet(np.ones(3), size=3)
         config = make_config(lr=0.1, seed=4, batch_size=batch_size, momentum=momentum)
         params = init_params(MlpConfig(sizes), 4)
-        lists = (params.weights, params.biases, params.w_velocity, params.b_velocity)
+        lists = (params.weights, params.biases, *params.split(params.flat_velocity))
         reference = [[a.copy() for a in arrays] for arrays in lists]
         for epoch in (1, 2, 3):
             loss = train_epoch(params, ds, table, config, epoch)
@@ -278,20 +277,19 @@ class TestGradients:
         rng = np.random.default_rng(7)
         tracker = ConfusionTracker(8)
         for _ in range(200):
-            tracker.accumulate(int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+            accumulate(tracker, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
         tracker.normalize()
         smoother = OnlineLabelSmoother(8)
         smoother.update_batch(
             rng.integers(0, 8, size=100), rng.dirichlet(np.ones(8), size=100)
         )
         smoother.advance_epoch()
-        identity = np.eye(8)
-        beta = 0.5
+        strategies = [TargetStrategy.hard(), TargetStrategy.vanilla(0.1)]
+        strategies += [TargetStrategy.cpls(0.5, 0), TargetStrategy.ols(0)]
+        # epoch 1 is past the zero-epoch warmups
         return {
-            "hard": identity,
-            "vanilla": np.stack([vanilla_ls_target(y, 0.1, 8) for y in range(8)]),
-            "cpls": identity + (1.0 - beta) * (tracker.normalized - identity),
-            "ols": smoother.targets,
+            s.kind: smoothlab.trainer._target_table(s, 8, 1, tracker, smoother)
+            for s in strategies
         }
 
     def test_full_network_gradients_match_finite_differences(self):
@@ -304,7 +302,7 @@ class TestGradients:
             _, _, (grads_w, grads_b) = loss_and_gradients(params, x, targets)
             analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
 
-            probe = params.copy()
+            probe = ModelParams(params.weights, params.biases)
 
             def loss_at(vec):
                 load_vector(probe, vec)
@@ -314,6 +312,48 @@ class TestGradients:
             numeric = finite_difference_gradient(loss_at, flatten(params), h=1e-5)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-5, f"strategy {name}: relative gradient error {rel}"
+
+
+class TestTargetTableProperty:
+    """Every table the trainer builds is row-stochastic; hard tables and the
+    tables of warmup epochs are exactly the identity."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.integers(2, 10),
+        cells=st.lists(st.integers(0, 30), min_size=100, max_size=100),
+        zero_rows=st.sets(st.integers(0, 9)),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(0, 60),
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        warmup=st.integers(0, 3),
+    )
+    def test_row_stochastic_and_identity_in_warmup(
+        self, c, cells, zero_rows, seed, batch, alpha, beta, warmup
+    ):
+        counts = np.array(cells[: c * c]).reshape(c, c)
+        counts[[r for r in zero_rows if r < c]] = 0
+        tracker = ConfusionTracker(c)
+        tracker.accumulate_counts(counts)
+        tracker.normalize()
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(c), size=batch)
+        # about half the labels agree with the argmax, so some rows accumulate
+        labels = np.where(rng.random(batch) < 0.5, probs.argmax(axis=1), rng.integers(0, c, batch))
+        smoother = OnlineLabelSmoother(c)
+        smoother.update_batch(labels, probs)
+        smoother.advance_epoch()
+        strategies = [TargetStrategy.hard(), TargetStrategy.vanilla(alpha)]
+        strategies += [TargetStrategy.ols(warmup), TargetStrategy.cpls(beta, warmup)]
+        for strategy in strategies:
+            for epoch in range(1, warmup + 3):  # warmup epochs, then two hybrid ones
+                table = smoothlab.trainer._target_table(strategy, c, epoch, tracker, smoother)
+                assert table.shape == (c, c)
+                assert np.all(table >= 0.0)
+                assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
+                if strategy.kind == "hard" or (strategy.kind != "vanilla" and epoch <= warmup):
+                    assert np.array_equal(table, np.eye(c))
 
 
 class TestOracleLink:
@@ -336,7 +376,7 @@ class TestOracleLink:
                 TargetStrategy.vanilla(0.2),
                 lambda p, y: soft_ce(p, vanilla_ls_target(y, 0.2, c)),
             ),
-            "ols": (TargetStrategy.ols(1), lambda p, y: soft_ce(p, smoother.target(y))),
+            "ols": (TargetStrategy.ols(1), lambda p, y: soft_ce(p, smoother_target(smoother, y))),
             "cpls": (TargetStrategy.cpls(0.3, 1), lambda p, y: hybrid_loss(p, y, tracker, 0.3)),
         }[kind]
         # epoch 2 is past the one-epoch warmup, so ols and cpls use their own tables
@@ -472,14 +512,6 @@ class TestFit:
         _, _, tracker = fit(train, val, MlpConfig((4, 6, 3)), cfg)
         assert tracker.epoch_tag == 5
         assert np.max(np.abs(tracker.normalized.sum(axis=1) - 1.0)) < 1e-12
-
-    def test_initial_params_not_mutated(self):
-        train, val, _ = split_blob(seed=6)
-        shared = init_params(MlpConfig((4, 6, 3)), 9)
-        frozen = [w.copy() for w in shared.weights]
-        fit(train, val, MlpConfig((4, 6, 3)), make_config(epochs=2), initial_params=shared)
-        for w, old in zip(shared.weights, frozen):
-            assert np.array_equal(w, old)
 
     def test_shape_validation(self):
         train, val, _ = split_blob()
