@@ -30,7 +30,6 @@ from .experiment import (
     RunRecord,
     parse_config,
     prepare_splits,
-    read_manifest,
     run_compare,
     run_generate,
     run_report,

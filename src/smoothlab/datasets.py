@@ -1,5 +1,5 @@
-"""Synthetic confusable-class datasets, feature-CSV ingestion, and the
-stratified train/validation/test split."""
+"""Synthetic Gaussian-blob datasets with overlapping class pairs, feature-CSV
+ingestion, and the stratified train/validation/test split."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, ParseError
 
-# Center placement constants: paired classes sit one spread apart, everything
-# else at least six spreads apart (reps are laid out eight spreads apart so the
-# pair offset cannot erode the six-spread floor).
-_NEAR_FACTOR = 1.0
-_FAR_FACTOR = 6.0
+# Reps of the overlap components are laid out eight spreads apart along the
+# first axis, so a pair's one-spread offset keeps every other pair of centers
+# at least six spreads apart.
 _REP_SPACING = 8.0
-_GEOM_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,20 +54,21 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BlobSpec:
     """Geometry of a synthetic Gaussian-blob classification problem.
 
-    ``overlap_pairs`` lists class pairs whose centers sit within one
-    ``spread`` of each other; every other pair of centers must be at least
-    six spreads apart, so only the listed pairs confuse a sane classifier.
+    ``overlap_pairs`` lists class pairs whose centers sit exactly one
+    ``spread`` apart; every other pair of centers is at least six spreads
+    apart, so only the listed pairs confuse a sane classifier. A class may
+    belong to at most one pair: a class in two pairs would force two
+    supposedly-far classes within two spreads of each other.
     """
 
     num_classes: int
     samples_per_class: int
-    dimension: int
-    class_centers: np.ndarray
-    spread: float
+    dimension: int = 2
+    spread: float = 1.0
     overlap_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
@@ -80,79 +78,44 @@ class BlobSpec:
             raise DomainError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
-        if not (self.spread > 0):
-            raise DomainError(f"spread must be positive, got {self.spread}")
-        centers = np.asarray(self.class_centers, dtype=np.float64)
-        if centers.shape != (self.num_classes, self.dimension):
-            raise DimensionError(
-                f"class_centers must have shape ({self.num_classes}, {self.dimension}), "
-                f"got {centers.shape}"
-            )
+        if not (0 < self.spread < math.inf):
+            raise DomainError(f"spread must be positive and finite, got {self.spread}")
         pairs = tuple((int(a), int(b)) for a, b in self.overlap_pairs)
+        paired: set[int] = set()
         for a, b in pairs:
             if not (0 <= a < self.num_classes and 0 <= b < self.num_classes) or a == b:
                 raise DomainError(f"overlap pair ({a}, {b}) must name two distinct valid classes")
-        object.__setattr__(self, "class_centers", centers)
-        object.__setattr__(self, "overlap_pairs", pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlobSpec):
-            return NotImplemented
-        return (
-            self.num_classes == other.num_classes
-            and self.samples_per_class == other.samples_per_class
-            and self.dimension == other.dimension
-            and self.spread == other.spread
-            and self.overlap_pairs == other.overlap_pairs
-            and np.array_equal(self.class_centers, other.class_centers)
-        )
-
-    @classmethod
-    def confusable(
-        cls,
-        num_classes: int,
-        samples_per_class: int,
-        dimension: int = 2,
-        spread: float = 1.0,
-        overlap_pairs: tuple[tuple[int, int], ...] = (),
-    ) -> "BlobSpec":
-        """Build a spec with auto-placed centers honoring the near/far contract.
-
-        Each overlap pair forms a component whose two centers sit exactly one
-        spread apart; components are spaced eight spreads apart along the first
-        axis. A class may belong to at most one pair: a class in two pairs
-        would force two supposedly-far classes within two spreads of each
-        other, which the geometry cannot satisfy.
-        """
-        pairs = tuple((int(a), int(b)) for a, b in overlap_pairs)
-        mate: dict[int, int] = {}
-        for a, b in pairs:
-            if not (0 <= a < num_classes and 0 <= b < num_classes) or a == b:
-                raise DomainError(f"overlap pair ({a}, {b}) must name two distinct valid classes")
-            if a in mate or b in mate:
-                culprit = a if a in mate else b
+            if a in paired or b in paired:
+                culprit = a if a in paired else b
                 raise ConfigError(
                     f"infeasible geometry: class {culprit} appears in multiple overlap pairs"
                 )
-            mate[a] = b
-            mate[b] = a
-        centers = np.zeros((num_classes, dimension))
-        offset_axis = 1 if dimension >= 2 else 0
+            paired.update((a, b))
+        object.__setattr__(self, "overlap_pairs", pairs)
+
+    @property
+    def class_centers(self) -> np.ndarray:
+        """(num_classes, dimension) centers, derived from the other fields.
+
+        Classes are placed in index order, one component at a time, eight
+        spreads apart along the first axis; a class's overlap mate joins its
+        component one spread away along the second axis (the first in 1-D).
+        """
+        mate = {a: b for a, b in self.overlap_pairs} | {b: a for a, b in self.overlap_pairs}
+        centers = np.zeros((self.num_classes, self.dimension))
+        offset_axis = 1 if self.dimension >= 2 else 0
         placed: set[int] = set()
         component = 0
-        for c in range(num_classes):
+        for c in range(self.num_classes):
             if c in placed:
                 continue
-            base = _REP_SPACING * spread * component
-            centers[c, 0] = base
-            placed.add(c)
+            centers[c, 0] = _REP_SPACING * self.spread * component
             if c in mate:
-                partner = mate[c]
-                centers[partner] = centers[c]
-                centers[partner, offset_axis] += _NEAR_FACTOR * spread
-                placed.add(partner)
+                centers[mate[c]] = centers[c]
+                centers[mate[c], offset_axis] += self.spread
+                placed.add(mate[c])
             component += 1
-        return cls(num_classes, samples_per_class, dimension, centers, spread, pairs)
+        return centers
 
 
 @dataclass(frozen=True)
@@ -180,35 +143,16 @@ class SplitSpec:
         return (self.train_fraction, self.val_fraction, self.test_fraction)
 
 
-def _check_center_geometry(spec: BlobSpec) -> None:
-    near = {frozenset(p) for p in spec.overlap_pairs}
-    s = spec.spread
-    for a in range(spec.num_classes):
-        for b in range(a + 1, spec.num_classes):
-            dist = float(np.linalg.norm(spec.class_centers[a] - spec.class_centers[b]))
-            if frozenset((a, b)) in near:
-                if dist > _NEAR_FACTOR * s * (1.0 + _GEOM_RTOL):
-                    raise ConfigError(
-                        f"overlap pair ({a}, {b}) has centers {dist:.4g} apart; "
-                        f"must be within one spread ({s:.4g})"
-                    )
-            elif dist < _FAR_FACTOR * s * (1.0 - _GEOM_RTOL):
-                raise ConfigError(
-                    f"classes {a} and {b} are not an overlap pair but their centers are "
-                    f"{dist:.4g} apart; need at least {_FAR_FACTOR * s:.4g}"
-                )
-
-
 def generate_confusable_blobs(spec: BlobSpec, seed: int) -> LabeledDataset:
     """Draw samples_per_class isotropic Gaussian samples around each center.
 
     Deterministic for a given seed; class c occupies the contiguous block
     [c * samples_per_class, (c+1) * samples_per_class).
     """
-    _check_center_geometry(spec)
     rng = np.random.default_rng(seed)
+    centers = spec.class_centers
     blocks = [
-        rng.normal(spec.class_centers[c], spec.spread, size=(spec.samples_per_class, spec.dimension))
+        rng.normal(centers[c], spec.spread, size=(spec.samples_per_class, spec.dimension))
         for c in range(spec.num_classes)
     ]
     features = np.vstack(blocks)

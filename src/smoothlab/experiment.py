@@ -8,8 +8,6 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import ece, reliability_bins, write_reliability_csv
 from .datasets import (
     BlobSpec,
@@ -62,9 +60,7 @@ _DEFAULTS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: str
-    csv_path: Path | None
-    blob: BlobSpec | None
+    data: BlobSpec | Path  # the synthetic generator's spec, or a feature CSV
     split: SplitSpec
     hidden: tuple[int, ...]
     epochs: int
@@ -155,20 +151,20 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     merged = {**_DEFAULTS, **values}
 
     source = merged["data.source"]
-    if source not in ("synthetic", "csv"):
-        raise ConfigError(f"data.source must be 'synthetic' or 'csv', got {source!r}")
-    csv_path = Path(merged["data.csv"]) if merged["data.csv"] else None
-    if source == "csv" and csv_path is None:
-        raise ConfigError("data.source=csv requires data.csv to point at a feature CSV")
-    blob = None
     if source == "synthetic":
-        blob = BlobSpec.confusable(
+        data = BlobSpec(
             num_classes=_parse_int(merged["data.classes"], "data.classes"),
             samples_per_class=_parse_int(merged["data.per_class"], "data.per_class"),
             dimension=_parse_int(merged["data.dimension"], "data.dimension"),
             spread=_parse_float(merged["data.spread"], "data.spread"),
             overlap_pairs=_parse_pairs(merged["data.overlap"], "data.overlap"),
         )
+    elif source == "csv":
+        if not merged["data.csv"]:
+            raise ConfigError("data.source=csv requires data.csv to point at a feature CSV")
+        data = Path(merged["data.csv"])
+    else:
+        raise ConfigError(f"data.source must be 'synthetic' or 'csv', got {source!r}")
     split = SplitSpec(
         _parse_float(merged["split.train"], "split.train"),
         _parse_float(merged["split.val"], "split.val"),
@@ -189,10 +185,10 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     seeds = _parse_int_list(merged["seeds"], "seeds")
     if not seeds:
         raise ConfigError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ConfigError(f"config key seeds: expected non-negative integers, got {min(seeds)}")
     return ExperimentConfig(
-        source=source,
-        csv_path=csv_path,
-        blob=blob,
+        data=data,
         split=split,
         hidden=hidden,
         epochs=_parse_int(merged["train.epochs"], "train.epochs"),
@@ -212,7 +208,8 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
-    # repr-precision floats so the manifest round-trips to an equal BlobSpec.
+    # blob.centers is derived from the other keys and written, at repr
+    # precision, for readers outside the package; nothing reads it back.
     centers = ";".join(":".join(repr(float(v)) for v in row) for row in blob.class_centers)
     overlap = ",".join(f"{a}:{b}" for a, b in blob.overlap_pairs)
     path.write_text(
@@ -232,30 +229,10 @@ def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
     )
 
 
-def read_manifest(path) -> tuple[BlobSpec, int]:
-    path = Path(path)
-    values = parse_kv_text(path.read_text(encoding="utf-8"), str(path))
-    try:
-        centers = np.array(
-            [[float(v) for v in row.split(":")] for row in values["blob.centers"].split(";")]
-        )
-        blob = BlobSpec(
-            num_classes=int(values["blob.classes"]),
-            samples_per_class=int(values["blob.per_class"]),
-            dimension=int(values["blob.dimension"]),
-            class_centers=centers,
-            spread=float(values["blob.spread"]),
-            overlap_pairs=_parse_pairs(values["blob.overlap"], "blob.overlap"),
-        )
-        return blob, int(values["seed"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: manifest is missing key {exc}") from None
-
-
 def _load_source(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
-    if cfg.source == "synthetic":
-        return generate_confusable_blobs(cfg.blob, seed)
-    return load_csv(cfg.csv_path)
+    if isinstance(cfg.data, BlobSpec):
+        return generate_confusable_blobs(cfg.data, seed)
+    return load_csv(cfg.data)
 
 
 def prepare_splits(
@@ -269,12 +246,12 @@ def prepare_splits(
 
 def run_generate(cfg: ExperimentConfig, seed: int | None = None) -> dict[str, Path]:
     """Write raw train/val/test CSVs plus a manifest of the blob spec and seed."""
-    if cfg.source != "synthetic":
+    if not isinstance(cfg.data, BlobSpec):
         raise ConfigError("generate requires data.source=synthetic")
     seed = cfg.seeds[0] if seed is None else seed
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    ds = generate_confusable_blobs(cfg.blob, seed)
+    ds = generate_confusable_blobs(cfg.data, seed)
     train, val, test = stratified_split(ds, cfg.split, seed)
     paths = {
         "train": out / "train.csv",
@@ -285,7 +262,7 @@ def run_generate(cfg: ExperimentConfig, seed: int | None = None) -> dict[str, Pa
     save_csv(train, paths["train"])
     save_csv(val, paths["val"])
     save_csv(test, paths["test"])
-    write_manifest(cfg.blob, seed, paths["manifest"])
+    write_manifest(cfg.data, seed, paths["manifest"])
     return paths
 
 
@@ -311,7 +288,6 @@ def run_single(
 ) -> RunRecord:
     """Train one (strategy, seed) pair on prepared splits and emit its artifacts."""
     train, val, test = splits
-    run_dir.mkdir(parents=True, exist_ok=True)
     mlp = MlpConfig((train.n_features, *cfg.hidden, train.num_classes))
     train_cfg = TrainConfig(
         epochs=cfg.epochs,
@@ -322,6 +298,8 @@ def run_single(
         momentum=cfg.momentum,
         ece_bins=cfg.ece_bins,
     )
+    # Created only now, so a run that MlpConfig or TrainConfig rejects leaves no directory.
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     artifacts: dict[str, Path] = {}
 

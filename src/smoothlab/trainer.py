@@ -65,8 +65,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         # 0 is allowed so a no-op update step can be exercised in tests.
-        if self.learning_rate < 0:
-            raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (0 <= self.learning_rate < math.inf):
+            raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise DomainError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:

@@ -111,7 +111,7 @@ def test_criterion_2_equivalence_identities():
         ok &= hybrid_loss(p, y, busy_tracker, 1.0) == hard_ce(p, y)
         ok &= hybrid_loss(p, y, busy_tracker, 0.0) == cpls_ce(p, busy_tracker, y)
 
-    spec = BlobSpec.confusable(3, 20, dimension=4, overlap_pairs=((0, 1),))
+    spec = BlobSpec(3, 20, dimension=4, overlap_pairs=((0, 1),))
     ds = generate_confusable_blobs(spec, seed=2)
     train, val, _ = standardize(*stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=2))
     hard_traj = _trajectory(train, val, TargetStrategy.hard(), seed=5)
@@ -314,7 +314,7 @@ def test_criterion_7_confusion_mass_property(headline_runs):
 
 def test_criterion_8_split_protocol():
     ok = True
-    spec = BlobSpec.confusable(4, 100, dimension=2)
+    spec = BlobSpec(4, 100, dimension=2)
     fractions = SplitSpec(0.70, 0.15, 0.15)
     for trial in range(50):
         ds = generate_confusable_blobs(spec, seed=trial)

@@ -23,7 +23,7 @@ from smoothlab.datasets import write_csv
 
 
 def small_blob(dim=2, per_class=10, classes=2, overlap=()):
-    return BlobSpec.confusable(classes, per_class, dimension=dim, overlap_pairs=overlap)
+    return BlobSpec(classes, per_class, dimension=dim, overlap_pairs=overlap)
 
 
 class TestLabeledDataset:
@@ -58,7 +58,7 @@ class TestBlobGeneration:
     def test_overlap_pair_confuses_nearest_centroid(self):
         # Independent oracle: nearest-centroid classification. The overlapping
         # pair must dominate the off-diagonal confusion of class 0.
-        spec = BlobSpec.confusable(8, 50, dimension=2, overlap_pairs=((0, 1),))
+        spec = BlobSpec(8, 50, dimension=2, overlap_pairs=((0, 1),))
         hits = 0
         for seed in range(10):
             ds = generate_confusable_blobs(spec, seed=seed)
@@ -75,25 +75,46 @@ class TestBlobGeneration:
 
     def test_class_in_two_pairs_rejected(self):
         with pytest.raises(ConfigError):
-            BlobSpec.confusable(4, 10, overlap_pairs=((0, 1), (1, 2)))
+            BlobSpec(4, 10, overlap_pairs=((0, 1), (1, 2)))
 
-    def test_bad_custom_geometry_rejected(self):
-        # Centers closer than six spreads without being an overlap pair.
-        centers = np.array([[0.0, 0.0], [2.0, 0.0]])
-        spec = BlobSpec(2, 5, 2, centers, 1.0, ())
-        with pytest.raises(ConfigError):
-            generate_confusable_blobs(spec, seed=0)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_center_geometry_contract(self, data):
+        # Listed pairs sit exactly one spread apart; every other pair of
+        # centers is at least six spreads apart.
+        classes = data.draw(st.integers(2, 12), label="classes")
+        dim = data.draw(st.integers(1, 5), label="dimension")
+        spread = data.draw(st.floats(1e-3, 1e3), label="spread")
+        order = data.draw(st.permutations(range(classes)), label="order")
+        n_pairs = data.draw(st.integers(0, classes // 2), label="pairs")
+        pairs = tuple(zip(order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]))
+        centers = BlobSpec(classes, 1, dim, spread, pairs).class_centers
+        assert centers.shape == (classes, dim)
+        near = {frozenset(p) for p in pairs}
+        for a in range(classes):
+            for b in range(a + 1, classes):
+                dist = float(np.linalg.norm(centers[a] - centers[b]))
+                if frozenset((a, b)) in near:
+                    assert dist == pytest.approx(spread, rel=1e-9)
+                else:
+                    assert dist >= 6 * spread
+
+    def test_non_finite_spread_rejected(self):
+        with pytest.raises(DomainError, match="spread"):
+            BlobSpec(3, 5, spread=math.inf)
+        with pytest.raises(DomainError, match="spread"):
+            BlobSpec(3, 5, spread=math.nan)
 
     def test_pair_validation(self):
         with pytest.raises(DomainError):
-            BlobSpec.confusable(3, 5, overlap_pairs=((0, 0),))
+            BlobSpec(3, 5, overlap_pairs=((0, 0),))
         with pytest.raises(DomainError):
-            BlobSpec.confusable(3, 5, overlap_pairs=((0, 7),))
+            BlobSpec(3, 5, overlap_pairs=((0, 7),))
 
 
 class TestSplit:
     def test_exact_70_15_15(self):
-        spec = BlobSpec.confusable(4, 100, dimension=2)
+        spec = BlobSpec(4, 100, dimension=2)
         ds = generate_confusable_blobs(spec, seed=1)
         train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=1)
         for c in range(4):
@@ -108,7 +129,7 @@ class TestSplit:
             SplitSpec(0.5, 0.3, 0.3)
 
     def test_partition(self):
-        spec = BlobSpec.confusable(3, 17, dimension=2)
+        spec = BlobSpec(3, 17, dimension=2)
         ds = generate_confusable_blobs(spec, seed=2)
         train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=2)
         assert train.n_samples + val.n_samples + test.n_samples == ds.n_samples
@@ -120,7 +141,7 @@ class TestSplit:
 
     def test_within_one_sample_of_quota(self):
         # 13 per class at 70:15:15 is the awkward case: quotas 9.1/1.95/1.95.
-        spec = BlobSpec.confusable(2, 13, dimension=2)
+        spec = BlobSpec(2, 13, dimension=2)
         ds = generate_confusable_blobs(spec, seed=3)
         fracs = SplitSpec(0.70, 0.15, 0.15)
         train, val, test = stratified_split(ds, fracs, seed=3)
@@ -129,7 +150,7 @@ class TestSplit:
                 assert abs(np.sum(part.labels == c) - frac * 13) <= 1
 
     def test_deterministic(self):
-        spec = BlobSpec.confusable(3, 20, dimension=2)
+        spec = BlobSpec(3, 20, dimension=2)
         ds = generate_confusable_blobs(spec, seed=4)
         a = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=9)
         b = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=9)
@@ -159,7 +180,7 @@ class TestCsv:
             load_csv(path)
 
     def test_round_trip(self, tmp_path):
-        spec = BlobSpec.confusable(3, 15, dimension=4)
+        spec = BlobSpec(3, 15, dimension=4)
         ds = generate_confusable_blobs(spec, seed=5)
         path = tmp_path / "blob.csv"
         save_csv(ds, path)
@@ -225,14 +246,14 @@ class TestStandardize:
         assert np.array_equal(out.features[:, 0], np.zeros(6))
 
     def test_train_moments(self):
-        spec = BlobSpec.confusable(3, 30, dimension=3)
+        spec = BlobSpec(3, 30, dimension=3)
         ds = generate_confusable_blobs(spec, seed=6)
         (out,) = standardize(ds)
         assert np.max(np.abs(out.features.mean(axis=0))) < 1e-12
         assert np.max(np.abs(out.features.std(axis=0) - 1.0)) < 1e-9
 
     def test_transform_comes_from_train(self):
-        spec = BlobSpec.confusable(3, 40, dimension=2)
+        spec = BlobSpec(3, 40, dimension=2)
         ds = generate_confusable_blobs(spec, seed=7)
         train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=7)
         train_t, val_t, _ = standardize(train, val, test)

@@ -1,21 +1,22 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smoothlab import (
+    BlobSpec,
     ConfigError,
     ParseError,
     load_csv,
     parse_config,
-    read_manifest,
     run_compare,
     run_generate,
     run_report,
     run_training,
 )
 from smoothlab.cli import main
-from smoothlab.experiment import config_from_values, parse_kv_text
+from smoothlab.experiment import _DEFAULTS, config_from_values, parse_kv_text
 
 FAST_CONFIG = """
 # small experiment used by the test-suite
@@ -62,8 +63,7 @@ class TestConfigParsing:
 
     def test_defaults(self):
         cfg = config_from_values({})
-        assert cfg.source == "synthetic"
-        assert cfg.blob.num_classes == 8
+        assert cfg.data == BlobSpec(8, 100, dimension=8, overlap_pairs=((0, 1), (2, 3)))
         assert cfg.split.fractions == (0.70, 0.15, 0.15)
         assert cfg.hidden == (32,)
         assert cfg.epochs == 50
@@ -86,15 +86,31 @@ class TestConfigParsing:
             config_from_values({"data.source": "images"})
         with pytest.raises(ConfigError):
             config_from_values({"data.source": "csv"})  # needs data.csv
+        with pytest.raises(ConfigError, match="seeds"):
+            config_from_values({"seeds": "1,-1"})
         with pytest.raises(ConfigError):
             config_from_values({"strategies": ""})
         with pytest.raises(ConfigError):
             config_from_values({"seeds": ""})
 
+    def test_csv_source(self):
+        cfg = config_from_values({"data.source": "csv", "data.csv": "feats.csv"})
+        assert cfg.data == Path("feats.csv")
+
+    def test_readme_config_is_the_defaults(self):
+        # The README's example config must parse as written and set every key
+        # it names to its default, so the docs cannot drift from the package.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```\n(# experiment\.cfg\n.*?)```", readme, re.DOTALL).group(1)
+        values = parse_kv_text(block, "README.md")
+        config_from_values(values)
+        assert len(values) >= 20
+        assert values == {key: _DEFAULTS[key] for key in values}
+
     def test_parse_config_file(self, tmp_path):
         path = write_config(tmp_path)
         cfg = parse_config(path)
-        assert cfg.blob.num_classes == 4
+        assert cfg.data.num_classes == 4
         assert cfg.epochs == 4
         assert [s.kind for s in cfg.strategies] == ["hard", "cpls"]
         assert cfg.strategies[1].warmup_epochs == 1
@@ -120,9 +136,19 @@ class TestGenerate:
     def test_manifest_round_trip(self, tmp_path):
         cfg = config_from_values({"out": str(tmp_path / "data")})
         paths = run_generate(cfg, seed=9)
-        blob, seed = read_manifest(paths["manifest"])
-        assert seed == 9
-        assert blob == cfg.blob
+        values = parse_kv_text(paths["manifest"].read_text())
+        blob = cfg.data
+        centers = [[repr(float(v)) for v in row] for row in blob.class_centers]
+        assert values == {
+            "blob.classes": str(blob.num_classes),
+            "blob.per_class": str(blob.samples_per_class),
+            "blob.dimension": str(blob.dimension),
+            "blob.spread": repr(blob.spread),
+            "blob.overlap": ",".join(f"{a}:{b}" for a, b in blob.overlap_pairs),
+            "blob.centers": ";".join(":".join(row) for row in centers),
+            "seed": "9",
+        }
+        assert values["blob.overlap"] == "0:1,2:3"
 
     def test_generated_csv_loads(self, tmp_path):
         cfg = config_from_values(
@@ -363,3 +389,24 @@ class TestCli:
         assert "strategy=ols seed=1" in capsys.readouterr().out
         metrics = (tmp_path / "runs" / "ols_seed1" / "metrics.csv").read_text().splitlines()
         assert [row.split(",")[1] for row in metrics[1:]] == ["warmup"] * 3 + ["hybrid"]
+
+    @pytest.mark.parametrize("command", ["generate", "train", "compare"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path)
+        assert main([command, "--config", str(cfg_path), "--seed", "-2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seeds" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "line", ["model.hidden = 0", "train.epochs = 0", "train.batch_size = -3"]
+    )
+    def test_rejected_run_leaves_no_run_dir(self, tmp_path, capsys, line):
+        # MlpConfig and TrainConfig reject these only once a run starts.
+        cfg_path = write_config(tmp_path, text=FAST_CONFIG + line + "\n")
+        out_dir = tmp_path / "runs"
+        assert main(["compare", "--config", str(cfg_path)]) == 1
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.count("error: ") == 2
+        assert not list(out_dir.glob("*_seed*"))

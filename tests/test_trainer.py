@@ -47,7 +47,7 @@ from oracles import (
 
 
 def tiny_dataset(seed=0, n_per=12, classes=3, dim=4):
-    spec = BlobSpec.confusable(classes, n_per, dimension=dim)
+    spec = BlobSpec(classes, n_per, dimension=dim)
     ds = generate_confusable_blobs(spec, seed=seed)
     (ds,) = standardize(ds)
     return ds
@@ -94,6 +94,11 @@ class TestConfigs:
         with pytest.raises(DomainError):
             make_config(momentum=1.0)
         make_config(lr=0.0)  # no-op updates are allowed
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(DomainError, match="learning_rate"):
+            make_config(lr=lr)
 
 
 class TestInit:
@@ -433,7 +438,7 @@ class TestExtractFeatures:
 
 
 def split_blob(seed=0, classes=3, per_class=20, dim=4, overlap=()):
-    spec = BlobSpec.confusable(classes, per_class, dimension=dim, overlap_pairs=overlap)
+    spec = BlobSpec(classes, per_class, dimension=dim, overlap_pairs=overlap)
     ds = generate_confusable_blobs(spec, seed=seed)
     train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=seed)
     return standardize(train, val, test)
