@@ -63,11 +63,7 @@ class ExperimentConfig:
     data: BlobSpec | Path  # the synthetic generator's spec, or a feature CSV
     split: SplitSpec
     hidden: tuple[int, ...]
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    momentum: float
-    ece_bins: int
+    train: TrainConfig
     strategies: tuple[TargetStrategy, ...]
     seeds: tuple[int, ...]
     out_dir: Path
@@ -129,15 +125,23 @@ def _parse_pairs(raw: str, key: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _reject_repeats(items, key: str) -> None:
+    # A repeated strategy or seed would overwrite a run dir and count twice.
+    for pos, item in enumerate(items):
+        if item in items[:pos]:
+            raise ConfigError(f"{key} lists {item!r} more than once")
+
+
 def _build_strategy(name: str, values: dict[str, str]) -> TargetStrategy:
     if name == "hard":
-        return TargetStrategy.hard()
+        return TargetStrategy("hard")
     if name == "vanilla":
-        return TargetStrategy.vanilla(alpha=_parse_float(values["vanilla.alpha"], "vanilla.alpha"))
+        return TargetStrategy("vanilla", alpha=_parse_float(values["vanilla.alpha"], "vanilla.alpha"))
     if name == "ols":
-        return TargetStrategy.ols(warmup_epochs=_parse_int(values["ols.warmup"], "ols.warmup"))
+        return TargetStrategy("ols", warmup_epochs=_parse_int(values["ols.warmup"], "ols.warmup"))
     if name == "cpls":
-        return TargetStrategy.cpls(
+        return TargetStrategy(
+            "cpls",
             beta=_parse_float(values["cpls.beta"], "cpls.beta"),
             warmup_epochs=_parse_int(values["cpls.warmup"], "cpls.warmup"),
         )
@@ -178,24 +182,26 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     strategy_names = [s.strip() for s in merged["strategies"].split(",") if s.strip()]
     if not strategy_names:
         raise ConfigError("at least one strategy is required")
-    for pos, name in enumerate(strategy_names):
-        if name in strategy_names[:pos]:
-            raise ConfigError(f"strategies lists {name!r} more than once")
+    _reject_repeats(strategy_names, "strategies")
     strategies = tuple(_build_strategy(name, merged) for name in strategy_names)
     seeds = _parse_int_list(merged["seeds"], "seeds")
     if not seeds:
         raise ConfigError("at least one seed is required")
     if min(seeds) < 0:
         raise ConfigError(f"config key seeds: expected non-negative integers, got {min(seeds)}")
-    return ExperimentConfig(
-        data=data,
-        split=split,
-        hidden=hidden,
+    _reject_repeats(seeds, "seeds")
+    train = TrainConfig(
         epochs=_parse_int(merged["train.epochs"], "train.epochs"),
         batch_size=_parse_int(merged["train.batch_size"], "train.batch_size"),
         learning_rate=_parse_float(merged["train.learning_rate"], "train.learning_rate"),
         momentum=_parse_float(merged["train.momentum"], "train.momentum"),
         ece_bins=_parse_int(merged["train.ece_bins"], "train.ece_bins"),
+    )
+    return ExperimentConfig(
+        data=data,
+        split=split,
+        hidden=hidden,
+        train=train,
         strategies=strategies,
         seeds=seeds,
         out_dir=Path(merged["out"]),
@@ -244,11 +250,11 @@ def prepare_splits(
     return standardize(train, val, test)
 
 
-def run_generate(cfg: ExperimentConfig, seed: int | None = None) -> dict[str, Path]:
-    """Write raw train/val/test CSVs plus a manifest of the blob spec and seed."""
+def run_generate(cfg: ExperimentConfig) -> dict[str, Path]:
+    """Write raw train/val/test CSVs plus a manifest of the blob spec and first seed."""
     if not isinstance(cfg.data, BlobSpec):
         raise ConfigError("generate requires data.source=synthetic")
-    seed = cfg.seeds[0] if seed is None else seed
+    seed = cfg.seeds[0]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     ds = generate_confusable_blobs(cfg.data, seed)
@@ -289,16 +295,7 @@ def run_single(
     """Train one (strategy, seed) pair on prepared splits and emit its artifacts."""
     train, val, test = splits
     mlp = MlpConfig((train.n_features, *cfg.hidden, train.num_classes))
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        strategy=strategy,
-        seed=seed,
-        momentum=cfg.momentum,
-        ece_bins=cfg.ece_bins,
-    )
-    # Created only now, so a run that MlpConfig or TrainConfig rejects leaves no directory.
+    # Created only now, so a run whose model.hidden MlpConfig rejects leaves no directory.
     run_dir.mkdir(parents=True, exist_ok=True)
 
     artifacts: dict[str, Path] = {}
@@ -309,11 +306,11 @@ def run_single(
             write_confusion_csv(tracker.normalized, path)
             artifacts[f"confusion_epoch_{epoch}"] = path
 
-    params, metrics, _ = fit(train, val, mlp, train_cfg, on_epoch=snapshot_confusion)
+    params, metrics, _ = fit(train, val, mlp, cfg.train, strategy, seed, on_epoch=snapshot_confusion)
 
     # The test split is touched exactly once, after training finishes.
     test_accuracy, test_probs, test_confusion = evaluate(params, test)
-    test_ece = ece(test_probs, test.labels, cfg.ece_bins)
+    test_ece = ece(test_probs, test.labels, cfg.train.ece_bins)
 
     artifacts["metrics"] = run_dir / "metrics.csv"
     metric_rows = (
@@ -323,7 +320,7 @@ def run_single(
     write_csv(artifacts["metrics"], ("%d", "%s") + ("%.6f",) * 4, metric_rows, header)
     artifacts["reliability"] = run_dir / "reliability.csv"
     write_reliability_csv(
-        reliability_bins(test_probs, test.labels, cfg.ece_bins), artifacts["reliability"]
+        reliability_bins(test_probs, test.labels, cfg.train.ece_bins), artifacts["reliability"]
     )
     artifacts["test_confusion"] = run_dir / "test_confusion.csv"
     write_csv(
@@ -350,16 +347,13 @@ def run_single(
     return record
 
 
-def run_training(
-    cfg: ExperimentConfig, strategy: TargetStrategy, seed: int, run_dir: Path | None = None
-) -> RunRecord:
+def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> RunRecord:
     """Standalone single run: prepare splits for the seed, then train and emit.
 
     A run directory that already holds a file is refused before anything is
     written, so no run's artifacts sit beside those of an earlier one.
     """
-    if run_dir is None:
-        run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+    run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
     if run_dir.is_dir() and any(run_dir.iterdir()):
         raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
     splits = prepare_splits(cfg, seed)

@@ -60,22 +60,6 @@ class TargetStrategy:
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise DomainError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
 
-    @classmethod
-    def hard(cls) -> "TargetStrategy":
-        return cls("hard")
-
-    @classmethod
-    def vanilla(cls, alpha: float = 0.1) -> "TargetStrategy":
-        return cls("vanilla", alpha=alpha)
-
-    @classmethod
-    def ols(cls, warmup_epochs: int = 5) -> "TargetStrategy":
-        return cls("ols", warmup_epochs=warmup_epochs)
-
-    @classmethod
-    def cpls(cls, beta: float = 0.5, warmup_epochs: int = 5) -> "TargetStrategy":
-        return cls("cpls", beta=beta, warmup_epochs=warmup_epochs)
-
 
 def _row_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row i of ``sums`` divided by ``counts[i]``; a row with a zero count is
@@ -92,7 +76,7 @@ class ConfusionTracker:
 
     ``normalized`` starts as the identity so the first epochs behave exactly
     like hard-label training; ``normalize()`` folds the accumulated counts into
-    a fresh row-stochastic matrix, resets the counts, and bumps ``epoch_tag``.
+    a fresh row-stochastic matrix and resets the counts.
     Rows that saw no samples fall back to their identity row.
     """
 
@@ -102,7 +86,6 @@ class ConfusionTracker:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         self.normalized = np.eye(num_classes)
-        self.epoch_tag = 0
 
     def accumulate_counts(self, counts: np.ndarray) -> "ConfusionTracker":
         """Add a whole count matrix (e.g. one validation pass) at once."""
@@ -117,7 +100,6 @@ class ConfusionTracker:
     def normalize(self) -> "ConfusionTracker":
         self.normalized = _row_means(self.counts, self.counts.sum(axis=1))
         self.counts = np.zeros_like(self.counts)
-        self.epoch_tag += 1
         return self
 
 

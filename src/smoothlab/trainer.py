@@ -51,13 +51,14 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The SGD and evaluation settings every run of an experiment shares; the
+    strategy and seed that tell one run from another are arguments to ``fit``."""
+
     epochs: int
     batch_size: int
     learning_rate: float
-    strategy: TargetStrategy
-    seed: int
-    momentum: float = 0.9
-    ece_bins: int = 10
+    momentum: float
+    ece_bins: int
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -69,8 +70,6 @@ class TrainConfig:
             raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise DomainError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         if self.ece_bins < 1:
             raise DomainError(f"ece_bins must be >= 1, got {self.ece_bins}")
 
@@ -211,12 +210,13 @@ def train_epoch(
     train: LabeledDataset,
     target_table: np.ndarray,
     config: TrainConfig,
+    seed: int,
     epoch: int,
     on_batch: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> float:
     """One pass of shuffled mini-batch SGD with momentum; returns the mean loss.
 
-    The shuffle is a pure function of (config.seed, epoch). ``target_table``
+    The shuffle is a pure function of (seed, epoch). ``target_table``
     row y is the soft target applied to every sample labeled y this epoch.
     ``on_batch(labels, probs)`` is invoked after each forward pass.
     """
@@ -227,7 +227,7 @@ def train_epoch(
             f"got {target_table.shape}"
         )
     n = train.n_samples
-    order = np.random.default_rng([config.seed, epoch]).permutation(n)
+    order = np.random.default_rng([seed, epoch]).permutation(n)
     features = train.features[order]
     labels = train.labels[order]
     total = 0.0
@@ -317,15 +317,19 @@ def fit(
     val: LabeledDataset,
     mlp_config: MlpConfig,
     config: TrainConfig,
+    strategy: TargetStrategy,
+    seed: int,
     on_epoch: Callable[[int, ModelParams, EpochMetrics, ConfusionTracker], None] | None = None,
 ) -> tuple[ModelParams, list[EpochMetrics], ConfusionTracker]:
-    """Run the full warmup-then-hybrid training schedule.
+    """Run the full warmup-then-hybrid training schedule of one strategy.
 
     Every epoch ends with a validation pass whose confusion counts are folded
     into the tracker and re-normalized, so the hybrid phase always works from
     the freshest matrix; warmup epochs keep the matrix warm but unused.
-    Initial parameters are drawn from (mlp_config, config.seed).
+    Initial parameters are drawn from (mlp_config, seed).
     """
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if train.n_features != val.n_features or train.num_classes != val.num_classes:
         raise DimensionError("train and val splits must share feature count and class count")
     if mlp_config.layer_sizes[0] != train.n_features:
@@ -336,8 +340,7 @@ def fit(
         raise DimensionError(
             f"model emits {mlp_config.layer_sizes[-1]} classes, data has {train.num_classes}"
         )
-    params = init_params(mlp_config, config.seed)
-    strategy = config.strategy
+    params = init_params(mlp_config, seed)
     num_classes = train.num_classes
     tracker = ConfusionTracker(num_classes)
     smoother = OnlineLabelSmoother(num_classes) if strategy.kind == "ols" else None
@@ -347,7 +350,7 @@ def fit(
     for epoch in range(1, config.epochs + 1):
         phase = strategy_phase(strategy, epoch)
         table = _target_table(strategy, num_classes, epoch, tracker, smoother)
-        train_loss = train_epoch(params, train, table, config, epoch, on_batch)
+        train_loss = train_epoch(params, train, table, config, seed, epoch, on_batch)
         val_accuracy, val_probs, val_confusion = evaluate(params, val)
         val_loss = float(-floored_log(val_probs[np.arange(val.n_samples), val.labels]).mean())
         val_ece = ece(val_probs, val.labels, config.ece_bins)

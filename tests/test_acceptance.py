@@ -84,8 +84,8 @@ def _trajectory(train, val, strategy, seed, epochs=4):
             [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
         )
 
-    cfg = TrainConfig(epochs=epochs, batch_size=8, learning_rate=0.05, strategy=strategy, seed=seed)
-    fit(train, val, MlpConfig((4, 6, 3)), cfg, on_epoch=grab)
+    cfg = TrainConfig(epochs=epochs, batch_size=8, learning_rate=0.05, momentum=0.9, ece_bins=10)
+    fit(train, val, MlpConfig((4, 6, 3)), cfg, strategy, seed, on_epoch=grab)
     return snapshots
 
 
@@ -114,8 +114,9 @@ def test_criterion_2_equivalence_identities():
     spec = BlobSpec(3, 20, dimension=4, overlap_pairs=((0, 1),))
     ds = generate_confusable_blobs(spec, seed=2)
     train, val, _ = standardize(*stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=2))
-    hard_traj = _trajectory(train, val, TargetStrategy.hard(), seed=5)
-    cpls_traj = _trajectory(train, val, TargetStrategy.cpls(0.5, 10), seed=5)  # N >= epochs
+    hard_traj = _trajectory(train, val, TargetStrategy("hard"), seed=5)
+    cpls = TargetStrategy("cpls", beta=0.5, warmup_epochs=10)  # N >= epochs
+    cpls_traj = _trajectory(train, val, cpls, seed=5)
     for h_epoch, c_epoch in zip(hard_traj, cpls_traj):
         for h_arr, c_arr in zip(h_epoch, c_epoch):
             ok &= np.array_equal(h_arr, c_arr)
@@ -138,8 +139,11 @@ def test_criterion_3_gradient_suite():
     smoother = OnlineLabelSmoother(8)
     smoother.update_batch(rng.integers(0, 8, size=120), rng.dirichlet(np.ones(8), size=120))
     smoother.advance_epoch()
-    strategies = [TargetStrategy.hard(), TargetStrategy.vanilla(0.1)]
-    strategies += [TargetStrategy.cpls(0.5, 0), TargetStrategy.ols(0)]
+    strategies = [TargetStrategy("hard"), TargetStrategy("vanilla", alpha=0.1)]
+    strategies += [
+        TargetStrategy("cpls", beta=0.5, warmup_epochs=0),
+        TargetStrategy("ols", warmup_epochs=0),
+    ]
     # epoch 1 is past the zero-epoch warmups: the tables the trainer builds
     tables = {
         s.kind: smoothlab.trainer._target_table(s, 8, 1, tracker, smoother) for s in strategies
@@ -254,8 +258,8 @@ def headline_runs():
     started = time.monotonic()
     cfg = config_from_values({})  # package defaults: 8x100 blobs, dim 8, lr 0.1
     strategies = {
-        "hard": TargetStrategy.hard(),
-        "cpls": TargetStrategy.cpls(beta=0.5, warmup_epochs=5),
+        "hard": TargetStrategy("hard"),
+        "cpls": TargetStrategy("cpls", beta=0.5, warmup_epochs=5),
     }
     results = {name: {"acc": [], "ece": []} for name in strategies}
     warmup_rows = []
@@ -269,19 +273,12 @@ def headline_runs():
                 if strategy.kind == "cpls" and epoch == strategy.warmup_epochs:
                     snapshot["row0"] = tracker.normalized[0].copy()
 
-            train_cfg = TrainConfig(
-                epochs=cfg.epochs,
-                batch_size=cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                strategy=strategy,
-                seed=seed,
-                momentum=cfg.momentum,
-                ece_bins=cfg.ece_bins,
+            params, metrics, tracker = fit(
+                train, val, mlp, cfg.train, strategy, seed, on_epoch=grab
             )
-            params, metrics, tracker = fit(train, val, mlp, train_cfg, on_epoch=grab)
             accuracy, probs, _ = evaluate(params, test)
             results[name]["acc"].append(accuracy)
-            results[name]["ece"].append(ece(probs, test.labels, cfg.ece_bins))
+            results[name]["ece"].append(ece(probs, test.labels, cfg.train.ece_bins))
             if strategy.kind == "cpls":
                 warmup_rows.append(snapshot["row0"])
     results["elapsed"] = time.monotonic() - started

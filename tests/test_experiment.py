@@ -8,6 +8,7 @@ from smoothlab import (
     BlobSpec,
     ConfigError,
     ParseError,
+    TrainConfig,
     load_csv,
     parse_config,
     run_compare,
@@ -66,7 +67,7 @@ class TestConfigParsing:
         assert cfg.data == BlobSpec(8, 100, dimension=8, overlap_pairs=((0, 1), (2, 3)))
         assert cfg.split.fractions == (0.70, 0.15, 0.15)
         assert cfg.hidden == (32,)
-        assert cfg.epochs == 50
+        assert cfg.train == TrainConfig(50, 32, 0.1, 0.9, 10)
         assert [s.kind for s in cfg.strategies] == ["hard", "vanilla", "ols", "cpls"]
         assert cfg.strategies[3].beta == 0.5
         assert cfg.strategies[3].warmup_epochs == 5
@@ -88,6 +89,8 @@ class TestConfigParsing:
             config_from_values({"data.source": "csv"})  # needs data.csv
         with pytest.raises(ConfigError, match="seeds"):
             config_from_values({"seeds": "1,-1"})
+        with pytest.raises(ConfigError, match="seeds lists 1 more than once"):
+            config_from_values({"seeds": "1,2,1"})
         with pytest.raises(ConfigError):
             config_from_values({"strategies": ""})
         with pytest.raises(ConfigError):
@@ -111,31 +114,41 @@ class TestConfigParsing:
         path = write_config(tmp_path)
         cfg = parse_config(path)
         assert cfg.data.num_classes == 4
-        assert cfg.epochs == 4
+        assert cfg.train.epochs == 4
         assert [s.kind for s in cfg.strategies] == ["hard", "cpls"]
         assert cfg.strategies[1].warmup_epochs == 1
 
 
+def test_readme_library_example_runs(capsys):
+    # The README's "Library use" block must run as written against the package.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    accuracy, ece_value = (float(v) for v in capsys.readouterr().out.split())
+    assert 0.0 <= accuracy <= 1.0 and 0.0 <= ece_value <= 1.0
+
+
+SMALL_BLOBS = {"data.classes": "3", "data.per_class": "10", "data.overlap": "0:1"}
+
+
 class TestGenerate:
     def test_row_counts(self, tmp_path):
-        cfg = config_from_values({"out": str(tmp_path / "data")})
-        paths = run_generate(cfg, seed=3)
+        cfg = config_from_values({"out": str(tmp_path / "data"), "seeds": "3"})
+        paths = run_generate(cfg)
         # 8 classes x 100 per class at 70:15:15
         assert len(paths["train"].read_text().splitlines()) == 561  # header + rows
         assert len(paths["val"].read_text().splitlines()) == 121
         assert len(paths["test"].read_text().splitlines()) == 121
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = config_from_values(
-            {"out": str(tmp_path / "data"), "data.classes": "3", "data.per_class": "10", "data.overlap": "0:1"}
-        )
-        first = {name: path.read_bytes() for name, path in run_generate(cfg, seed=1).items()}
-        second = {name: path.read_bytes() for name, path in run_generate(cfg, seed=1).items()}
+        cfg = config_from_values(SMALL_BLOBS | {"out": str(tmp_path / "data"), "seeds": "1"})
+        first = {name: path.read_bytes() for name, path in run_generate(cfg).items()}
+        second = {name: path.read_bytes() for name, path in run_generate(cfg).items()}
         assert first == second
 
     def test_manifest_round_trip(self, tmp_path):
-        cfg = config_from_values({"out": str(tmp_path / "data")})
-        paths = run_generate(cfg, seed=9)
+        cfg = config_from_values({"out": str(tmp_path / "data"), "seeds": "9,2"})
+        paths = run_generate(cfg)
         values = parse_kv_text(paths["manifest"].read_text())
         blob = cfg.data
         centers = [[repr(float(v)) for v in row] for row in blob.class_centers]
@@ -151,10 +164,8 @@ class TestGenerate:
         assert values["blob.overlap"] == "0:1,2:3"
 
     def test_generated_csv_loads(self, tmp_path):
-        cfg = config_from_values(
-            {"out": str(tmp_path / "data"), "data.classes": "3", "data.per_class": "10", "data.overlap": "0:1"}
-        )
-        paths = run_generate(cfg, seed=1)
+        cfg = config_from_values(SMALL_BLOBS | {"out": str(tmp_path / "data"), "seeds": "1"})
+        paths = run_generate(cfg)
         ds = load_csv(paths["train"])
         assert ds.num_classes == 3
         assert ds.n_features == 8
@@ -174,7 +185,7 @@ class TestTrainCommand:
         # metrics has exactly `epochs` data rows
         lines = (run_dir / "metrics.csv").read_text().splitlines()
         assert lines[0] == "epoch,phase,train_loss,val_loss,val_accuracy,val_ece"
-        assert len(lines) == 1 + cfg.epochs
+        assert len(lines) == 1 + cfg.train.epochs
         # the feature export honors the dataset CSV contract
         feats = load_csv(run_dir / "features.csv")
         assert feats.n_features == cfg.hidden[-1]
@@ -184,7 +195,7 @@ class TestTrainCommand:
         record = run_training(cfg, cfg.strategies[1], seed=1)
         run_dir = record.artifacts["summary"].parent
         snapshots = sorted(run_dir.glob("confusion_epoch_*.csv"))
-        assert len(snapshots) == cfg.epochs
+        assert len(snapshots) == cfg.train.epochs
         rows = snapshots[0].read_text().splitlines()
         assert len(rows) == 4 and all(len(r.split(",")) == 4 for r in rows)
 
@@ -399,11 +410,39 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        # a repeated seed would train into one run dir twice and count that
+        # seed twice in the comparison's medians and means
+        cfg_path = write_config(tmp_path, seeds="1,2,1")
+        assert main(["compare", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seeds" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "compare"])
+    @pytest.mark.parametrize(
+        "line, setting",
+        [
+            ("train.epochs = 0", "epochs"),
+            ("train.batch_size = -3", "batch_size"),
+            ("train.learning_rate = nan", "learning_rate"),
+            ("train.momentum = 1", "momentum"),
+            ("train.ece_bins = 0", "ece_bins"),
+        ],
+    )
+    def test_bad_train_setting_rejected_when_read(self, tmp_path, capsys, command, line, setting):
+        cfg_path = write_config(tmp_path, text=FAST_CONFIG + line + "\n")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and setting in err[0]
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize(
         "line", ["model.hidden = 0", "train.epochs = 0", "train.batch_size = -3"]
     )
     def test_rejected_run_leaves_no_run_dir(self, tmp_path, capsys, line):
-        # MlpConfig and TrainConfig reject these only once a run starts.
+        # Only model.hidden still fails once a run starts, since MlpConfig needs
+        # the data's dimensions; train.* values fail when the config is read.
         cfg_path = write_config(tmp_path, text=FAST_CONFIG + line + "\n")
         out_dir = tmp_path / "runs"
         assert main(["compare", "--config", str(cfg_path)]) == 1

@@ -38,11 +38,11 @@ CPLS_CE_P4 = 0.75 * -math.log(0.7) + 0.25 * -math.log(0.1)  # 0.8431524812025607
 
 
 class TestTargetStrategy:
-    def test_factories(self):
-        assert TargetStrategy.hard().kind == "hard"
-        assert TargetStrategy.vanilla(0.2).alpha == 0.2
-        assert TargetStrategy.ols(3).warmup_epochs == 3
-        s = TargetStrategy.cpls(0.4, 7)
+    def test_fields(self):
+        assert TargetStrategy("hard").kind == "hard"
+        assert TargetStrategy("vanilla", alpha=0.2).alpha == 0.2
+        assert TargetStrategy("ols", warmup_epochs=3).warmup_epochs == 3
+        s = TargetStrategy("cpls", beta=0.4, warmup_epochs=7)
         assert (s.beta, s.warmup_epochs) == (0.4, 7)
 
     def test_parameters_present_iff_required(self):
@@ -57,11 +57,11 @@ class TestTargetStrategy:
 
     def test_ranges(self):
         with pytest.raises(DomainError):
-            TargetStrategy.vanilla(1.0)
+            TargetStrategy("vanilla", alpha=1.0)
         with pytest.raises(DomainError):
-            TargetStrategy.cpls(beta=0.0, warmup_epochs=5)
+            TargetStrategy("cpls", beta=0.0, warmup_epochs=5)
         with pytest.raises(DomainError):
-            TargetStrategy.ols(warmup_epochs=-1)
+            TargetStrategy("ols", warmup_epochs=-1)
         with pytest.raises(DomainError):
             TargetStrategy("nope")
 
@@ -143,7 +143,6 @@ class TestConfusionTracker:
     def test_initial_state_is_identity(self):
         tr = ConfusionTracker(4)
         assert np.array_equal(tr.normalized, np.eye(4))
-        assert tr.epoch_tag == 0
         assert tr.counts.sum() == 0
 
     def test_single_accumulation(self):
@@ -192,14 +191,14 @@ class TestConfusionTracker:
         tr.normalize()
         assert np.array_equal(tr.normalized, np.eye(3))
 
-    def test_normalize_resets_counts_and_tags_epoch(self):
+    def test_normalize_resets_counts(self):
         tr = ConfusionTracker(3)
         accumulate(tr, 0, 1)
         tr.normalize()
         assert tr.counts.sum() == 0
-        assert tr.epoch_tag == 1
+        # a pass with no counts falls back to the identity in every row
         tr.normalize()
-        assert tr.epoch_tag == 2
+        assert np.array_equal(tr.normalized, np.eye(3))
 
     def test_rows_stochastic_after_random_accumulation(self):
         rng = np.random.default_rng(3)
@@ -372,7 +371,9 @@ class TestLossGradients:
             accumulate(tr, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
         tr.normalize()
         # epoch 1 is past a zero-epoch warmup: the trainer's cpls table for beta 0.5
-        table = smoothlab.trainer._target_table(TargetStrategy.cpls(0.5, 0), 4, 1, tr, None)
+        table = smoothlab.trainer._target_table(
+            TargetStrategy("cpls", beta=0.5, warmup_epochs=0), 4, 1, tr, None
+        )
         self.check(lambda y: table[y], lambda p, y: hybrid_loss(p, y, tr, 0.5))
 
 

@@ -53,14 +53,16 @@ def tiny_dataset(seed=0, n_per=12, classes=3, dim=4):
     return ds
 
 
-def make_config(strategy=None, epochs=3, lr=0.05, seed=0, batch_size=8, momentum=0.9):
+HARD = TargetStrategy("hard")
+
+
+def make_config(epochs=3, lr=0.05, batch_size=8, momentum=0.9, ece_bins=10):
     return TrainConfig(
         epochs=epochs,
         batch_size=batch_size,
         learning_rate=lr,
-        strategy=strategy or TargetStrategy.hard(),
-        seed=seed,
         momentum=momentum,
+        ece_bins=ece_bins,
     )
 
 
@@ -93,6 +95,8 @@ class TestConfigs:
             make_config(lr=-0.1)
         with pytest.raises(DomainError):
             make_config(momentum=1.0)
+        with pytest.raises(DomainError):
+            make_config(ece_bins=0)
         make_config(lr=0.0)  # no-op updates are allowed
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf])
@@ -168,7 +172,7 @@ class TestTrainEpoch:
         ds = tiny_dataset()
         params = init_params(MlpConfig((4, 6, 3)), 0)
         before = [w.copy() for w in params.weights]
-        loss = train_epoch(params, ds, np.eye(3), make_config(lr=0.0), epoch=1)
+        loss = train_epoch(params, ds, np.eye(3), make_config(lr=0.0), seed=0, epoch=1)
         assert math.isfinite(loss) and loss > 0
         for w, old in zip(params.weights, before):
             assert np.array_equal(w, old)
@@ -178,8 +182,8 @@ class TestTrainEpoch:
         cfg = make_config()
         a = init_params(MlpConfig((4, 6, 3)), 1)
         b = init_params(MlpConfig((4, 6, 3)), 1)
-        la = train_epoch(a, ds, np.eye(3), cfg, epoch=2)
-        lb = train_epoch(b, ds, np.eye(3), cfg, epoch=2)
+        la = train_epoch(a, ds, np.eye(3), cfg, seed=0, epoch=2)
+        lb = train_epoch(b, ds, np.eye(3), cfg, seed=0, epoch=2)
         assert la == lb
         for x, y in zip(a.weights, b.weights):
             assert np.array_equal(x, y)
@@ -189,7 +193,8 @@ class TestTrainEpoch:
         params = init_params(MlpConfig((2, 4, 2)), 5)
         table = np.eye(2)
         before, _, _ = loss_and_gradients(params, ds.features, table[ds.labels])
-        train_epoch(params, ds, table, make_config(lr=0.01, batch_size=1, momentum=0.0), epoch=1)
+        config = make_config(lr=0.01, batch_size=1, momentum=0.0)
+        train_epoch(params, ds, table, config, seed=0, epoch=1)
         after, _, _ = loss_and_gradients(params, ds.features, table[ds.labels])
         assert after < before
 
@@ -198,14 +203,14 @@ class TestTrainEpoch:
         params = init_params(MlpConfig((4, 6, 3)), 0)
         params.weights[0][0, 0] = np.nan
         with pytest.raises(NumericError, match="epoch 3, batch 0"):
-            train_epoch(params, ds, np.eye(3), make_config(), epoch=3)
+            train_epoch(params, ds, np.eye(3), make_config(), seed=0, epoch=3)
 
 
-def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, epoch):
+def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, seed, epoch):
     """One SGD epoch written the straightforward way, updating the four lists:
     per-batch fancy indexing, out-of-place forward, softmax and backward, and
     a per-layer momentum step. Returns the mean training loss."""
-    order = np.random.default_rng([config.seed, epoch]).permutation(ds.n_samples)
+    order = np.random.default_rng([seed, epoch]).permutation(ds.n_samples)
     total = 0.0
     for start in range(0, ds.n_samples, config.batch_size):
         idx = order[start : start + config.batch_size]
@@ -264,13 +269,13 @@ class TestBitExactOracle:
         ds = tiny_dataset(seed=2)
         assert ds.n_samples == 36
         table = 0.7 * np.eye(3) + 0.3 * np.random.default_rng(5).dirichlet(np.ones(3), size=3)
-        config = make_config(lr=0.1, seed=4, batch_size=batch_size, momentum=momentum)
+        config = make_config(lr=0.1, batch_size=batch_size, momentum=momentum)
         params = init_params(MlpConfig(sizes), 4)
         lists = (params.weights, params.biases, *params.split(params.flat_velocity))
         reference = [[a.copy() for a in arrays] for arrays in lists]
         for epoch in (1, 2, 3):
-            loss = train_epoch(params, ds, table, config, epoch)
-            assert loss == reference_epoch(*reference, ds, table, config, epoch)
+            loss = train_epoch(params, ds, table, config, 4, epoch)
+            assert loss == reference_epoch(*reference, ds, table, config, 4, epoch)
         for got, want in zip(lists, reference):
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -289,8 +294,11 @@ class TestGradients:
             rng.integers(0, 8, size=100), rng.dirichlet(np.ones(8), size=100)
         )
         smoother.advance_epoch()
-        strategies = [TargetStrategy.hard(), TargetStrategy.vanilla(0.1)]
-        strategies += [TargetStrategy.cpls(0.5, 0), TargetStrategy.ols(0)]
+        strategies = [HARD, TargetStrategy("vanilla", alpha=0.1)]
+        strategies += [
+            TargetStrategy("cpls", beta=0.5, warmup_epochs=0),
+            TargetStrategy("ols", warmup_epochs=0),
+        ]
         # epoch 1 is past the zero-epoch warmups
         return {
             s.kind: smoothlab.trainer._target_table(s, 8, 1, tracker, smoother)
@@ -349,8 +357,11 @@ class TestTargetTableProperty:
         smoother = OnlineLabelSmoother(c)
         smoother.update_batch(labels, probs)
         smoother.advance_epoch()
-        strategies = [TargetStrategy.hard(), TargetStrategy.vanilla(alpha)]
-        strategies += [TargetStrategy.ols(warmup), TargetStrategy.cpls(beta, warmup)]
+        strategies = [HARD, TargetStrategy("vanilla", alpha=alpha)]
+        strategies += [
+            TargetStrategy("ols", warmup_epochs=warmup),
+            TargetStrategy("cpls", beta=beta, warmup_epochs=warmup),
+        ]
         for strategy in strategies:
             for epoch in range(1, warmup + 3):  # warmup epochs, then two hybrid ones
                 table = smoothlab.trainer._target_table(strategy, c, epoch, tracker, smoother)
@@ -376,13 +387,19 @@ class TestOracleLink:
         smoother.update_batch(rng.integers(0, c, size=200), rng.dirichlet(np.ones(c), size=200))
         smoother.advance_epoch()
         strategy, oracle = {
-            "hard": (TargetStrategy.hard(), hard_ce),
+            "hard": (HARD, hard_ce),
             "vanilla": (
-                TargetStrategy.vanilla(0.2),
+                TargetStrategy("vanilla", alpha=0.2),
                 lambda p, y: soft_ce(p, vanilla_ls_target(y, 0.2, c)),
             ),
-            "ols": (TargetStrategy.ols(1), lambda p, y: soft_ce(p, smoother_target(smoother, y))),
-            "cpls": (TargetStrategy.cpls(0.3, 1), lambda p, y: hybrid_loss(p, y, tracker, 0.3)),
+            "ols": (
+                TargetStrategy("ols", warmup_epochs=1),
+                lambda p, y: soft_ce(p, smoother_target(smoother, y)),
+            ),
+            "cpls": (
+                TargetStrategy("cpls", beta=0.3, warmup_epochs=1),
+                lambda p, y: hybrid_loss(p, y, tracker, 0.3),
+            ),
         }[kind]
         # epoch 2 is past the one-epoch warmup, so ols and cpls use their own tables
         table = smoothlab.trainer._target_table(strategy, c, 2, tracker, smoother)
@@ -444,21 +461,27 @@ def split_blob(seed=0, classes=3, per_class=20, dim=4, overlap=()):
     return standardize(train, val, test)
 
 
+MLP = MlpConfig((4, 6, 3))
+
+
+def cpls(beta, warmup_epochs):
+    return TargetStrategy("cpls", beta=beta, warmup_epochs=warmup_epochs)
+
+
 class TestFit:
     def test_hard_never_enters_hybrid(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, MlpConfig((4, 6, 3)), make_config(epochs=4))
+        _, metrics, _ = fit(train, val, MLP, make_config(epochs=4), HARD, 0)
         assert all(m.phase == "warmup" for m in metrics)
 
     def test_cpls_phases(self):
         train, val, _ = split_blob()
-        cfg = make_config(strategy=TargetStrategy.cpls(0.5, 2), epochs=5)
-        _, metrics, _ = fit(train, val, MlpConfig((4, 6, 3)), cfg)
+        _, metrics, _ = fit(train, val, MLP, make_config(epochs=5), cpls(0.5, 2), 0)
         assert [m.phase for m in metrics] == ["warmup", "warmup", "hybrid", "hybrid", "hybrid"]
 
     def test_metrics_are_sane(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, MlpConfig((4, 6, 3)), make_config(epochs=4))
+        _, metrics, _ = fit(train, val, MLP, make_config(epochs=4), HARD, 0)
         for m in metrics:
             assert isinstance(m, EpochMetrics)
             assert 0.0 <= m.val_accuracy <= 1.0
@@ -468,29 +491,27 @@ class TestFit:
 
     def test_deterministic_end_to_end(self):
         train, val, _ = split_blob(seed=1)
-        cfg = make_config(strategy=TargetStrategy.cpls(0.5, 1), epochs=4, seed=3)
-        pa, ma, _ = fit(train, val, MlpConfig((4, 6, 3)), cfg)
-        pb, mb, _ = fit(train, val, MlpConfig((4, 6, 3)), cfg)
+        cfg = make_config(epochs=4)
+        pa, ma, _ = fit(train, val, MLP, cfg, cpls(0.5, 1), 3)
+        pb, mb, _ = fit(train, val, MLP, cfg, cpls(0.5, 1), 3)
         assert ma == mb
         for x, y in zip(pa.weights, pb.weights):
             assert np.array_equal(x, y)
 
-    def trajectories(self, train, val, cfg):
+    def trajectories(self, train, val, strategy, seed):
         snapshots = []
 
         def grab(epoch, params, record, tracker):
             snapshots.append([w.copy() for w in params.weights] + [b.copy() for b in params.biases])
 
-        fit(train, val, MlpConfig((4, 6, 3)), cfg, on_epoch=grab)
+        fit(train, val, MLP, make_config(epochs=4), strategy, seed, on_epoch=grab)
         return snapshots
 
     def test_warmup_covering_all_epochs_reproduces_hard(self):
         train, val, _ = split_blob(seed=2, overlap=((0, 1),))
-        hard = self.trajectories(train, val, make_config(epochs=4, seed=5))
-        cpls = self.trajectories(
-            train, val, make_config(strategy=TargetStrategy.cpls(0.5, 10), epochs=4, seed=5)
-        )
-        for h_epoch, c_epoch in zip(hard, cpls):
+        hard = self.trajectories(train, val, HARD, seed=5)
+        cpls_run = self.trajectories(train, val, cpls(0.5, 10), seed=5)
+        for h_epoch, c_epoch in zip(hard, cpls_run):
             for h_arr, c_arr in zip(h_epoch, c_epoch):
                 assert np.array_equal(h_arr, c_arr)
 
@@ -502,25 +523,37 @@ class TestFit:
                 return self
 
         train, val, _ = split_blob(seed=2, overlap=((0, 1),))
-        hard = self.trajectories(train, val, make_config(epochs=4, seed=5))
+        hard = self.trajectories(train, val, HARD, seed=5)
         monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", IdentityTracker)
-        cfg = make_config(strategy=TargetStrategy.cpls(0.3, 0), epochs=4, seed=5)
-        cpls = self.trajectories(train, val, cfg)
-        assert len(cpls) == len(hard) == 4
-        for h_epoch, c_epoch in zip(hard, cpls):
+        cpls_run = self.trajectories(train, val, cpls(0.3, 0), seed=5)
+        assert len(cpls_run) == len(hard) == 4
+        for h_epoch, c_epoch in zip(hard, cpls_run):
             for h_arr, c_arr in zip(h_epoch, c_epoch):
                 assert np.array_equal(h_arr, c_arr)
 
-    def test_tracker_refreshes_every_epoch(self):
+    def test_tracker_refreshes_every_epoch(self, monkeypatch):
+        normalized_by = []
+
+        class CountingTracker(ConfusionTracker):
+            def normalize(self):
+                normalized_by.append(self)
+                return super().normalize()
+
+        monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", CountingTracker)
         train, val, _ = split_blob(seed=4, overlap=((0, 1),))
-        cfg = make_config(strategy=TargetStrategy.cpls(0.5, 2), epochs=5)
-        _, _, tracker = fit(train, val, MlpConfig((4, 6, 3)), cfg)
-        assert tracker.epoch_tag == 5
+        _, _, tracker = fit(train, val, MLP, make_config(epochs=5), cpls(0.5, 2), 0)
+        assert len(normalized_by) == 5
+        assert all(t is tracker for t in normalized_by)
         assert np.max(np.abs(tracker.normalized.sum(axis=1) - 1.0)) < 1e-12
+
+    def test_negative_seed_rejected(self):
+        train, val, _ = split_blob()
+        with pytest.raises(DomainError, match="seed"):
+            fit(train, val, MLP, make_config(epochs=1), HARD, -1)
 
     def test_shape_validation(self):
         train, val, _ = split_blob()
         with pytest.raises(DimensionError):
-            fit(train, val, MlpConfig((5, 6, 3)), make_config(epochs=1))
+            fit(train, val, MlpConfig((5, 6, 3)), make_config(epochs=1), HARD, 0)
         with pytest.raises(DimensionError):
-            fit(train, val, MlpConfig((4, 6, 4)), make_config(epochs=1))
+            fit(train, val, MlpConfig((4, 6, 4)), make_config(epochs=1), HARD, 0)
