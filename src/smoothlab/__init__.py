@@ -45,7 +45,6 @@ from .smoothing import (
 )
 from .trainer import (
     EpochMetrics,
-    MlpConfig,
     ModelParams,
     TrainConfig,
     evaluate,

@@ -24,7 +24,6 @@ from .errors import ConfigError, ParseError
 from .smoothing import STRATEGY_KINDS, TargetStrategy, write_confusion_csv
 from .trainer import (
     EpochMetrics,
-    MlpConfig,
     TrainConfig,
     evaluate,
     extract_features,
@@ -60,9 +59,8 @@ _DEFAULTS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data: BlobSpec | Path  # the synthetic generator's spec, or a feature CSV
+    data: BlobSpec | LabeledDataset  # the generator's spec, or the parsed feature CSV
     split: SplitSpec
-    hidden: tuple[int, ...]
     train: TrainConfig
     strategies: tuple[TargetStrategy, ...]
     seeds: tuple[int, ...]
@@ -80,8 +78,10 @@ class RunRecord:
 
 
 def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Parse flat key=value lines; '#' starts a comment, blanks are skipped."""
+    """Parse flat key=value lines; '#' starts a comment, blanks are skipped, and
+    a key may appear once."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -89,7 +89,13 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"{origin}: line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ParseError(
+                f"{origin}: line {lineno}: key {key!r} already set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -166,18 +172,13 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     elif source == "csv":
         if not merged["data.csv"]:
             raise ConfigError("data.source=csv requires data.csv to point at a feature CSV")
-        data = Path(merged["data.csv"])
+        data = load_csv(merged["data.csv"])
     else:
         raise ConfigError(f"data.source must be 'synthetic' or 'csv', got {source!r}")
     split = SplitSpec(
         _parse_float(merged["split.train"], "split.train"),
         _parse_float(merged["split.val"], "split.val"),
         _parse_float(merged["split.test"], "split.test"),
-    )
-    hidden = tuple(
-        _parse_int(part.strip(), "model.hidden")
-        for part in merged["model.hidden"].split(",")
-        if part.strip()
     )
     strategy_names = [s.strip() for s in merged["strategies"].split(",") if s.strip()]
     if not strategy_names:
@@ -191,6 +192,11 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"config key seeds: expected non-negative integers, got {min(seeds)}")
     _reject_repeats(seeds, "seeds")
     train = TrainConfig(
+        hidden=tuple(
+            _parse_int(part.strip(), "model.hidden")
+            for part in merged["model.hidden"].split(",")
+            if part.strip()
+        ),
         epochs=_parse_int(merged["train.epochs"], "train.epochs"),
         batch_size=_parse_int(merged["train.batch_size"], "train.batch_size"),
         learning_rate=_parse_float(merged["train.learning_rate"], "train.learning_rate"),
@@ -200,7 +206,6 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(
         data=data,
         split=split,
-        hidden=hidden,
         train=train,
         strategies=strategies,
         seeds=seeds,
@@ -235,17 +240,14 @@ def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
     )
 
 
-def _load_source(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
-    if isinstance(cfg.data, BlobSpec):
-        return generate_confusable_blobs(cfg.data, seed)
-    return load_csv(cfg.data)
-
-
 def prepare_splits(
     cfg: ExperimentConfig, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Materialize standardized train/val/test splits for one seed."""
-    ds = _load_source(cfg, seed)
+    """Materialize standardized train/val/test splits for one seed; only a
+    synthetic source depends on the seed, a CSV source was parsed with the config."""
+    ds = cfg.data
+    if isinstance(ds, BlobSpec):
+        ds = generate_confusable_blobs(ds, seed)
     train, val, test = stratified_split(ds, cfg.split, seed)
     return standardize(train, val, test)
 
@@ -294,8 +296,6 @@ def run_single(
 ) -> RunRecord:
     """Train one (strategy, seed) pair on prepared splits and emit its artifacts."""
     train, val, test = splits
-    mlp = MlpConfig((train.n_features, *cfg.hidden, train.num_classes))
-    # Created only now, so a run whose model.hidden MlpConfig rejects leaves no directory.
     run_dir.mkdir(parents=True, exist_ok=True)
 
     artifacts: dict[str, Path] = {}
@@ -306,7 +306,7 @@ def run_single(
             write_confusion_csv(tracker.normalized, path)
             artifacts[f"confusion_epoch_{epoch}"] = path
 
-    params, metrics, _ = fit(train, val, mlp, cfg.train, strategy, seed, on_epoch=snapshot_confusion)
+    params, metrics, _ = fit(train, val, cfg.train, strategy, seed, on_epoch=snapshot_confusion)
 
     # The test split is touched exactly once, after training finishes.
     test_accuracy, test_probs, test_confusion = evaluate(params, test)
@@ -328,7 +328,7 @@ def run_single(
         ("%d",) * test_confusion.shape[1],
         map(tuple, test_confusion.tolist()),
     )
-    if mlp.num_hidden > 0:
+    if cfg.train.hidden:
         feats = extract_features(params, test)
         artifacts["features"] = run_dir / "features.csv"
         save_csv(LabeledDataset(feats, test.labels, test.num_classes), artifacts["features"])
@@ -364,7 +364,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     """Run every (strategy x seed) combination and emit the comparison table.
 
     For a given seed, every strategy trains on bit-identical splits and from
-    bit-identical initial parameters (``fit`` draws them from the model shape
+    bit-identical initial parameters (``fit`` draws them from the layer sizes
     and the seed alone); only the loss targets differ. An output directory that
     already holds a comparison table or a run summary is refused before
     anything is written, so no report mixes runs of two invocations.

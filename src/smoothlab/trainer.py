@@ -28,32 +28,15 @@ from .smoothing import (
 
 
 @dataclass(frozen=True)
-class MlpConfig:
-    """Layer sizes [d_in, h_1, .., h_k, C]; ReLU hidden layers, softmax output.
+class TrainConfig:
+    """The network and SGD settings every run of an experiment shares; the
+    strategy and seed that tell one run from another are arguments to ``fit``.
 
-    Two entries mean no hidden layer at all (plain softmax regression).
+    ``hidden`` holds the ReLU hidden-layer widths; the input and output widths
+    come from the data, and an empty tuple means plain softmax regression.
     """
 
-    layer_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise DomainError(f"need at least input and output sizes, got {sizes}")
-        if any(s < 1 for s in sizes):
-            raise DomainError(f"all layer sizes must be >= 1, got {sizes}")
-        object.__setattr__(self, "layer_sizes", sizes)
-
-    @property
-    def num_hidden(self) -> int:
-        return len(self.layer_sizes) - 2
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """The SGD and evaluation settings every run of an experiment shares; the
-    strategy and seed that tell one run from another are arguments to ``fit``."""
-
+    hidden: tuple[int, ...]
     epochs: int
     batch_size: int
     learning_rate: float
@@ -61,6 +44,8 @@ class TrainConfig:
     ece_bins: int
 
     def __post_init__(self):
+        if any(width < 1 for width in self.hidden):
+            raise DomainError(f"hidden widths must each be >= 1, got {self.hidden}")
         if self.epochs < 1:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -132,11 +117,16 @@ class EpochMetrics:
     val_ece: float
 
 
-def init_params(config: MlpConfig, seed: int) -> ModelParams:
-    """He-normal weights (std sqrt(2 / fan_in)), zero biases, zero momentum."""
+def init_params(layer_sizes: tuple[int, ...], seed: int) -> ModelParams:
+    """He-normal weights (std sqrt(2 / fan_in)), zero biases, zero momentum, for
+    layer sizes (d_in, h_1, .., h_k, C): ReLU hidden layers, softmax output."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise DomainError(f"need at least input and output sizes, got {sizes}")
+    if any(s < 1 for s in sizes):
+        raise DomainError(f"all layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    sizes = config.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
@@ -167,13 +157,13 @@ def _forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list
 
 def loss_and_gradients(
     params: ModelParams, x: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray, tuple[list[np.ndarray], list[np.ndarray]]]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean soft-target cross-entropy over a batch, the predicted probabilities,
-    and the gradients w.r.t. every weight and bias.
+    and the gradient w.r.t. every weight and bias as one flat array laid out
+    like ``params.flat`` (``params.split`` gives its per-layer views).
 
     The logit gradient per sample is probs - target; everything else is the
-    chain rule through ReLU affine layers. The gradient lists are views of one
-    flat gradient (their common ``.base``) laid out like ``params.flat``.
+    chain rule through ReLU affine layers.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -194,7 +184,8 @@ def loss_and_gradients(
 
     delta = probs - targets
     delta /= n
-    grads_w, grads_b = params.split(np.empty_like(params.flat))
+    grad = np.empty_like(params.flat)
+    grads_w, grads_b = params.split(grad)
     for layer in range(params.num_layers - 1, -1, -1):
         np.matmul(delta.T, activations[layer], out=grads_w[layer])
         np.add.reduce(delta, axis=0, out=grads_b[layer])
@@ -202,7 +193,7 @@ def loss_and_gradients(
             # ReLU output is positive exactly where its pre-activation was.
             delta = delta @ params.weights[layer]
             delta *= activations[layer] > 0.0
-    return loss, probs, (grads_w, grads_b)
+    return loss, probs, grad
 
 
 def train_epoch(
@@ -238,7 +229,7 @@ def train_epoch(
     for batch_no, start in enumerate(range(0, n, config.batch_size)):
         stop = start + config.batch_size
         batch_labels = labels[start:stop]
-        loss, probs, (grads_w, _) = loss_and_gradients(
+        loss, probs, grad = loss_and_gradients(
             params, features[start:stop], target_table[batch_labels]
         )
         if not math.isfinite(loss):
@@ -247,7 +238,7 @@ def train_epoch(
             on_batch(batch_labels, probs)
         # v = mu * v + g; w -= lr * v, for every layer at once on the flat buffers.
         velocity *= mu
-        velocity += grads_w[0].base
+        velocity += grad
         np.multiply(velocity, lr, out=step)
         weights -= step
         total += loss * batch_labels.size
@@ -315,7 +306,6 @@ def _target_table(
 def fit(
     train: LabeledDataset,
     val: LabeledDataset,
-    mlp_config: MlpConfig,
     config: TrainConfig,
     strategy: TargetStrategy,
     seed: int,
@@ -326,21 +316,15 @@ def fit(
     Every epoch ends with a validation pass whose confusion counts are folded
     into the tracker and re-normalized, so the hybrid phase always works from
     the freshest matrix; warmup epochs keep the matrix warm but unused.
-    Initial parameters are drawn from (mlp_config, seed).
+    The network maps train.n_features inputs through ``config.hidden`` to
+    train.num_classes outputs; its initial parameters are drawn from those
+    sizes and the seed.
     """
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if train.n_features != val.n_features or train.num_classes != val.num_classes:
         raise DimensionError("train and val splits must share feature count and class count")
-    if mlp_config.layer_sizes[0] != train.n_features:
-        raise DimensionError(
-            f"model expects {mlp_config.layer_sizes[0]} inputs, data has {train.n_features}"
-        )
-    if mlp_config.layer_sizes[-1] != train.num_classes:
-        raise DimensionError(
-            f"model emits {mlp_config.layer_sizes[-1]} classes, data has {train.num_classes}"
-        )
-    params = init_params(mlp_config, seed)
+    params = init_params((train.n_features, *config.hidden, train.num_classes), seed)
     num_classes = train.num_classes
     tracker = ConfusionTracker(num_classes)
     smoother = OnlineLabelSmoother(num_classes) if strategy.kind == "ols" else None

@@ -13,7 +13,6 @@ import smoothlab.trainer
 from smoothlab import (
     BlobSpec,
     ConfusionTracker,
-    MlpConfig,
     ModelParams,
     OnlineLabelSmoother,
     SplitSpec,
@@ -84,8 +83,10 @@ def _trajectory(train, val, strategy, seed, epochs=4):
             [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
         )
 
-    cfg = TrainConfig(epochs=epochs, batch_size=8, learning_rate=0.05, momentum=0.9, ece_bins=10)
-    fit(train, val, MlpConfig((4, 6, 3)), cfg, strategy, seed, on_epoch=grab)
+    cfg = TrainConfig(
+        hidden=(6,), epochs=epochs, batch_size=8, learning_rate=0.05, momentum=0.9, ece_bins=10
+    )
+    fit(train, val, cfg, strategy, seed, on_epoch=grab)
     return snapshots
 
 
@@ -154,7 +155,7 @@ def test_criterion_3_gradient_suite():
 
     # a central-difference check is only valid away from the ReLU kink:
     # every pre-activation must clear the step size by a wide margin
-    margin_params = init_params(MlpConfig((4, 6, 5, 8)), 13)
+    margin_params = init_params((4, 6, 5, 8), 13)
     h_act = x
     for w, b in zip(margin_params.weights[:-1], margin_params.biases[:-1]):
         z = h_act @ w.T + b
@@ -163,9 +164,10 @@ def test_criterion_3_gradient_suite():
 
     worst = 0.0
     for table in tables.values():
-        params = init_params(MlpConfig((4, 6, 5, 8)), 13)  # two hidden layers
+        params = init_params((4, 6, 5, 8), 13)  # two hidden layers
         targets = table[labels]
-        _, _, (grads_w, grads_b) = loss_and_gradients(params, x, targets)
+        _, _, grad = loss_and_gradients(params, x, targets)
+        grads_w, grads_b = params.split(grad)
         analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
         probe = ModelParams(params.weights, params.biases)
 
@@ -265,7 +267,6 @@ def headline_runs():
     warmup_rows = []
     for seed in range(1, 11):
         train, val, test = prepare_splits(cfg, seed)
-        mlp = MlpConfig((train.n_features, *cfg.hidden, train.num_classes))
         for name, strategy in strategies.items():
             snapshot = {}
 
@@ -273,9 +274,7 @@ def headline_runs():
                 if strategy.kind == "cpls" and epoch == strategy.warmup_epochs:
                     snapshot["row0"] = tracker.normalized[0].copy()
 
-            params, metrics, tracker = fit(
-                train, val, mlp, cfg.train, strategy, seed, on_epoch=grab
-            )
+            params, metrics, tracker = fit(train, val, cfg.train, strategy, seed, on_epoch=grab)
             accuracy, probs, _ = evaluate(params, test)
             results[name]["acc"].append(accuracy)
             results[name]["ece"].append(ece(probs, test.labels, cfg.train.ece_bins))

@@ -9,12 +9,14 @@ from smoothlab import (
     ConfigError,
     ParseError,
     TrainConfig,
+    generate_confusable_blobs,
     load_csv,
     parse_config,
     run_compare,
     run_generate,
     run_report,
     run_training,
+    save_csv,
 )
 from smoothlab.cli import main
 from smoothlab.experiment import _DEFAULTS, config_from_values, parse_kv_text
@@ -45,13 +47,16 @@ def assert_artifact_csv(path):
     assert len(rows) > 1 and len({row.count(b",") for row in rows}) == 1, path
 
 
-def write_config(tmp_path, text=FAST_CONFIG, **extra):
-    out = tmp_path / "runs"
-    body = text.format(out=out)
-    for key, value in extra.items():
-        body += f"\n{key.replace('_', '.')} = {value}"
+def write_config(tmp_path, *lines, **extra):
+    """FAST_CONFIG writing under tmp_path. Each "key = value" line, and each
+    keyword (``train_epochs=2`` sets train.epochs), takes the place of the line
+    that sets the same key, since a config file may set a key only once."""
+    lines += tuple(f"{key.replace('_', '.')} = {value}" for key, value in extra.items())
+    keys = {line.partition("=")[0].strip() for line in lines}
+    base = FAST_CONFIG.format(out=tmp_path / "runs").splitlines()
+    kept = [line for line in base if line.partition("=")[0].strip() not in keys]
     path = tmp_path / "exp.cfg"
-    path.write_text(body)
+    path.write_text("\n".join([*kept, *lines]) + "\n")
     return path
 
 
@@ -62,12 +67,16 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match="line 2"):
             parse_kv_text("a=1\nbroken line\n")
 
+    def test_repeated_key_rejected(self):
+        # the later value used to win silently
+        with pytest.raises(ParseError, match="line 3: key 'train.epochs' already set on line 1"):
+            parse_kv_text("train.epochs = 5\n# again\ntrain.epochs = 7\n", "exp.cfg")
+
     def test_defaults(self):
         cfg = config_from_values({})
         assert cfg.data == BlobSpec(8, 100, dimension=8, overlap_pairs=((0, 1), (2, 3)))
         assert cfg.split.fractions == (0.70, 0.15, 0.15)
-        assert cfg.hidden == (32,)
-        assert cfg.train == TrainConfig(50, 32, 0.1, 0.9, 10)
+        assert cfg.train == TrainConfig((32,), 50, 32, 0.1, 0.9, 10)
         assert [s.kind for s in cfg.strategies] == ["hard", "vanilla", "ols", "cpls"]
         assert cfg.strategies[3].beta == 0.5
         assert cfg.strategies[3].warmup_epochs == 5
@@ -96,9 +105,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_values({"seeds": ""})
 
-    def test_csv_source(self):
-        cfg = config_from_values({"data.source": "csv", "data.csv": "feats.csv"})
-        assert cfg.data == Path("feats.csv")
+    def test_csv_source(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("f0,f1,label\n0.5,1.0,0\n-1.0,2.0,2\n0.0,0.0,1\n")
+        cfg = config_from_values({"data.source": "csv", "data.csv": str(path)})
+        assert cfg.data.num_classes == 3
+        assert np.array_equal(cfg.data.features, [[0.5, 1.0], [-1.0, 2.0], [0.0, 0.0]])
+        assert np.array_equal(cfg.data.labels, [0, 2, 1])
 
     def test_readme_config_is_the_defaults(self):
         # The README's example config must parse as written and set every key
@@ -188,7 +201,7 @@ class TestTrainCommand:
         assert len(lines) == 1 + cfg.train.epochs
         # the feature export honors the dataset CSV contract
         feats = load_csv(run_dir / "features.csv")
-        assert feats.n_features == cfg.hidden[-1]
+        assert feats.n_features == cfg.train.hidden[-1]
 
     def test_artifacts_cpls(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -284,6 +297,38 @@ class TestCompare:
         monkeypatch.setattr(experiment, "run_single", boom)
         with pytest.raises(RuntimeError, match=r"strategy=hard seed=1"):
             experiment.run_compare(cfg)
+
+
+class TestCsvSource:
+    def test_parsed_once_per_compare(self, tmp_path, monkeypatch):
+        # only the split depends on the seed, so four seeds share one parse
+        import smoothlab.experiment as experiment
+
+        csv_path = tmp_path / "feats.csv"
+        save_csv(generate_confusable_blobs(BlobSpec(3, 20, dimension=2), seed=0), csv_path)
+        calls = []
+
+        def counting_load_csv(path):
+            calls.append(path)
+            return load_csv(path)
+
+        monkeypatch.setattr(experiment, "load_csv", counting_load_csv)
+        cfg_path = write_config(
+            tmp_path, "data.source = csv", f"data.csv = {csv_path}", "seeds = 1,2,3,4"
+        )
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "runs").glob("*_seed*/summary.txt"))) == 8
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_malformed_csv_rejected_when_read(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "feats.csv"
+        csv_path.write_text("f0,f1,label\n0.5,1.0,0\n0.5,oops,1\n")
+        cfg_path = write_config(tmp_path, "data.source = csv", f"data.csv = {csv_path}")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "row 3" in err[0]
+        assert not (tmp_path / "runs").exists()
 
 
 class TestReport:
@@ -420,6 +465,16 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["generate", "train", "compare"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text() + "train.epochs = 7\n")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "key 'train.epochs' already set on line" in err[0]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "compare"])
     @pytest.mark.parametrize(
         "line, setting",
         [
@@ -428,10 +483,12 @@ class TestCli:
             ("train.learning_rate = nan", "learning_rate"),
             ("train.momentum = 1", "momentum"),
             ("train.ece_bins = 0", "ece_bins"),
+            ("model.hidden = 0", "hidden"),
+            ("model.hidden = 8,-2", "hidden"),
         ],
     )
     def test_bad_train_setting_rejected_when_read(self, tmp_path, capsys, command, line, setting):
-        cfg_path = write_config(tmp_path, text=FAST_CONFIG + line + "\n")
+        cfg_path = write_config(tmp_path, line)
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and setting in err[0]
@@ -441,9 +498,7 @@ class TestCli:
         "line", ["model.hidden = 0", "train.epochs = 0", "train.batch_size = -3"]
     )
     def test_rejected_run_leaves_no_run_dir(self, tmp_path, capsys, line):
-        # Only model.hidden still fails once a run starts, since MlpConfig needs
-        # the data's dimensions; train.* values fail when the config is read.
-        cfg_path = write_config(tmp_path, text=FAST_CONFIG + line + "\n")
+        cfg_path = write_config(tmp_path, line)
         out_dir = tmp_path / "runs"
         assert main(["compare", "--config", str(cfg_path)]) == 1
         assert main(["train", "--config", str(cfg_path)]) == 1

@@ -14,7 +14,6 @@ from smoothlab import (
     DomainError,
     EpochMetrics,
     LabeledDataset,
-    MlpConfig,
     ModelParams,
     NumericError,
     OnlineLabelSmoother,
@@ -56,8 +55,9 @@ def tiny_dataset(seed=0, n_per=12, classes=3, dim=4):
 HARD = TargetStrategy("hard")
 
 
-def make_config(epochs=3, lr=0.05, batch_size=8, momentum=0.9, ece_bins=10):
+def make_config(epochs=3, lr=0.05, batch_size=8, momentum=0.9, ece_bins=10, hidden=(6,)):
     return TrainConfig(
+        hidden=hidden,
         epochs=epochs,
         batch_size=batch_size,
         learning_rate=lr,
@@ -78,15 +78,20 @@ def load_vector(params, vec):
 
 
 class TestConfigs:
-    def test_mlp_validation(self):
-        with pytest.raises(DomainError):
-            MlpConfig((4,))
-        with pytest.raises(DomainError):
-            MlpConfig((4, 0, 2))
-        assert MlpConfig((4, 2)).num_hidden == 0
-        assert MlpConfig((4, 8, 8, 2)).num_hidden == 2
+    def test_layer_size_validation(self):
+        with pytest.raises(DomainError, match="input and output"):
+            init_params((4,), 0)
+        with pytest.raises(DomainError, match="layer sizes"):
+            init_params((4, 0, 2), 0)
+        assert init_params((4, 2), 0).num_layers == 1
+        assert init_params((4, 8, 8, 2), 0).num_layers == 3
 
     def test_train_config_validation(self):
+        with pytest.raises(DomainError, match="hidden"):
+            make_config(hidden=(0,))
+        with pytest.raises(DomainError, match="hidden"):
+            make_config(hidden=(8, -2))
+        make_config(hidden=())  # no hidden layer: softmax regression
         with pytest.raises(DomainError):
             make_config(epochs=0)
         with pytest.raises(DomainError):
@@ -107,26 +112,25 @@ class TestConfigs:
 
 class TestInit:
     def test_deterministic(self):
-        cfg = MlpConfig((5, 7, 3))
-        a = init_params(cfg, 11)
-        b = init_params(cfg, 11)
+        a = init_params((5, 7, 3), 11)
+        b = init_params((5, 7, 3), 11)
         for x, y in zip(a.weights + a.biases, b.weights + b.biases):
             assert np.array_equal(x, y)
 
     def test_biases_zero(self):
-        params = init_params(MlpConfig((5, 7, 3)), 0)
+        params = init_params((5, 7, 3), 0)
         for b in params.biases:
             assert np.array_equal(b, np.zeros_like(b))
 
     def test_weight_scale(self):
         # 100x100 first layer gives 10k draws; std should sit near sqrt(2/100)
-        params = init_params(MlpConfig((100, 100, 2)), 1)
+        params = init_params((100, 100, 2), 1)
         target = math.sqrt(2.0 / 100.0)
         measured = params.weights[0].std()
         assert abs(measured - target) / target < 0.2
 
     def test_copy_is_deep(self):
-        params = init_params(MlpConfig((3, 4, 2)), 2)
+        params = init_params((3, 4, 2), 2)
         clone = ModelParams(params.weights, params.biases)
         clone.weights[0][0, 0] += 1.0
         assert params.weights[0][0, 0] != clone.weights[0][0, 0]
@@ -134,14 +138,14 @@ class TestInit:
 
 class TestForward:
     def test_zero_params_give_uniform_softmax(self):
-        params = init_params(MlpConfig((3, 4, 5)), 0)
+        params = init_params((3, 4, 5), 0)
         for w in params.weights:
             w[...] = 0.0
         logits, _ = forward(params, [1.0, -2.0, 0.5])
         assert np.array_equal(logits, np.zeros(5))
 
     def test_single_layer_reduces_to_affine(self):
-        params = init_params(MlpConfig((4, 3)), 3)
+        params = init_params((4, 3), 3)
         x = np.array([0.5, -1.0, 2.0, 0.0])
         logits, hidden = forward(params, x)
         assert hidden == []
@@ -162,7 +166,7 @@ class TestForward:
         assert np.allclose(logits, [4.0, 1.75, -0.25], atol=1e-15)
 
     def test_shape_mismatch(self):
-        params = init_params(MlpConfig((3, 2)), 0)
+        params = init_params((3, 2), 0)
         with pytest.raises(DimensionError):
             forward(params, [1.0, 2.0])
 
@@ -170,7 +174,7 @@ class TestForward:
 class TestTrainEpoch:
     def test_zero_learning_rate_keeps_params(self):
         ds = tiny_dataset()
-        params = init_params(MlpConfig((4, 6, 3)), 0)
+        params = init_params((4, 6, 3), 0)
         before = [w.copy() for w in params.weights]
         loss = train_epoch(params, ds, np.eye(3), make_config(lr=0.0), seed=0, epoch=1)
         assert math.isfinite(loss) and loss > 0
@@ -180,8 +184,8 @@ class TestTrainEpoch:
     def test_deterministic(self):
         ds = tiny_dataset()
         cfg = make_config()
-        a = init_params(MlpConfig((4, 6, 3)), 1)
-        b = init_params(MlpConfig((4, 6, 3)), 1)
+        a = init_params((4, 6, 3), 1)
+        b = init_params((4, 6, 3), 1)
         la = train_epoch(a, ds, np.eye(3), cfg, seed=0, epoch=2)
         lb = train_epoch(b, ds, np.eye(3), cfg, seed=0, epoch=2)
         assert la == lb
@@ -190,7 +194,7 @@ class TestTrainEpoch:
 
     def test_single_step_descends(self):
         ds = LabeledDataset(np.array([[1.0, -0.5]]), np.array([1]), 2)
-        params = init_params(MlpConfig((2, 4, 2)), 5)
+        params = init_params((2, 4, 2), 5)
         table = np.eye(2)
         before, _, _ = loss_and_gradients(params, ds.features, table[ds.labels])
         config = make_config(lr=0.01, batch_size=1, momentum=0.0)
@@ -200,7 +204,7 @@ class TestTrainEpoch:
 
     def test_non_finite_loss_aborts_with_location(self):
         ds = tiny_dataset()
-        params = init_params(MlpConfig((4, 6, 3)), 0)
+        params = init_params((4, 6, 3), 0)
         params.weights[0][0, 0] = np.nan
         with pytest.raises(NumericError, match="epoch 3, batch 0"):
             train_epoch(params, ds, np.eye(3), make_config(), seed=0, epoch=3)
@@ -240,7 +244,7 @@ def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, seed, epoc
 
 class TestFlatBuffers:
     def test_lists_are_views_of_the_flat_buffers(self):
-        params = init_params(MlpConfig((4, 6, 3)), 0)
+        params = init_params((4, 6, 3), 0)
         arrays = params.weights + params.biases
         assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in arrays]))
         params.flat[:] = 1.0
@@ -249,14 +253,16 @@ class TestFlatBuffers:
         w_velocity, b_velocity = params.split(params.flat_velocity)
         assert all(np.all(v == 2.0) for v in w_velocity + b_velocity)
 
-    def test_gradients_are_views_of_one_flat_gradient(self):
+    def test_gradient_is_one_flat_array_split_into_views(self):
         ds = tiny_dataset()
-        params = init_params(MlpConfig((4, 6, 5, 3)), 1)
-        _, _, (grads_w, grads_b) = loss_and_gradients(params, ds.features, np.eye(3)[ds.labels])
-        flat = grads_w[0].base
-        assert flat.shape == params.flat.shape
-        assert all(g.base is flat for g in grads_w + grads_b)
-        assert np.array_equal(flat, np.concatenate([g.ravel() for g in grads_w + grads_b]))
+        params = init_params((4, 6, 5, 3), 1)
+        _, _, grad = loss_and_gradients(params, ds.features, np.eye(3)[ds.labels])
+        assert grad.shape == params.flat.shape
+        grads_w, grads_b = params.split(grad)
+        shapes = [a.shape for a in params.weights + params.biases]
+        assert [g.shape for g in grads_w + grads_b] == shapes
+        assert all(g.base is grad for g in grads_w + grads_b)
+        assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads_w + grads_b]))
 
 
 class TestBitExactOracle:
@@ -270,7 +276,7 @@ class TestBitExactOracle:
         assert ds.n_samples == 36
         table = 0.7 * np.eye(3) + 0.3 * np.random.default_rng(5).dirichlet(np.ones(3), size=3)
         config = make_config(lr=0.1, batch_size=batch_size, momentum=momentum)
-        params = init_params(MlpConfig(sizes), 4)
+        params = init_params(sizes, 4)
         lists = (params.weights, params.biases, *params.split(params.flat_velocity))
         reference = [[a.copy() for a in arrays] for arrays in lists]
         for epoch in (1, 2, 3):
@@ -310,9 +316,10 @@ class TestGradients:
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 8, size=5)
         for name, table in self.strategy_tables().items():
-            params = init_params(MlpConfig((4, 6, 5, 8)), 13)
+            params = init_params((4, 6, 5, 8), 13)
             targets = table[labels]
-            _, _, (grads_w, grads_b) = loss_and_gradients(params, x, targets)
+            _, _, grad = loss_and_gradients(params, x, targets)
+            grads_w, grads_b = params.split(grad)
             analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
 
             probe = ModelParams(params.weights, params.biases)
@@ -404,7 +411,7 @@ class TestOracleLink:
         # epoch 2 is past the one-epoch warmup, so ols and cpls use their own tables
         table = smoothlab.trainer._target_table(strategy, c, 2, tracker, smoother)
         assert kind == "hard" or not np.allclose(table, np.eye(c))
-        params = init_params(MlpConfig((4, 6, c)), 3)
+        params = init_params((4, 6, c), 3)
         x = rng.normal(size=(16, 4))
         labels = rng.integers(0, c, size=16)
         loss, _, _ = loss_and_gradients(params, x, table[labels])
@@ -414,7 +421,7 @@ class TestOracleLink:
 
 class TestEvaluate:
     def test_constant_predictor(self):
-        params = init_params(MlpConfig((2, 3)), 0)
+        params = init_params((2, 3), 0)
         for w in params.weights:
             w[...] = 0.0
         params.biases[0][...] = [5.0, 0.0, 0.0]
@@ -425,7 +432,7 @@ class TestEvaluate:
 
     def test_confusion_totals_and_trace_identity(self):
         ds = tiny_dataset(seed=3)
-        params = init_params(MlpConfig((4, 6, 3)), 4)
+        params = init_params((4, 6, 3), 4)
         accuracy, probs, confusion = evaluate(params, ds)
         assert confusion.sum() == ds.n_samples
         assert abs(np.trace(confusion) / ds.n_samples - accuracy) < 1e-12
@@ -435,7 +442,7 @@ class TestEvaluate:
 class TestExtractFeatures:
     def test_shape_and_consistency_with_forward(self):
         ds = tiny_dataset(seed=5)
-        params = init_params(MlpConfig((4, 7, 3)), 6)
+        params = init_params((4, 7, 3), 6)
         feats = extract_features(params, ds)
         assert feats.shape == (ds.n_samples, 7)
         # the batched path may differ from the per-sample path in the last bit
@@ -444,13 +451,13 @@ class TestExtractFeatures:
 
     def test_requires_hidden_layer(self):
         ds = tiny_dataset(seed=5)
-        params = init_params(MlpConfig((4, 3)), 6)
+        params = init_params((4, 3), 6)
         with pytest.raises(ConfigError):
             extract_features(params, ds)
 
     def test_deterministic(self):
         ds = tiny_dataset(seed=5)
-        params = init_params(MlpConfig((4, 7, 3)), 6)
+        params = init_params((4, 7, 3), 6)
         assert np.array_equal(extract_features(params, ds), extract_features(params, ds))
 
 
@@ -461,9 +468,6 @@ def split_blob(seed=0, classes=3, per_class=20, dim=4, overlap=()):
     return standardize(train, val, test)
 
 
-MLP = MlpConfig((4, 6, 3))
-
-
 def cpls(beta, warmup_epochs):
     return TargetStrategy("cpls", beta=beta, warmup_epochs=warmup_epochs)
 
@@ -471,17 +475,17 @@ def cpls(beta, warmup_epochs):
 class TestFit:
     def test_hard_never_enters_hybrid(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, MLP, make_config(epochs=4), HARD, 0)
+        _, metrics, _ = fit(train, val, make_config(epochs=4), HARD, 0)
         assert all(m.phase == "warmup" for m in metrics)
 
     def test_cpls_phases(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, MLP, make_config(epochs=5), cpls(0.5, 2), 0)
+        _, metrics, _ = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
         assert [m.phase for m in metrics] == ["warmup", "warmup", "hybrid", "hybrid", "hybrid"]
 
     def test_metrics_are_sane(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, MLP, make_config(epochs=4), HARD, 0)
+        _, metrics, _ = fit(train, val, make_config(epochs=4), HARD, 0)
         for m in metrics:
             assert isinstance(m, EpochMetrics)
             assert 0.0 <= m.val_accuracy <= 1.0
@@ -492,8 +496,8 @@ class TestFit:
     def test_deterministic_end_to_end(self):
         train, val, _ = split_blob(seed=1)
         cfg = make_config(epochs=4)
-        pa, ma, _ = fit(train, val, MLP, cfg, cpls(0.5, 1), 3)
-        pb, mb, _ = fit(train, val, MLP, cfg, cpls(0.5, 1), 3)
+        pa, ma, _ = fit(train, val, cfg, cpls(0.5, 1), 3)
+        pb, mb, _ = fit(train, val, cfg, cpls(0.5, 1), 3)
         assert ma == mb
         for x, y in zip(pa.weights, pb.weights):
             assert np.array_equal(x, y)
@@ -504,7 +508,7 @@ class TestFit:
         def grab(epoch, params, record, tracker):
             snapshots.append([w.copy() for w in params.weights] + [b.copy() for b in params.biases])
 
-        fit(train, val, MLP, make_config(epochs=4), strategy, seed, on_epoch=grab)
+        fit(train, val, make_config(epochs=4), strategy, seed, on_epoch=grab)
         return snapshots
 
     def test_warmup_covering_all_epochs_reproduces_hard(self):
@@ -541,7 +545,7 @@ class TestFit:
 
         monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", CountingTracker)
         train, val, _ = split_blob(seed=4, overlap=((0, 1),))
-        _, _, tracker = fit(train, val, MLP, make_config(epochs=5), cpls(0.5, 2), 0)
+        _, _, tracker = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
         assert len(normalized_by) == 5
         assert all(t is tracker for t in normalized_by)
         assert np.max(np.abs(tracker.normalized.sum(axis=1) - 1.0)) < 1e-12
@@ -549,11 +553,17 @@ class TestFit:
     def test_negative_seed_rejected(self):
         train, val, _ = split_blob()
         with pytest.raises(DomainError, match="seed"):
-            fit(train, val, MLP, make_config(epochs=1), HARD, -1)
+            fit(train, val, make_config(epochs=1), HARD, -1)
 
     def test_shape_validation(self):
-        train, val, _ = split_blob()
-        with pytest.raises(DimensionError):
-            fit(train, val, MlpConfig((5, 6, 3)), make_config(epochs=1), HARD, 0)
-        with pytest.raises(DimensionError):
-            fit(train, val, MlpConfig((4, 6, 4)), make_config(epochs=1), HARD, 0)
+        train, _, _ = split_blob()
+        _, wider_val, _ = split_blob(dim=5)
+        with pytest.raises(DimensionError, match="feature count"):
+            fit(train, wider_val, make_config(epochs=1), HARD, 0)
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 2)])
+    def test_network_ends_come_from_the_data(self, hidden):
+        train, val, _ = split_blob(classes=5, dim=7)
+        params, _, _ = fit(train, val, make_config(epochs=1, hidden=hidden), HARD, 0)
+        sizes = (7, *hidden, 5)
+        assert [w.shape for w in params.weights] == list(zip(sizes[1:], sizes[:-1]))
