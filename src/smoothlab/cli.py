@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import SmoothlabError
-from .experiment import (
-    config_from_values,
-    parse_kv_text,
-    run_compare,
-    run_generate,
-    run_report,
-    run_training,
-)
+from .experiment import parse_config, run_compare, run_generate, run_report, run_training
 from .smoothing import STRATEGY_KINDS
 
 
@@ -45,16 +37,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    """Read the config file once; command-line flags override its keys."""
-    path = Path(args.config)
-    values = parse_kv_text(path.read_text(encoding="utf-8"), str(path))
+    """Read the config file; command-line flags override its keys."""
+    overrides = {}
     if args.out:
-        values["out"] = args.out
+        overrides["out"] = args.out
     if args.seed is not None:
-        values["seeds"] = str(args.seed)
+        overrides["seeds"] = str(args.seed)
     if getattr(args, "strategy", None):
-        values["strategies"] = args.strategy
-    return config_from_values(values)
+        overrides["strategies"] = args.strategy
+    return parse_config(args.config, overrides)
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .calibration import ece, reliability_bins, write_reliability_csv
 from .datasets import (
@@ -20,7 +21,7 @@ from .datasets import (
     stratified_split,
     write_csv,
 )
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DomainError, ParseError
 from .smoothing import STRATEGY_KINDS, TargetStrategy, write_confusion_csv
 from .trainer import (
     EpochMetrics,
@@ -29,32 +30,6 @@ from .trainer import (
     extract_features,
     fit,
 )
-
-_DEFAULTS: dict[str, str] = {
-    "data.source": "synthetic",
-    "data.csv": "",
-    "data.classes": "8",
-    "data.per_class": "100",
-    "data.dimension": "8",
-    "data.spread": "1.0",
-    "data.overlap": "0:1,2:3",
-    "split.train": "0.70",
-    "split.val": "0.15",
-    "split.test": "0.15",
-    "model.hidden": "32",
-    "train.epochs": "50",
-    "train.batch_size": "32",
-    "train.learning_rate": "0.1",
-    "train.momentum": "0.9",
-    "train.ece_bins": "10",
-    "strategies": "hard,vanilla,ols,cpls",
-    "vanilla.alpha": "0.1",
-    "cpls.beta": "0.5",
-    "cpls.warmup": "5",
-    "ols.warmup": "5",
-    "seeds": "1,2,3,4,5,6,7,8,9,10",
-    "out": "runs",
-}
 
 
 @dataclass(frozen=True)
@@ -86,10 +61,10 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ParseError(f"{origin}: line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
         key = key.strip()
+        if not sep or not key:
+            raise ParseError(f"{origin}: line {lineno}: expected key=value, got {raw!r}")
         if key in first_line:
             raise ParseError(
                 f"{origin}: line {lineno}: key {key!r} already set on line {first_line[key]}"
@@ -97,6 +72,10 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
         first_line[key] = lineno
         values[key] = value.strip()
     return values
+
+
+def _parse_text(raw: str, key: str) -> str:
+    return raw
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -113,109 +92,137 @@ def _parse_float(raw: str, key: str) -> float:
         raise ConfigError(f"config key {key}: expected a number, got {raw!r}") from None
 
 
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
-    if not raw:
-        return ()
-    return tuple(_parse_int(part.strip(), key) for part in raw.split(","))
+def _parse_pair(raw: str, key: str) -> tuple[int, int]:
+    a, sep, b = raw.partition(":")
+    if not sep:
+        raise ConfigError(f"config key {key}: expected a:b pairs, got {raw!r}")
+    return _parse_int(a, key), _parse_int(b, key)
 
 
-def _parse_pairs(raw: str, key: str) -> tuple[tuple[int, int], ...]:
-    if not raw:
-        return ()
-    pairs = []
-    for part in raw.split(","):
-        a, sep, b = part.strip().partition(":")
-        if not sep:
-            raise ConfigError(f"config key {key}: expected a:b pairs, got {part!r}")
-        pairs.append((_parse_int(a, key), _parse_int(b, key)))
-    return tuple(pairs)
-
-
-def _reject_repeats(items, key: str) -> None:
-    # A repeated strategy or seed would overwrite a run dir and count twice.
-    for pos, item in enumerate(items):
-        if item in items[:pos]:
-            raise ConfigError(f"{key} lists {item!r} more than once")
-
-
-def _build_strategy(name: str, values: dict[str, str]) -> TargetStrategy:
-    if name == "hard":
-        return TargetStrategy("hard")
-    if name == "vanilla":
-        return TargetStrategy("vanilla", alpha=_parse_float(values["vanilla.alpha"], "vanilla.alpha"))
-    if name == "ols":
-        return TargetStrategy("ols", warmup_epochs=_parse_int(values["ols.warmup"], "ols.warmup"))
-    if name == "cpls":
-        return TargetStrategy(
-            "cpls",
-            beta=_parse_float(values["cpls.beta"], "cpls.beta"),
-            warmup_epochs=_parse_int(values["cpls.warmup"], "cpls.warmup"),
+def _parse_kind(raw: str, key: str) -> str:
+    if raw not in STRATEGY_KINDS:
+        raise ConfigError(
+            f"config key {key}: unknown strategy {raw!r}, expected one of {STRATEGY_KINDS}"
         )
-    raise ConfigError(f"unknown strategy {name!r}, expected one of {STRATEGY_KINDS}")
+    return raw
+
+
+def _parse_seed(raw: str, key: str) -> int:
+    seed = _parse_int(raw, key)
+    if seed < 0:
+        raise ConfigError(f"config key {key}: expected non-negative integers, got {seed}")
+    return seed
+
+
+def _list_of(item: Callable, distinct: bool = False) -> Callable:
+    """Parser of a comma list of ``item`` values: an empty value is no items,
+    and an empty item is an error. A ``distinct`` list needs at least one item
+    and no repeat, since a repeated strategy or seed would overwrite a run dir
+    and count twice."""
+
+    def parse(raw: str, key: str) -> tuple:
+        parts = [part.strip() for part in raw.split(",")] if raw else []
+        if "" in parts:
+            raise ConfigError(f"config key {key}: empty item in {raw!r}")
+        items = tuple(item(part, key) for part in parts)
+        if distinct:
+            if not items:
+                raise ConfigError(f"config key {key}: expected at least one item")
+            for pos, value in enumerate(items):
+                if value in items[:pos]:
+                    raise ConfigError(f"{key} lists {value!r} more than once")
+        return items
+
+    return parse
+
+
+# Every config key: its default, spelled as in a config file, and the parser
+# that turns a value into its setting or a ConfigError naming the key. A read
+# config has each key parsed, whether or not its run uses it.
+_KEYS: dict[str, tuple[str, Callable]] = {
+    "data.csv": ("", _parse_text),  # empty: the synthetic generator below
+    "data.classes": ("8", _parse_int),
+    "data.per_class": ("100", _parse_int),
+    "data.dimension": ("8", _parse_int),
+    "data.spread": ("1.0", _parse_float),
+    "data.overlap": ("0:1,2:3", _list_of(_parse_pair)),
+    "split.train": ("0.70", _parse_float),
+    "split.val": ("0.15", _parse_float),
+    "split.test": ("0.15", _parse_float),
+    "model.hidden": ("32", _list_of(_parse_int)),
+    "train.epochs": ("50", _parse_int),
+    "train.batch_size": ("32", _parse_int),
+    "train.learning_rate": ("0.1", _parse_float),
+    "train.momentum": ("0.9", _parse_float),
+    "train.ece_bins": ("10", _parse_int),
+    "strategies": ("hard,vanilla,ols,cpls", _list_of(_parse_kind, distinct=True)),
+    "vanilla.alpha": ("0.1", _parse_float),
+    "cpls.beta": ("0.5", _parse_float),
+    "cpls.warmup": ("5", _parse_int),
+    "ols.warmup": ("5", _parse_int),
+    "seeds": ("1,2,3,4,5,6,7,8,9,10", _list_of(_parse_seed, distinct=True)),
+    "out": ("runs", _parse_text),
+}
+
+
+# The generator's keys, in BlobSpec's field order; a CSV source takes none.
+_BLOB_KEYS = ("data.classes", "data.per_class", "data.dimension", "data.spread", "data.overlap")
+
+
+def _strategy(kind: str, settings: dict, **keys: str) -> TargetStrategy:
+    # keys maps each TargetStrategy field to the config key that sets it.
+    try:
+        return TargetStrategy(kind, **{name: settings[key] for name, key in keys.items()})
+    except DomainError as exc:
+        raise ConfigError(f"config key {'/'.join(keys.values())}: {exc}") from None
 
 
 def config_from_values(values: dict[str, str]) -> ExperimentConfig:
-    unknown = set(values) - set(_DEFAULTS)
+    """Parse every key, set or defaulted, then build the config. All four
+    strategy kinds are built, so ``train --strategy`` may pick one the
+    ``strategies`` list leaves out."""
+    unknown = set(values) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = {**_DEFAULTS, **values}
-
-    source = merged["data.source"]
-    if source == "synthetic":
-        data = BlobSpec(
-            num_classes=_parse_int(merged["data.classes"], "data.classes"),
-            samples_per_class=_parse_int(merged["data.per_class"], "data.per_class"),
-            dimension=_parse_int(merged["data.dimension"], "data.dimension"),
-            spread=_parse_float(merged["data.spread"], "data.spread"),
-            overlap_pairs=_parse_pairs(merged["data.overlap"], "data.overlap"),
-        )
-    elif source == "csv":
-        if not merged["data.csv"]:
-            raise ConfigError("data.source=csv requires data.csv to point at a feature CSV")
-        data = load_csv(merged["data.csv"])
-    else:
-        raise ConfigError(f"data.source must be 'synthetic' or 'csv', got {source!r}")
-    split = SplitSpec(
-        _parse_float(merged["split.train"], "split.train"),
-        _parse_float(merged["split.val"], "split.val"),
-        _parse_float(merged["split.test"], "split.test"),
-    )
-    strategy_names = [s.strip() for s in merged["strategies"].split(",") if s.strip()]
-    if not strategy_names:
-        raise ConfigError("at least one strategy is required")
-    _reject_repeats(strategy_names, "strategies")
-    strategies = tuple(_build_strategy(name, merged) for name in strategy_names)
-    seeds = _parse_int_list(merged["seeds"], "seeds")
-    if not seeds:
-        raise ConfigError("at least one seed is required")
-    if min(seeds) < 0:
-        raise ConfigError(f"config key seeds: expected non-negative integers, got {min(seeds)}")
-    _reject_repeats(seeds, "seeds")
+    settings = {key: parse(values.get(key, text), key) for key, (text, parse) in _KEYS.items()}
+    csv_path = settings["data.csv"]
+    stale = [key for key in _BLOB_KEYS if key in values]
+    if csv_path and stale:
+        raise ConfigError(f"data.csv is set; the generator's keys do not apply: {', '.join(stale)}")
+    split = SplitSpec(settings["split.train"], settings["split.val"], settings["split.test"])
     train = TrainConfig(
-        hidden=tuple(
-            _parse_int(part.strip(), "model.hidden")
-            for part in merged["model.hidden"].split(",")
-            if part.strip()
-        ),
-        epochs=_parse_int(merged["train.epochs"], "train.epochs"),
-        batch_size=_parse_int(merged["train.batch_size"], "train.batch_size"),
-        learning_rate=_parse_float(merged["train.learning_rate"], "train.learning_rate"),
-        momentum=_parse_float(merged["train.momentum"], "train.momentum"),
-        ece_bins=_parse_int(merged["train.ece_bins"], "train.ece_bins"),
+        settings["model.hidden"],
+        settings["train.epochs"],
+        settings["train.batch_size"],
+        settings["train.learning_rate"],
+        settings["train.momentum"],
+        settings["train.ece_bins"],
     )
+    kinds = {
+        "hard": TargetStrategy("hard"),
+        "vanilla": _strategy("vanilla", settings, alpha="vanilla.alpha"),
+        "ols": _strategy("ols", settings, warmup_epochs="ols.warmup"),
+        "cpls": _strategy("cpls", settings, beta="cpls.beta", warmup_epochs="cpls.warmup"),
+    }
+    data = load_csv(csv_path) if csv_path else BlobSpec(*(settings[key] for key in _BLOB_KEYS))
     return ExperimentConfig(
         data=data,
         split=split,
         train=train,
-        strategies=strategies,
-        seeds=seeds,
-        out_dir=Path(merged["out"]),
+        strategies=tuple(kinds[kind] for kind in settings["strategies"]),
+        seeds=settings["seeds"],
+        out_dir=Path(settings["out"]),
     )
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Read a config file; ``overrides`` set keys over the file's values. A
+    relative ``data.csv`` in the file is read from the file's directory."""
     path = Path(path)
-    return config_from_values(parse_kv_text(path.read_text(encoding="utf-8"), str(path)))
+    values = parse_kv_text(path.read_text(encoding="utf-8"), str(path))
+    if values.get("data.csv"):
+        values["data.csv"] = str(path.parent / values["data.csv"])
+    return config_from_values({**values, **(overrides or {})})
 
 
 def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
@@ -255,7 +262,7 @@ def prepare_splits(
 def run_generate(cfg: ExperimentConfig) -> dict[str, Path]:
     """Write raw train/val/test CSVs plus a manifest of the blob spec and first seed."""
     if not isinstance(cfg.data, BlobSpec):
-        raise ConfigError("generate requires data.source=synthetic")
+        raise ConfigError("generate writes synthetic data, but data.csv is set")
     seed = cfg.seeds[0]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)

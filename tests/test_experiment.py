@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     BlobSpec,
     ConfigError,
+    DomainError,
     ParseError,
     TrainConfig,
     generate_confusable_blobs,
@@ -19,11 +22,11 @@ from smoothlab import (
     save_csv,
 )
 from smoothlab.cli import main
-from smoothlab.experiment import _DEFAULTS, config_from_values, parse_kv_text
+from smoothlab.experiment import _KEYS, config_from_values, parse_kv_text
+from smoothlab.smoothing import STRATEGY_KINDS
 
 FAST_CONFIG = """
 # small experiment used by the test-suite
-data.source = synthetic
 data.classes = 4
 data.per_class = 20
 data.dimension = 3
@@ -50,10 +53,14 @@ def assert_artifact_csv(path):
 def write_config(tmp_path, *lines, **extra):
     """FAST_CONFIG writing under tmp_path. Each "key = value" line, and each
     keyword (``train_epochs=2`` sets train.epochs), takes the place of the line
-    that sets the same key, since a config file may set a key only once."""
+    that sets the same key, since a config file may set a key only once. A
+    data.csv line also drops FAST_CONFIG's generator (data.*) lines, which a
+    CSV source rejects."""
     lines += tuple(f"{key.replace('_', '.')} = {value}" for key, value in extra.items())
     keys = {line.partition("=")[0].strip() for line in lines}
     base = FAST_CONFIG.format(out=tmp_path / "runs").splitlines()
+    if "data.csv" in keys:
+        base = [line for line in base if not line.startswith("data.")]
     kept = [line for line in base if line.partition("=")[0].strip() not in keys]
     path = tmp_path / "exp.cfg"
     path.write_text("\n".join([*kept, *lines]) + "\n")
@@ -71,6 +78,11 @@ class TestConfigParsing:
         # the later value used to win silently
         with pytest.raises(ParseError, match="line 3: key 'train.epochs' already set on line 1"):
             parse_kv_text("train.epochs = 5\n# again\ntrain.epochs = 7\n", "exp.cfg")
+
+    def test_empty_key_rejected(self):
+        # it used to reach config_from_values as "unknown config keys: " naming nothing
+        with pytest.raises(ParseError, match="exp.cfg: line 2: expected key=value"):
+            parse_kv_text("seeds = 1\n= 5\n", "exp.cfg")
 
     def test_defaults(self):
         cfg = config_from_values({})
@@ -92,10 +104,6 @@ class TestConfigParsing:
             config_from_values({"train.epochs": "many"})
         with pytest.raises(ConfigError):
             config_from_values({"strategies": "hard,bogus"})
-        with pytest.raises(ConfigError):
-            config_from_values({"data.source": "images"})
-        with pytest.raises(ConfigError):
-            config_from_values({"data.source": "csv"})  # needs data.csv
         with pytest.raises(ConfigError, match="seeds"):
             config_from_values({"seeds": "1,-1"})
         with pytest.raises(ConfigError, match="seeds lists 1 more than once"):
@@ -104,24 +112,45 @@ class TestConfigParsing:
             config_from_values({"strategies": ""})
         with pytest.raises(ConfigError):
             config_from_values({"seeds": ""})
+        with pytest.raises(ConfigError, match="model.hidden"):
+            config_from_values({"model.hidden": "8,,4"})
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_every_key_is_parsed_when_read(self, tmp_path, data):
+        # Any one key set to an unparsable token is rejected by name, whatever
+        # the source and whether or not the listed strategies use that key.
+        csv_path = tmp_path / "feats.csv"
+        if not csv_path.exists():
+            write_feature_csv(csv_path)
+        kinds = data.draw(st.lists(st.sampled_from(STRATEGY_KINDS), min_size=1, unique=True))
+        base = {"strategies": ",".join(kinds)}
+        if data.draw(st.booleans(), label="csv source"):
+            base["data.csv"] = str(csv_path)
+        key = data.draw(st.sampled_from(sorted(set(_KEYS) - {"out", "data.csv"})), label="key")
+        token = data.draw(st.text(alphabet="xyz_", min_size=1, max_size=6), label="token")
+        with pytest.raises((ConfigError, DomainError)) as caught:
+            config_from_values({**base, key: token})
+        assert key in str(caught.value) or token in str(caught.value)
 
     def test_csv_source(self, tmp_path):
         path = tmp_path / "feats.csv"
         path.write_text("f0,f1,label\n0.5,1.0,0\n-1.0,2.0,2\n0.0,0.0,1\n")
-        cfg = config_from_values({"data.source": "csv", "data.csv": str(path)})
+        cfg = config_from_values({"data.csv": str(path)})
         assert cfg.data.num_classes == 3
         assert np.array_equal(cfg.data.features, [[0.5, 1.0], [-1.0, 2.0], [0.0, 0.0]])
         assert np.array_equal(cfg.data.labels, [0, 2, 1])
 
     def test_readme_config_is_the_defaults(self):
         # The README's example config must parse as written and set every key
-        # it names to its default, so the docs cannot drift from the package.
+        # to its default, so the docs cannot drift from the package.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"```\n(# experiment\.cfg\n.*?)```", readme, re.DOTALL).group(1)
         values = parse_kv_text(block, "README.md")
         config_from_values(values)
-        assert len(values) >= 20
-        assert values == {key: _DEFAULTS[key] for key in values}
+        assert values == {key: default for key, (default, _) in _KEYS.items()}
 
     def test_parse_config_file(self, tmp_path):
         path = write_config(tmp_path)
@@ -299,13 +328,18 @@ class TestCompare:
             experiment.run_compare(cfg)
 
 
+def write_feature_csv(path):
+    """A 3-class, 2-feature CSV of 60 rows, for configs with a CSV source."""
+    save_csv(generate_confusable_blobs(BlobSpec(3, 20, dimension=2), seed=0), path)
+    return path
+
+
 class TestCsvSource:
     def test_parsed_once_per_compare(self, tmp_path, monkeypatch):
         # only the split depends on the seed, so four seeds share one parse
         import smoothlab.experiment as experiment
 
-        csv_path = tmp_path / "feats.csv"
-        save_csv(generate_confusable_blobs(BlobSpec(3, 20, dimension=2), seed=0), csv_path)
+        csv_path = write_feature_csv(tmp_path / "feats.csv")
         calls = []
 
         def counting_load_csv(path):
@@ -313,9 +347,7 @@ class TestCsvSource:
             return load_csv(path)
 
         monkeypatch.setattr(experiment, "load_csv", counting_load_csv)
-        cfg_path = write_config(
-            tmp_path, "data.source = csv", f"data.csv = {csv_path}", "seeds = 1,2,3,4"
-        )
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}", "seeds = 1,2,3,4")
         assert main(["compare", "--config", str(cfg_path)]) == 0
         assert len(calls) == 1
         assert len(list((tmp_path / "runs").glob("*_seed*/summary.txt"))) == 8
@@ -324,10 +356,54 @@ class TestCsvSource:
     def test_malformed_csv_rejected_when_read(self, tmp_path, capsys, command):
         csv_path = tmp_path / "feats.csv"
         csv_path.write_text("f0,f1,label\n0.5,1.0,0\n0.5,oops,1\n")
-        cfg_path = write_config(tmp_path, "data.source = csv", f"data.csv = {csv_path}")
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}")
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "row 3" in err[0]
+        assert not (tmp_path / "runs").exists()
+
+    def test_relative_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
+        # data.csv is relative to the config file; out stays relative to the
+        # working directory, as --out is
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_feature_csv(sub / "feats.csv")
+        (sub / "exp.cfg").write_text(
+            "data.csv = feats.csv\ntrain.epochs = 2\nstrategies = hard,cpls\n"
+            "cpls.warmup = 1\nseeds = 1\nout = runs\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--config", "sub/exp.cfg"]) == 0
+        confusion = tmp_path / "runs" / "hard_seed1" / "test_confusion.csv"
+        assert len(confusion.read_text().splitlines()) == 3  # the CSV's classes
+        assert not (sub / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "data.classes = 5",
+            "data.per_class = 30",
+            "data.dimension = 2",
+            "data.spread = 2.0",
+            "data.overlap = 0:2",
+        ],
+    )
+    def test_generator_key_beside_csv_rejected(self, tmp_path, capsys, line):
+        # a stale synthetic setting in a CSV config used to pass unread
+        csv_path = write_feature_csv(tmp_path / "feats.csv")
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}", line)
+        assert main(["compare", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        key = line.partition(" =")[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert not (tmp_path / "runs").exists()
+
+    def test_generate_refused(self, tmp_path, capsys):
+        csv_path = write_feature_csv(tmp_path / "feats.csv")
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}")
+        assert main(["generate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "data.csv is set" in err[0]
         assert not (tmp_path / "runs").exists()
 
 
@@ -485,6 +561,16 @@ class TestCli:
             ("train.ece_bins = 0", "ece_bins"),
             ("model.hidden = 0", "hidden"),
             ("model.hidden = 8,-2", "hidden"),
+            # a stray comma used to be skipped, silently changing the list
+            ("model.hidden = 8,,4", "model.hidden"),
+            ("model.hidden = ,", "model.hidden"),
+            ("strategies = hard,,cpls", "strategies"),
+            ("strategies = hard,cpls,", "strategies"),
+            # strategies = hard,cpls: every kind's settings are checked, since
+            # train --strategy may still pick a kind the list leaves out
+            ("vanilla.alpha = banana", "vanilla.alpha"),
+            ("ols.warmup = -3", "ols.warmup"),
+            ("cpls.beta = 2", "cpls.beta"),
         ],
     )
     def test_bad_train_setting_rejected_when_read(self, tmp_path, capsys, command, line, setting):
