@@ -165,15 +165,22 @@ _KEYS: dict[str, tuple[str, Callable]] = {
 }
 
 
-# The generator's keys, in BlobSpec's field order; a CSV source takes none.
-_BLOB_KEYS = ("data.classes", "data.per_class", "data.dimension", "data.spread", "data.overlap")
+# The generator's keys, by the BlobSpec field each sets; a CSV source takes none.
+_BLOB_KEYS = {
+    "num_classes": "data.classes",
+    "samples_per_class": "data.per_class",
+    "dimension": "data.dimension",
+    "spread": "data.spread",
+    "overlap_pairs": "data.overlap",
+}
 
 
-def _strategy(kind: str, settings: dict, **keys: str) -> TargetStrategy:
-    # keys maps each TargetStrategy field to the config key that sets it.
+def _build(cls, settings: dict, *args, **keys: str):
+    """``cls(*args, **fields)`` with each field set from the config key that
+    ``keys`` maps it to; a value out of its domain is reported under those keys."""
     try:
-        return TargetStrategy(kind, **{name: settings[key] for name, key in keys.items()})
-    except DomainError as exc:
+        return cls(*args, **{name: settings[key] for name, key in keys.items()})
+    except (ConfigError, DomainError) as exc:
         raise ConfigError(f"config key {'/'.join(keys.values())}: {exc}") from None
 
 
@@ -186,25 +193,35 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     settings = {key: parse(values.get(key, text), key) for key, (text, parse) in _KEYS.items()}
     csv_path = settings["data.csv"]
-    stale = [key for key in _BLOB_KEYS if key in values]
+    stale = [key for key in _BLOB_KEYS.values() if key in values]
     if csv_path and stale:
         raise ConfigError(f"data.csv is set; the generator's keys do not apply: {', '.join(stale)}")
-    split = SplitSpec(settings["split.train"], settings["split.val"], settings["split.test"])
-    train = TrainConfig(
-        settings["model.hidden"],
-        settings["train.epochs"],
-        settings["train.batch_size"],
-        settings["train.learning_rate"],
-        settings["train.momentum"],
-        settings["train.ece_bins"],
+    split = _build(
+        SplitSpec,
+        settings,
+        train_fraction="split.train",
+        val_fraction="split.val",
+        test_fraction="split.test",
+    )
+    train = _build(
+        TrainConfig,
+        settings,
+        hidden="model.hidden",
+        epochs="train.epochs",
+        batch_size="train.batch_size",
+        learning_rate="train.learning_rate",
+        momentum="train.momentum",
+        ece_bins="train.ece_bins",
     )
     kinds = {
-        "hard": TargetStrategy("hard"),
-        "vanilla": _strategy("vanilla", settings, alpha="vanilla.alpha"),
-        "ols": _strategy("ols", settings, warmup_epochs="ols.warmup"),
-        "cpls": _strategy("cpls", settings, beta="cpls.beta", warmup_epochs="cpls.warmup"),
+        "hard": _build(TargetStrategy, settings, "hard"),
+        "vanilla": _build(TargetStrategy, settings, "vanilla", alpha="vanilla.alpha"),
+        "ols": _build(TargetStrategy, settings, "ols", warmup_epochs="ols.warmup"),
+        "cpls": _build(
+            TargetStrategy, settings, "cpls", beta="cpls.beta", warmup_epochs="cpls.warmup"
+        ),
     }
-    data = load_csv(csv_path) if csv_path else BlobSpec(*(settings[key] for key in _BLOB_KEYS))
+    data = load_csv(csv_path) if csv_path else _build(BlobSpec, settings, **_BLOB_KEYS)
     return ExperimentConfig(
         data=data,
         split=split,
@@ -308,12 +325,12 @@ def run_single(
     artifacts: dict[str, Path] = {}
 
     def snapshot_confusion(epoch, params, record, tracker):
-        if strategy.kind == "cpls":
+        if tracker is not None:
             path = run_dir / f"confusion_epoch_{epoch}.csv"
             write_confusion_csv(tracker.normalized, path)
             artifacts[f"confusion_epoch_{epoch}"] = path
 
-    params, metrics, _ = fit(train, val, cfg.train, strategy, seed, on_epoch=snapshot_confusion)
+    params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=snapshot_confusion)
 
     # The test split is touched exactly once, after training finishes.
     test_accuracy, test_probs, test_confusion = evaluate(params, test)

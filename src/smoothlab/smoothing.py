@@ -1,7 +1,8 @@
 """The four training strategies (hard labels, vanilla smoothing, online
 smoothing, confusion-penalty smoothing) and the per-epoch state behind the last
 two: the validation confusion tracker and the online-smoothing accumulator.
-The trainer folds them into one soft-target table per epoch."""
+``TargetStrategy`` owns what each kind takes and which soft-target table it
+gives in each epoch; the trainer only feeds it the state its kind reads."""
 
 from __future__ import annotations
 
@@ -16,7 +17,14 @@ from .errors import DimensionError, DomainError
 # large finite loss instead of an infinite one.
 PROB_FLOOR = 1e-12
 
-STRATEGY_KINDS = ("hard", "vanilla", "ols", "cpls")
+# The TargetStrategy fields each kind takes; every other field must be None.
+_KIND_FIELDS = {
+    "hard": (),
+    "vanilla": ("alpha",),
+    "ols": ("warmup_epochs",),
+    "cpls": ("beta", "warmup_epochs"),
+}
+STRATEGY_KINDS = tuple(_KIND_FIELDS)
 
 
 def floored_log(p: np.ndarray) -> np.ndarray:
@@ -29,9 +37,11 @@ class TargetStrategy:
     """Tagged selection of a target-construction strategy.
 
     kind          one of "hard", "vanilla", "ols", "cpls"
-    alpha         smoothing weight in [0, 1); vanilla only
-    beta          hybrid weight in (0, 1); cpls only
-    warmup_epochs hard-label epochs before the strategy activates; cpls and ols
+    alpha         smoothing weight in [0, 1)
+    beta          hybrid weight in (0, 1)
+    warmup_epochs hard-label epochs before the strategy activates
+
+    A kind takes exactly the fields ``_KIND_FIELDS`` lists for it.
     """
 
     kind: str
@@ -42,23 +52,48 @@ class TargetStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise DomainError(f"unknown strategy kind {self.kind!r}, expected one of {STRATEGY_KINDS}")
-        needs_alpha = self.kind == "vanilla"
-        needs_beta = self.kind == "cpls"
-        needs_warmup = self.kind in ("cpls", "ols")
-        if needs_alpha != (self.alpha is not None):
-            raise DomainError(f"alpha is {'required' if needs_alpha else 'not allowed'} for kind {self.kind!r}")
-        if needs_beta != (self.beta is not None):
-            raise DomainError(f"beta is {'required' if needs_beta else 'not allowed'} for kind {self.kind!r}")
-        if needs_warmup != (self.warmup_epochs is not None):
-            raise DomainError(
-                f"warmup_epochs is {'required' if needs_warmup else 'not allowed'} for kind {self.kind!r}"
-            )
+        for name in ("alpha", "beta", "warmup_epochs"):
+            needed = name in _KIND_FIELDS[self.kind]
+            if needed != (getattr(self, name) is not None):
+                raise DomainError(
+                    f"{name} is {'required' if needed else 'not allowed'} for kind {self.kind!r}"
+                )
         if self.alpha is not None and not (0.0 <= self.alpha < 1.0):
             raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.beta is not None and not (0.0 < self.beta < 1.0):
             raise DomainError(f"beta must be in (0, 1), got {self.beta}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise DomainError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+
+    def phase(self, epoch: int) -> str:
+        """"hybrid" once a warmup strategy has passed its threshold, else "warmup"."""
+        if self.warmup_epochs is not None and epoch > self.warmup_epochs:
+            return "hybrid"
+        return "warmup"
+
+    def table(
+        self,
+        num_classes: int,
+        epoch: int,
+        tracker: ConfusionTracker | None,
+        smoother: OnlineLabelSmoother | None,
+    ) -> np.ndarray:
+        """The C x C soft-target table of ``epoch``: row y is the target for
+        label y. Only cpls reads ``tracker`` and only ols reads ``smoother``;
+        a kind may pass None for the state it does not read."""
+        identity = np.eye(num_classes)
+        if self.kind == "vanilla":
+            # row y is (1 - alpha) * one_hot(y) + alpha / C
+            table = np.full((num_classes, num_classes), self.alpha / num_classes)
+            table += (1.0 - self.alpha) * identity
+            return table
+        if self.phase(epoch) == "warmup":  # hard never leaves its warmup
+            return identity
+        if self.kind == "cpls":
+            # Additive mixing form: exactly the identity table when the tracker is
+            # still the identity, for any beta.
+            return identity + (1.0 - self.beta) * (tracker.normalized - identity)
+        return smoother.targets.copy()
 
 
 def _row_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Feed-forward softmax classifier with mini-batch SGD.
 
 All four smoothing strategies share one training path: at the start of each
-epoch the strategy is folded into a C x C target table (row y = the soft
+epoch ``TargetStrategy.table`` gives a C x C target table (row y = the soft
 target for label y), so the per-batch work is always plain soft-target
-cross-entropy. The warmup/hybrid switch, the confusion tracker refresh, and
-the online-smoothing accumulator all live in ``fit``.
+cross-entropy. ``fit`` keeps only the per-epoch state the strategy's kind
+reads: the confusion tracker for cpls, the online-smoothing accumulator for ols.
 """
 
 from __future__ import annotations
@@ -272,50 +272,21 @@ def extract_features(params: ModelParams, ds: LabeledDataset) -> np.ndarray:
     return activations[-1]
 
 
-def strategy_phase(strategy: TargetStrategy, epoch: int) -> str:
-    """"hybrid" once a warmup strategy has passed its threshold, else "warmup"."""
-    if strategy.kind in ("cpls", "ols") and epoch > strategy.warmup_epochs:
-        return "hybrid"
-    return "warmup"
-
-
-def _target_table(
-    strategy: TargetStrategy,
-    num_classes: int,
-    epoch: int,
-    tracker: ConfusionTracker,
-    smoother: OnlineLabelSmoother | None,
-) -> np.ndarray:
-    identity = np.eye(num_classes)
-    if strategy.kind == "hard":
-        return identity
-    if strategy.kind == "vanilla":
-        # row y is (1 - alpha) * one_hot(y) + alpha / C
-        table = np.full((num_classes, num_classes), strategy.alpha / num_classes)
-        table += (1.0 - strategy.alpha) * identity
-        return table
-    if strategy_phase(strategy, epoch) == "warmup":
-        return identity
-    if strategy.kind == "cpls":
-        # Additive mixing form: exactly the identity table when the tracker is
-        # still the identity, for any beta.
-        return identity + (1.0 - strategy.beta) * (tracker.normalized - identity)
-    return smoother.targets.copy()  # type: ignore[union-attr]
-
-
 def fit(
     train: LabeledDataset,
     val: LabeledDataset,
     config: TrainConfig,
     strategy: TargetStrategy,
     seed: int,
-    on_epoch: Callable[[int, ModelParams, EpochMetrics, ConfusionTracker], None] | None = None,
-) -> tuple[ModelParams, list[EpochMetrics], ConfusionTracker]:
+    on_epoch: Callable[[int, ModelParams, EpochMetrics, ConfusionTracker | None], None] | None = None,
+) -> tuple[ModelParams, list[EpochMetrics]]:
     """Run the full warmup-then-hybrid training schedule of one strategy.
 
-    Every epoch ends with a validation pass whose confusion counts are folded
-    into the tracker and re-normalized, so the hybrid phase always works from
-    the freshest matrix; warmup epochs keep the matrix warm but unused.
+    Every epoch ends with a validation pass. A cpls run folds its confusion
+    counts into a fresh tracker matrix, so the hybrid phase always works from
+    the latest one; an ols run folds the epoch's correct training predictions
+    into the next epoch's targets. ``on_epoch`` gets the tracker of a cpls run
+    and None otherwise.
     The network maps train.n_features inputs through ``config.hidden`` to
     train.num_classes outputs; its initial parameters are drawn from those
     sizes and the seed.
@@ -326,24 +297,25 @@ def fit(
         raise DimensionError("train and val splits must share feature count and class count")
     params = init_params((train.n_features, *config.hidden, train.num_classes), seed)
     num_classes = train.num_classes
-    tracker = ConfusionTracker(num_classes)
+    tracker = ConfusionTracker(num_classes) if strategy.kind == "cpls" else None
     smoother = OnlineLabelSmoother(num_classes) if strategy.kind == "ols" else None
     on_batch = smoother.update_batch if smoother is not None else None
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
-        phase = strategy_phase(strategy, epoch)
-        table = _target_table(strategy, num_classes, epoch, tracker, smoother)
+        phase = strategy.phase(epoch)
+        table = strategy.table(num_classes, epoch, tracker, smoother)
         train_loss = train_epoch(params, train, table, config, seed, epoch, on_batch)
         val_accuracy, val_probs, val_confusion = evaluate(params, val)
         val_loss = float(-floored_log(val_probs[np.arange(val.n_samples), val.labels]).mean())
         val_ece = ece(val_probs, val.labels, config.ece_bins)
         record = EpochMetrics(epoch, phase, train_loss, val_loss, val_accuracy, val_ece)
         metrics.append(record)
-        tracker.accumulate_counts(val_confusion)
-        tracker.normalize()
+        if tracker is not None:
+            tracker.accumulate_counts(val_confusion)
+            tracker.normalize()
         if smoother is not None:
             smoother.advance_epoch()
         if on_epoch is not None:
             on_epoch(epoch, params, record, tracker)
-    return params, metrics, tracker
+    return params, metrics

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-import smoothlab.trainer
 from smoothlab import (
     BlobSpec,
     ConfusionTracker,
@@ -146,9 +145,7 @@ def test_criterion_3_gradient_suite():
         TargetStrategy("ols", warmup_epochs=0),
     ]
     # epoch 1 is past the zero-epoch warmups: the tables the trainer builds
-    tables = {
-        s.kind: smoothlab.trainer._target_table(s, 8, 1, tracker, smoother) for s in strategies
-    }
+    tables = {s.kind: s.table(8, 1, tracker, smoother) for s in strategies}
 
     x = rng.normal(size=(5, 4))
     labels = rng.integers(0, 8, size=5)
@@ -274,7 +271,7 @@ def headline_runs():
                 if strategy.kind == "cpls" and epoch == strategy.warmup_epochs:
                     snapshot["row0"] = tracker.normalized[0].copy()
 
-            params, metrics, tracker = fit(train, val, cfg.train, strategy, seed, on_epoch=grab)
+            params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=grab)
             accuracy, probs, _ = evaluate(params, test)
             results[name]["acc"].append(accuracy)
             results[name]["ece"].append(ece(probs, test.labels, cfg.train.ece_bins))

@@ -554,13 +554,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "line, setting",
         [
-            ("train.epochs = 0", "epochs"),
-            ("train.batch_size = -3", "batch_size"),
-            ("train.learning_rate = nan", "learning_rate"),
-            ("train.momentum = 1", "momentum"),
-            ("train.ece_bins = 0", "ece_bins"),
-            ("model.hidden = 0", "hidden"),
-            ("model.hidden = 8,-2", "hidden"),
+            ("train.epochs = 0", "train.epochs"),
+            ("train.batch_size = -3", "train.batch_size"),
+            ("train.learning_rate = nan", "train.learning_rate"),
+            ("train.momentum = 1", "train.momentum"),
+            ("train.momentum = 1.5", "train.momentum"),
+            ("train.ece_bins = 0", "train.ece_bins"),
+            ("model.hidden = 0", "model.hidden"),
+            ("model.hidden = 8,-2", "model.hidden"),
             # a stray comma used to be skipped, silently changing the list
             ("model.hidden = 8,,4", "model.hidden"),
             ("model.hidden = ,", "model.hidden"),
@@ -578,6 +579,31 @@ class TestCli:
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and setting in err[0]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "compare"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "data.classes = 1",
+            "data.per_class = 0",
+            "data.dimension = 0",
+            "data.spread = 0",
+            "data.overlap = 0:1,1:2",
+            "data.overlap = 0:9",
+            "split.train = 0.9",
+            "split.val = 0",
+        ],
+    )
+    def test_out_of_range_data_or_split_value_names_its_key(
+        self, tmp_path, capsys, command, line
+    ):
+        # the message names the config key, not the dataclass field behind it
+        cfg_path = write_config(tmp_path, line)
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config key ")
+        assert line.partition(" =")[0] in err[0]
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import smoothlab.trainer
 from smoothlab import (
     ConfusionTracker,
     DimensionError,
@@ -12,6 +11,7 @@ from smoothlab import (
     TargetStrategy,
     write_confusion_csv,
 )
+from smoothlab.smoothing import STRATEGY_KINDS
 
 from oracles import (
     accumulate,
@@ -38,6 +38,15 @@ CPLS_CE_P4 = 0.75 * -math.log(0.7) + 0.25 * -math.log(0.1)  # 0.8431524812025607
 
 
 class TestTargetStrategy:
+    # The parameters each kind takes, written out as the specification.
+    KIND_PARAMETERS = {
+        "hard": (),
+        "vanilla": ("alpha",),
+        "ols": ("warmup_epochs",),
+        "cpls": ("beta", "warmup_epochs"),
+    }
+    VALID = {"alpha": 0.1, "beta": 0.5, "warmup_epochs": 2}
+
     def test_fields(self):
         assert TargetStrategy("hard").kind == "hard"
         assert TargetStrategy("vanilla", alpha=0.2).alpha == 0.2
@@ -45,15 +54,22 @@ class TestTargetStrategy:
         s = TargetStrategy("cpls", beta=0.4, warmup_epochs=7)
         assert (s.beta, s.warmup_epochs) == (0.4, 7)
 
-    def test_parameters_present_iff_required(self):
-        with pytest.raises(DomainError):
-            TargetStrategy("hard", alpha=0.1)
-        with pytest.raises(DomainError):
-            TargetStrategy("vanilla")
-        with pytest.raises(DomainError):
-            TargetStrategy("cpls", beta=0.5)
-        with pytest.raises(DomainError):
-            TargetStrategy("ols", warmup_epochs=2, beta=0.5)
+    def test_kinds_are_the_specified_ones(self):
+        assert STRATEGY_KINDS == tuple(self.KIND_PARAMETERS)
+
+    @pytest.mark.parametrize("kind", list(KIND_PARAMETERS))
+    @pytest.mark.parametrize("name", ["alpha", "beta", "warmup_epochs"])
+    def test_each_parameter_required_exactly_when_listed(self, kind, name):
+        given = {field: self.VALID[field] for field in self.KIND_PARAMETERS[kind]}
+        assert TargetStrategy(kind, **given).kind == kind
+        if name in given:
+            del given[name]
+            word = "required"
+        else:
+            given[name] = self.VALID[name]
+            word = "not allowed"
+        with pytest.raises(DomainError, match=f"^{name} is {word} for kind '{kind}'$"):
+            TargetStrategy(kind, **given)
 
     def test_ranges(self):
         with pytest.raises(DomainError):
@@ -371,9 +387,7 @@ class TestLossGradients:
             accumulate(tr, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
         tr.normalize()
         # epoch 1 is past a zero-epoch warmup: the trainer's cpls table for beta 0.5
-        table = smoothlab.trainer._target_table(
-            TargetStrategy("cpls", beta=0.5, warmup_epochs=0), 4, 1, tr, None
-        )
+        table = TargetStrategy("cpls", beta=0.5, warmup_epochs=0).table(4, 1, tr, None)
         self.check(lambda y: table[y], lambda p, y: hybrid_loss(p, y, tr, 0.5))
 
 

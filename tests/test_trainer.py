@@ -306,10 +306,7 @@ class TestGradients:
             TargetStrategy("ols", warmup_epochs=0),
         ]
         # epoch 1 is past the zero-epoch warmups
-        return {
-            s.kind: smoothlab.trainer._target_table(s, 8, 1, tracker, smoother)
-            for s in strategies
-        }
+        return {s.kind: s.table(8, 1, tracker, smoother) for s in strategies}
 
     def test_full_network_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -370,8 +367,11 @@ class TestTargetTableProperty:
             TargetStrategy("cpls", beta=beta, warmup_epochs=warmup),
         ]
         for strategy in strategies:
+            # as in fit, a kind gets only the state it reads
+            own_tracker = tracker if strategy.kind == "cpls" else None
+            own_smoother = smoother if strategy.kind == "ols" else None
             for epoch in range(1, warmup + 3):  # warmup epochs, then two hybrid ones
-                table = smoothlab.trainer._target_table(strategy, c, epoch, tracker, smoother)
+                table = strategy.table(c, epoch, own_tracker, own_smoother)
                 assert table.shape == (c, c)
                 assert np.all(table >= 0.0)
                 assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
@@ -409,7 +409,7 @@ class TestOracleLink:
             ),
         }[kind]
         # epoch 2 is past the one-epoch warmup, so ols and cpls use their own tables
-        table = smoothlab.trainer._target_table(strategy, c, 2, tracker, smoother)
+        table = strategy.table(c, 2, tracker, smoother)
         assert kind == "hard" or not np.allclose(table, np.eye(c))
         params = init_params((4, 6, c), 3)
         x = rng.normal(size=(16, 4))
@@ -475,17 +475,17 @@ def cpls(beta, warmup_epochs):
 class TestFit:
     def test_hard_never_enters_hybrid(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, make_config(epochs=4), HARD, 0)
+        _, metrics = fit(train, val, make_config(epochs=4), HARD, 0)
         assert all(m.phase == "warmup" for m in metrics)
 
     def test_cpls_phases(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
+        _, metrics = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
         assert [m.phase for m in metrics] == ["warmup", "warmup", "hybrid", "hybrid", "hybrid"]
 
     def test_metrics_are_sane(self):
         train, val, _ = split_blob()
-        _, metrics, _ = fit(train, val, make_config(epochs=4), HARD, 0)
+        _, metrics = fit(train, val, make_config(epochs=4), HARD, 0)
         for m in metrics:
             assert isinstance(m, EpochMetrics)
             assert 0.0 <= m.val_accuracy <= 1.0
@@ -496,8 +496,8 @@ class TestFit:
     def test_deterministic_end_to_end(self):
         train, val, _ = split_blob(seed=1)
         cfg = make_config(epochs=4)
-        pa, ma, _ = fit(train, val, cfg, cpls(0.5, 1), 3)
-        pb, mb, _ = fit(train, val, cfg, cpls(0.5, 1), 3)
+        pa, ma = fit(train, val, cfg, cpls(0.5, 1), 3)
+        pb, mb = fit(train, val, cfg, cpls(0.5, 1), 3)
         assert ma == mb
         for x, y in zip(pa.weights, pb.weights):
             assert np.array_equal(x, y)
@@ -545,10 +545,52 @@ class TestFit:
 
         monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", CountingTracker)
         train, val, _ = split_blob(seed=4, overlap=((0, 1),))
-        _, _, tracker = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
+        handed = []
+        fit(
+            train, val, make_config(epochs=5), cpls(0.5, 2), 0,
+            on_epoch=lambda epoch, params, record, tracker: handed.append(tracker),
+        )
         assert len(normalized_by) == 5
-        assert all(t is tracker for t in normalized_by)
+        tracker = handed[-1]
+        assert all(t is tracker for t in normalized_by + handed)
         assert np.max(np.abs(tracker.normalized.sum(axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            HARD,
+            TargetStrategy("vanilla", alpha=0.1),
+            TargetStrategy("ols", warmup_epochs=1),
+            cpls(0.5, 1),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_only_the_state_its_kind_reads_is_kept(self, monkeypatch, strategy):
+        # a tracker is built and refreshed for cpls alone, a smoother for ols alone
+        normalized, smoothers, handed = [], [], []
+
+        class CountingTracker(ConfusionTracker):
+            def normalize(self):
+                normalized.append(self)
+                return super().normalize()
+
+        class CountingSmoother(OnlineLabelSmoother):
+            def __init__(self, num_classes):
+                smoothers.append(self)
+                super().__init__(num_classes)
+
+        monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", CountingTracker)
+        monkeypatch.setattr(smoothlab.trainer, "OnlineLabelSmoother", CountingSmoother)
+        train, val, _ = split_blob(seed=4, overlap=((0, 1),))
+        fit(
+            train, val, make_config(epochs=3), strategy, 0,
+            on_epoch=lambda epoch, params, record, tracker: handed.append(tracker),
+        )
+        assert len(normalized) == (3 if strategy.kind == "cpls" else 0)
+        assert len(smoothers) == (1 if strategy.kind == "ols" else 0)
+        assert len(handed) == 3
+        if strategy.kind != "cpls":
+            assert handed == [None] * 3
 
     def test_negative_seed_rejected(self):
         train, val, _ = split_blob()
@@ -564,6 +606,6 @@ class TestFit:
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 2)])
     def test_network_ends_come_from_the_data(self, hidden):
         train, val, _ = split_blob(classes=5, dim=7)
-        params, _, _ = fit(train, val, make_config(epochs=1, hidden=hidden), HARD, 0)
+        params, _ = fit(train, val, make_config(epochs=1, hidden=hidden), HARD, 0)
         sizes = (7, *hidden, 5)
         assert [w.shape for w in params.weights] == list(zip(sizes[1:], sizes[:-1]))
