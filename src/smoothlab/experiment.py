@@ -4,6 +4,7 @@ consolidation. The config format is flat ``section.key=value`` text."""
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,7 +182,9 @@ def _build(cls, settings: dict, *args, **keys: str):
     try:
         return cls(*args, **{name: settings[key] for name, key in keys.items()})
     except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"config key {'/'.join(keys.values())}: {exc}") from None
+        # A per-field check names its field first; a cross-field rule names none.
+        culprit = keys.get(str(exc).split(" ", 1)[0]) or "/".join(keys.values())
+        raise ConfigError(f"config key {culprit}: {exc}") from None
 
 
 def config_from_values(values: dict[str, str]) -> ExperimentConfig:
@@ -384,6 +387,77 @@ def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> 
     return run_single(splits, cfg, strategy, seed, run_dir)
 
 
+# The thread-count variables of the BLAS builds numpy ships with or links to.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_seed(cfg: ExperimentConfig, seed: int) -> list[RunRecord]:
+    """Every strategy's run for one seed, in config order, on one set of splits."""
+    splits = prepare_splits(cfg, seed)
+    records = []
+    for strategy in cfg.strategies:
+        run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+        try:
+            records.append(run_single(splits, cfg, strategy, seed, run_dir))
+        except Exception as exc:
+            raise RuntimeError(
+                f"run failed for strategy={strategy.kind} seed={seed}: {exc}"
+            ) from exc
+    return records
+
+
+def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
+    """``_run_seed`` for every seed, results in config order.
+
+    The seeds are independent, so they run on one worker process per usable
+    CPU, up to one per seed; with a single worker they run in this process.
+    Workers are spawned, not forked, so none inherits this process's BLAS
+    thread pool; each starts with ``cpus // workers`` BLAS threads, so the
+    workers' threads together use each CPU once.
+    The first failure in config order is raised; no seed starts after it, and
+    the seeds already running finish before this returns.
+    """
+    cpus = _usable_cpus()
+    workers = min(len(cfg.seeds), cpus)
+    if workers == 1:
+        return [_run_seed(cfg, seed) for seed in cfg.seeds]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        # A spawned worker takes this process's environment as it stands when
+        # the worker starts, and the pool starts its workers inside submit.
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers))))
+        try:
+            futures = [pool.submit(_run_seed, cfg, seed) for seed in cfg.seeds]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            f"a compare worker process died ({exc}); each worker re-imports the main "
+            "module, so a script that calls run_compare on more than one seed must "
+            'make that call under if __name__ == "__main__":'
+        ) from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     """Run every (strategy x seed) combination and emit the comparison table.
 
@@ -392,6 +466,11 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     and the seed alone); only the loss targets differ. An output directory that
     already holds a comparison table or a run summary is refused before
     anything is written, so no report mixes runs of two invocations.
+
+    The seeds run in parallel worker processes where more than one CPU is
+    usable (see ``_run_seeds``); every output byte is the same either way. A
+    script that calls this on more than one seed must do so under
+    ``if __name__ == "__main__":``.
     """
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least 2 strategies")
@@ -399,20 +478,9 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     if (out / "comparison.csv").exists() or any(out.glob("*/summary.txt")):
         raise ConfigError(f"output directory {out} already holds runs; compare into a new one")
     out.mkdir(parents=True, exist_ok=True)
-    records: list[RunRecord] = []
-    by_strategy: list[list[RunRecord]] = [[] for _ in cfg.strategies]
-    for seed in cfg.seeds:
-        splits = prepare_splits(cfg, seed)
-        for pos, strategy in enumerate(cfg.strategies):
-            run_dir = out / f"{strategy.kind}_seed{seed}"
-            try:
-                record = run_single(splits, cfg, strategy, seed, run_dir)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"run failed for strategy={strategy.kind} seed={seed}: {exc}"
-                ) from exc
-            records.append(record)
-            by_strategy[pos].append(record)
+    per_seed = _run_seeds(cfg)
+    records = [record for seed_records in per_seed for record in seed_records]
+    by_strategy = list(zip(*per_seed))
 
     # The seed column holds a seed or the name of a summary statistic.
     rows = [

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +331,51 @@ class TestCompare:
             experiment.run_compare(cfg)
 
 
+class TestSeedWorkers:
+    """Compares whose seeds run on worker processes. The CPU lookup is patched
+    so the workers run whatever this machine's CPU count."""
+
+    def test_failure_in_a_worker_names_the_first_run_and_leaves_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        cfg = parse_config(write_config(tmp_path, "train.learning_rate = 1e300", seeds="1,2"))
+        # Only the prefix: the rest is the worker's message, where pytest would
+        # have turned the overflow warning into the error in this process.
+        with pytest.raises(RuntimeError, match=r"^run failed for strategy=hard seed=1: "):
+            run_compare(cfg)
+        assert multiprocessing.active_children() == []
+        assert dict(os.environ) == environ
+
+    def test_script_without_main_guard_fails_naming_the_guard(self, tmp_path):
+        from smoothlab.experiment import _usable_cpus
+
+        if _usable_cpus() < 2:
+            pytest.skip("a one-CPU process runs every seed in-process")
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from smoothlab import parse_config, run_compare\n"
+            f"run_compare(parse_config({str(write_config(tmp_path, seeds='1,2'))!r}))\n"
+        )
+        src = Path(parse_config.__code__.co_filename).resolve().parents[1]
+        path = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        # The output pipes stay open while any worker lives, so returning within
+        # the timeout also shows that no worker outlived the script.
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert 'if __name__ == "__main__":' in proc.stderr.splitlines()[-1]
+
+
 def write_feature_csv(path):
     """A 3-class, 2-feature CSV of 60 rows, for configs with a CSV source."""
     save_csv(generate_confusable_blobs(BlobSpec(3, 20, dimension=2), seed=0), path)
@@ -593,17 +641,33 @@ class TestCli:
             "data.overlap = 0:9",
             "split.train = 0.9",
             "split.val = 0",
+            "model.hidden = 0",
+            "train.epochs = 0",
+            "train.batch_size = -3",
+            "train.learning_rate = nan",
+            "train.momentum = 1.5",
+            "train.ece_bins = 0",
+            "vanilla.alpha = 1",
+            "cpls.beta = 2",
+            "cpls.warmup = -1",
         ],
     )
     def test_out_of_range_data_or_split_value_names_its_key(
         self, tmp_path, capsys, command, line
     ):
-        # the message names the config key, not the dataclass field behind it
+        # the message names the config key, not the dataclass field behind it;
+        # a rule over several fields names every key of its group
+        data_keys = "data.classes/data.per_class/data.dimension/data.spread/data.overlap"
+        groups = {
+            "data.overlap = 0:1,1:2": data_keys,
+            "data.overlap = 0:9": data_keys,
+            "split.train = 0.9": "split.train/split.val/split.test",
+        }
+        keys = groups.get(line, line.partition(" =")[0])
         cfg_path = write_config(tmp_path, line)
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: config key ")
-        assert line.partition(" =")[0] in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: config key {keys}: ")
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(

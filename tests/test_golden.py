@@ -4,20 +4,28 @@ Refactors of the trainer and the orchestration promise byte-identical
 artifacts; this test holds them to it file by file. A change that is meant to
 alter the outputs regenerates ``golden/tiny_compare.sha256`` with the command
 in ``golden/tiny_compare.cfg`` and says why in its change notes.
+
+The config has two seeds, so the digests are checked with the seeds run in
+this process and on two worker processes, and from the ``python -m smoothlab``
+command line.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import smoothlab.experiment as experiment
 from smoothlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(experiment.__file__).resolve().parents[1]
 
 
-def test_tiny_compare_matches_golden_digests(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["compare", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]) == 0
-    capsys.readouterr()
+def assert_matches_golden(out):
     want = {}
     for line in (GOLDEN / "tiny_compare.sha256").read_text(encoding="utf-8").splitlines():
         digest, name = line.split("  ", 1)
@@ -30,3 +38,38 @@ def test_tiny_compare_matches_golden_digests(tmp_path, capsys):
     assert sorted(got) == sorted(want)
     assert [name for name in sorted(want) if got[name] != want[name]] == []
     assert len(want) == 50
+
+
+def test_tiny_compare_matches_golden_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert_matches_golden(out)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+def test_digests_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert_matches_golden(out)
+
+
+def test_module_command_line_matches_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smoothlab", "compare", "--config",
+         str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_matches_golden(out)
+
+
+def test_importing_the_module_entry_point_runs_nothing(capsys):
+    import smoothlab.__main__  # noqa: F401
+
+    assert capsys.readouterr() == ("", "")
