@@ -332,8 +332,7 @@ class TestCompare:
 
 
 class TestSeedWorkers:
-    """Compares whose seeds run on worker processes. The CPU lookup is patched
-    so the workers run whatever this machine's CPU count."""
+    """Compares whose seeds run on worker processes."""
 
     def test_failure_in_a_worker_names_the_first_run_and_leaves_nothing(
         self, tmp_path, monkeypatch
@@ -342,6 +341,7 @@ class TestSeedWorkers:
 
         import smoothlab.experiment as experiment
 
+        # two workers whatever this machine's CPU count
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -355,6 +355,7 @@ class TestSeedWorkers:
         assert dict(os.environ) == environ
 
     def test_script_without_main_guard_fails_naming_the_guard(self, tmp_path):
+        import smoothlab
         from smoothlab.experiment import _usable_cpus
 
         if _usable_cpus() < 2:
@@ -364,13 +365,12 @@ class TestSeedWorkers:
             "from smoothlab import parse_config, run_compare\n"
             f"run_compare(parse_config({str(write_config(tmp_path, seeds='1,2'))!r}))\n"
         )
-        src = Path(parse_config.__code__.co_filename).resolve().parents[1]
-        path = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        src = Path(smoothlab.__file__).resolve().parents[1]
         # The output pipes stay open while any worker lives, so returning within
         # the timeout also shows that no worker outlived the script.
         proc = subprocess.run(
             [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
         )
         assert proc.returncode != 0
         assert 'if __name__ == "__main__":' in proc.stderr.splitlines()[-1]

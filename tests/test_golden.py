@@ -58,12 +58,11 @@ def test_digests_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch
 
 def test_module_command_line_matches_golden_digests(tmp_path):
     out = tmp_path / "out"
-    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-m", "smoothlab", "compare", "--config",
          str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert_matches_golden(out)
