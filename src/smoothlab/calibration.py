@@ -35,18 +35,29 @@ def _validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"probs must be a non-empty 2-D matrix, got shape {p.shape}")
     if y.ndim != 1 or y.shape[0] != p.shape[0]:
         raise DimensionError(f"labels must be 1-D with one entry per row of probs")
-    nonfinite = np.nonzero(~np.isfinite(p).all(axis=1))[0]
-    if nonfinite.size:
-        raise DomainError(f"row {nonfinite[0]} of probs has a non-finite entry")
-    if np.any(p < 0.0) or np.any(p > 1.0 + _ROW_SUM_TOL):
+    # Each check looks at the whole array first and finds the row it names
+    # only when it fails.
+    if not np.isfinite(p).all():
+        row = np.nonzero(~np.isfinite(p).all(axis=1))[0][0]
+        raise DomainError(f"row {row} of probs has a non-finite entry")
+    if p.min() < 0.0 or p.max() > 1.0 + _ROW_SUM_TOL:
         raise DomainError("probability entries must lie in [0, 1]")
     row_sums = p.sum(axis=1)
-    bad = np.nonzero(np.abs(row_sums - 1.0) > _ROW_SUM_TOL)[0]
-    if bad.size:
-        raise DomainError(f"row {bad[0]} of probs sums to {row_sums[bad[0]]!r}, not 1")
-    if np.any(y < 0) or np.any(y >= p.shape[1]):
+    deviation = np.abs(row_sums - 1.0)
+    if deviation.max() > _ROW_SUM_TOL:
+        row = np.nonzero(deviation > _ROW_SUM_TOL)[0][0]
+        raise DomainError(f"row {row} of probs sums to {row_sums[row]!r}, not 1")
+    if y.min() < 0 or y.max() >= p.shape[1]:
         raise DomainError(f"labels must lie in [0, {p.shape[1]})")
     return p, y
+
+
+def _bin_index(confidence: np.ndarray, num_bins: int) -> np.ndarray:
+    """The bin of each confidence: m - 1 for (m-1)/n < c <= m/n, with c == 0 in
+    the first bin and c > 1 (within the row-sum tolerance) in the last."""
+    # searchsorted(left) on the inner edges 1/n .. (n-1)/n counts the edges
+    # below c, which is that bin.
+    return np.searchsorted(np.arange(1, num_bins) / num_bins, confidence, side="left")
 
 
 def reliability_bins(probs, labels, num_bins: int) -> ReliabilityBins:
@@ -64,22 +75,15 @@ def reliability_bins(probs, labels, num_bins: int) -> ReliabilityBins:
         raise DomainError(f"num_bins must be >= 1, got {num_bins}")
     p, y = _validated(probs, labels)
     confidence = p.max(axis=1)
-    predictions = p.argmax(axis=1)
-    correct = (predictions == y).astype(np.float64)
-
-    edges = np.arange(num_bins + 1) / num_bins
-    # searchsorted(left) puts confidence c in the bin with (m-1)/n < c <= m/n;
-    # the clip pins c == 0 into the first bin.
-    idx = np.clip(np.searchsorted(edges, confidence, side="left") - 1, 0, num_bins - 1)
+    correct = p.argmax(axis=1) == y
+    idx = _bin_index(confidence, num_bins)
 
     counts = np.bincount(idx, minlength=num_bins)
     conf_sums = np.bincount(idx, weights=confidence, minlength=num_bins)
     correct_sums = np.bincount(idx, weights=correct, minlength=num_bins)
     nonempty = counts > 0
-    mean_conf = np.zeros(num_bins)
-    accuracy = np.zeros(num_bins)
-    mean_conf[nonempty] = conf_sums[nonempty] / counts[nonempty]
-    accuracy[nonempty] = correct_sums[nonempty] / counts[nonempty]
+    mean_conf = np.divide(conf_sums, counts, out=np.zeros(num_bins), where=nonempty)
+    accuracy = np.divide(correct_sums, counts, out=np.zeros(num_bins), where=nonempty)
     return ReliabilityBins(
         num_bins=num_bins,
         counts=counts,
@@ -97,7 +101,7 @@ def ece(probs, labels, num_bins: int = 10) -> float:
     """
     bins = reliability_bins(probs, labels, num_bins)
     weights = bins.counts / bins.total_samples
-    return float(np.sum(weights * np.abs(bins.accuracy - bins.mean_confidence)))
+    return float(np.add.reduce(weights * np.abs(bins.accuracy - bins.mean_confidence)))
 
 
 def write_reliability_csv(bins: ReliabilityBins, path) -> None:

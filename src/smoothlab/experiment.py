@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -374,15 +375,23 @@ def run_single(
     return record
 
 
+def _empty_run_dir(
+    cfg: ExperimentConfig, strategy: TargetStrategy, seed: int, command: str
+) -> Path:
+    """The run directory of (strategy, seed); one that holds a file is refused."""
+    run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+    if run_dir.is_dir() and any(run_dir.iterdir()):
+        raise ConfigError(f"run directory {run_dir} is not empty; {command} into a new one")
+    return run_dir
+
+
 def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> RunRecord:
     """Standalone single run: prepare splits for the seed, then train and emit.
 
     A run directory that already holds a file is refused before anything is
     written, so no run's artifacts sit beside those of an earlier one.
     """
-    run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
-    if run_dir.is_dir() and any(run_dir.iterdir()):
-        raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
+    run_dir = _empty_run_dir(cfg, strategy, seed, "train")
     splits = prepare_splits(cfg, seed)
     return run_single(splits, cfg, strategy, seed, run_dir)
 
@@ -417,7 +426,9 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
     """``_run_seed`` for every seed, results in config order.
 
     The seeds are independent, so they run on one worker process per usable
-    CPU, up to one per seed; with a single worker they run in this process.
+    CPU, up to one per seed. They run in this process when there is a single
+    worker, or when the main module's __file__ names no file that a worker
+    could run.
     Workers are spawned, not forked, so none inherits this process's BLAS
     thread pool; each starts with ``cpus // workers`` BLAS threads, so the
     workers' threads together use each CPU once.
@@ -426,7 +437,10 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
     """
     cpus = _usable_cpus()
     workers = min(len(cfg.seeds), cpus)
-    if workers == 1:
+    # A spawned worker first runs the main module from its file; a program read
+    # from stdin (``python - < script.py``) has a __file__ that names no file.
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if workers == 1 or (main_file is not None and not os.path.isfile(main_file)):
         return [_run_seed(cfg, seed) for seed in cfg.seeds]
 
     import multiprocessing
@@ -464,8 +478,9 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     For a given seed, every strategy trains on bit-identical splits and from
     bit-identical initial parameters (``fit`` draws them from the layer sizes
     and the seed alone); only the loss targets differ. An output directory that
-    already holds a comparison table or a run summary is refused before
-    anything is written, so no report mixes runs of two invocations.
+    already holds a comparison table or a run summary, or a run directory of
+    this compare that holds any file, is refused before anything is written,
+    so no report mixes runs of two invocations.
 
     The seeds run in parallel worker processes where more than one CPU is
     usable (see ``_run_seeds``); every output byte is the same either way. A
@@ -477,6 +492,9 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     out = cfg.out_dir
     if (out / "comparison.csv").exists() or any(out.glob("*/summary.txt")):
         raise ConfigError(f"output directory {out} already holds runs; compare into a new one")
+    for seed in cfg.seeds:
+        for strategy in cfg.strategies:
+            _empty_run_dir(cfg, strategy, seed, "compare")
     out.mkdir(parents=True, exist_ok=True)
     per_seed = _run_seeds(cfg)
     records = [record for seed_records in per_seed for record in seed_records]

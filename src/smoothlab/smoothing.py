@@ -99,10 +99,8 @@ class TargetStrategy:
 def _row_means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row i of ``sums`` divided by ``counts[i]``; a row with a zero count is
     the identity row, so an unseen class keeps its hard target."""
-    means = np.eye(counts.shape[0])
     seen = counts > 0
-    means[seen] = sums[seen] / counts[seen, None]
-    return means
+    return np.divide(sums, counts[:, None], out=np.eye(counts.shape[0]), where=seen[:, None])
 
 
 class ConfusionTracker:
@@ -127,7 +125,7 @@ class ConfusionTracker:
         c = np.asarray(counts)
         if c.shape != self.counts.shape:
             raise DimensionError(f"expected counts of shape {self.counts.shape}, got {c.shape}")
-        if np.any(c < 0):
+        if c.min() < 0:
             raise DomainError("confusion counts must be non-negative")
         self.counts += c.astype(np.int64)
         return self
@@ -141,10 +139,11 @@ class ConfusionTracker:
 class OnlineLabelSmoother:
     """Baseline that accumulates the model's correct predictions per class.
 
-    During an epoch, every probability vector whose argmax equals its label is
-    added to that class's accumulator. ``advance_epoch()`` turns the per-class
-    means into the target table used throughout the next epoch; classes with
-    no correct predictions keep their identity row.
+    ``update_batch`` records an epoch's batches; ``advance_epoch()`` adds every
+    probability vector whose argmax equals its label to that class's
+    accumulator and turns the per-class means into the target table used
+    throughout the next epoch; classes with no correct predictions keep their
+    identity row.
     """
 
     def __init__(self, num_classes: int):
@@ -154,15 +153,23 @@ class OnlineLabelSmoother:
         self.targets = np.eye(num_classes)
         self._sums = np.zeros((num_classes, num_classes))
         self._counts = np.zeros(num_classes, dtype=np.int64)
+        self._batches: list[tuple[np.ndarray, np.ndarray]] = []
 
     def update_batch(self, labels: np.ndarray, probs: np.ndarray) -> None:
-        preds = np.argmax(probs, axis=1)
-        correct = preds == labels
-        if np.any(correct):
-            np.add.at(self._sums, labels[correct], probs[correct])
-            np.add.at(self._counts, labels[correct], 1)
+        """Record one batch for ``advance_epoch`` to fold in. The arrays are
+        kept, not copied, so the caller must not write into them afterwards."""
+        self._batches.append((labels, probs))
 
     def advance_epoch(self) -> None:
+        if self._batches:
+            labels = np.concatenate([labels for labels, _ in self._batches])
+            probs = np.concatenate([probs for _, probs in self._batches])
+            self._batches = []
+            correct = np.argmax(probs, axis=1) == labels
+            # add.at adds the rows in index order, so the sums are those of
+            # folding the batches in one at a time.
+            np.add.at(self._sums, labels[correct], probs[correct])
+            self._counts += np.bincount(labels[correct], minlength=self.num_classes)
         self.targets = _row_means(self._sums, self._counts)
         self._sums = np.zeros_like(self._sums)
         self._counts = np.zeros_like(self._counts)

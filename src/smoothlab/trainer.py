@@ -61,19 +61,24 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Per-layer weights (out x in) and biases, plus their momentum.
+    """Per-layer weights (out x in) and biases, plus their momentum and gradient.
 
     The constructor copies the given arrays into a flat float64 buffer that the
     instance owns: ``flat`` holds every weight matrix and then every bias,
     layer by layer, and the two lists are views into it. ``flat_velocity``
     holds the momentum in the same layout and starts at zero, so one SGD step
-    can update every layer at once.
+    can update every layer at once. ``flat_grad`` is the buffer, in the same
+    layout, that ``loss_and_gradients`` writes each gradient into;
+    ``grad_weights`` and ``grad_biases`` are its per-layer views.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: np.ndarray = field(init=False, repr=False)
     flat_velocity: np.ndarray = field(init=False, repr=False)
+    flat_grad: np.ndarray = field(init=False, repr=False)
+    grad_weights: list[np.ndarray] = field(init=False, repr=False)
+    grad_biases: list[np.ndarray] = field(init=False, repr=False)
     _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -86,7 +91,9 @@ class ModelParams:
             [np.asarray(a, dtype=np.float64).ravel() for a in self.weights + self.biases]
         )
         self.flat_velocity = np.zeros_like(self.flat)
+        self.flat_grad = np.zeros_like(self.flat)
         self.weights, self.biases = self.split(self.flat)
+        self.grad_weights, self.grad_biases = self.split(self.flat_grad)
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a flat buffer in this layout."""
@@ -145,12 +152,14 @@ def _forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list
     # activations[i] is the input to layer i; activations[-1] feeds the output layer.
     activations = [x]
     h = x
+    # np.dot has less call overhead than @ on these small matrices; both hand a
+    # 2-D float64 product to the same BLAS routine, so the bits are the same.
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = h @ w.T
+        h = np.dot(h, w.T)
         h += b
         np.maximum(h, 0.0, out=h)
         activations.append(h)
-    logits = h @ params.weights[-1].T
+    logits = np.dot(h, params.weights[-1].T)
     logits += params.biases[-1]
     return logits, activations
 
@@ -160,7 +169,12 @@ def loss_and_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean soft-target cross-entropy over a batch, the predicted probabilities,
     and the gradient w.r.t. every weight and bias as one flat array laid out
-    like ``params.flat`` (``params.split`` gives its per-layer views).
+    like ``params.flat``.
+
+    The gradient is written into ``params.flat_grad`` and that buffer is
+    returned (``params.grad_weights`` and ``params.grad_biases`` are its
+    per-layer views), so the next call on the same params overwrites it. The
+    probabilities are a new array on every call and are not written again.
 
     The logit gradient per sample is probs - target; everything else is the
     chain rule through ReLU affine layers.
@@ -180,20 +194,19 @@ def loss_and_gradients(
     terms = np.maximum(probs, PROB_FLOOR)
     np.log(terms, out=terms)
     terms *= targets
-    loss = float(-(np.add.reduce(np.add.reduce(terms, axis=1)) / n))
+    loss = -float(np.add.reduce(np.add.reduce(terms, axis=1))) / n
 
     delta = probs - targets
     delta /= n
-    grad = np.empty_like(params.flat)
-    grads_w, grads_b = params.split(grad)
+    grads_w, grads_b = params.grad_weights, params.grad_biases
     for layer in range(params.num_layers - 1, -1, -1):
-        np.matmul(delta.T, activations[layer], out=grads_w[layer])
+        np.dot(delta.T, activations[layer], out=grads_w[layer])
         np.add.reduce(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             # ReLU output is positive exactly where its pre-activation was.
-            delta = delta @ params.weights[layer]
+            delta = np.dot(delta, params.weights[layer])
             delta *= activations[layer] > 0.0
-    return loss, probs, grad
+    return loss, probs, params.flat_grad
 
 
 def train_epoch(
@@ -209,7 +222,9 @@ def train_epoch(
 
     The shuffle is a pure function of (seed, epoch). ``target_table``
     row y is the soft target applied to every sample labeled y this epoch.
-    ``on_batch(labels, probs)`` is invoked after each forward pass.
+    ``on_batch(labels, probs)`` is invoked after each forward pass; every call
+    gets a new ``probs`` array and a slice of the epoch's labels, and neither
+    is written again, so the callback may keep them without copying.
     """
     target_table = np.asarray(target_table, dtype=np.float64)
     if target_table.shape != (train.num_classes, train.num_classes):
@@ -221,27 +236,25 @@ def train_epoch(
     order = np.random.default_rng([seed, epoch]).permutation(n)
     features = train.features[order]
     labels = train.labels[order]
+    targets = target_table[labels]
     total = 0.0
     lr = config.learning_rate
     mu = config.momentum
     weights, velocity = params.flat, params.flat_velocity
     step = np.empty_like(weights)
     for batch_no, start in enumerate(range(0, n, config.batch_size)):
-        stop = start + config.batch_size
-        batch_labels = labels[start:stop]
-        loss, probs, grad = loss_and_gradients(
-            params, features[start:stop], target_table[batch_labels]
-        )
+        batch = slice(start, start + config.batch_size)
+        loss, probs, grad = loss_and_gradients(params, features[batch], targets[batch])
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
         if on_batch is not None:
-            on_batch(batch_labels, probs)
+            on_batch(labels[batch], probs)
         # v = mu * v + g; w -= lr * v, for every layer at once on the flat buffers.
         velocity *= mu
         velocity += grad
         np.multiply(velocity, lr, out=step)
         weights -= step
-        total += loss * batch_labels.size
+        total += loss * probs.shape[0]
     return total / n
 
 
@@ -256,9 +269,9 @@ def evaluate(params: ModelParams, ds: LabeledDataset) -> tuple[float, np.ndarray
     logits, _ = _forward_batch(params, ds.features)
     probs = softmax_rows_inplace(logits)
     predictions = probs.argmax(axis=1)
-    accuracy = float((predictions == ds.labels).mean())
-    confusion = np.zeros((ds.num_classes, ds.num_classes), dtype=np.int64)
-    np.add.at(confusion, (ds.labels, predictions), 1)
+    accuracy = np.count_nonzero(predictions == ds.labels) / ds.n_samples
+    c = ds.num_classes
+    confusion = np.bincount(ds.labels * c + predictions, minlength=c * c).reshape(c, c)
     return accuracy, probs, confusion
 
 
@@ -301,13 +314,15 @@ def fit(
     smoother = OnlineLabelSmoother(num_classes) if strategy.kind == "ols" else None
     on_batch = smoother.update_batch if smoother is not None else None
 
+    val_picks = (np.arange(val.n_samples), val.labels)  # each sample's true-class probability
+
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         phase = strategy.phase(epoch)
         table = strategy.table(num_classes, epoch, tracker, smoother)
         train_loss = train_epoch(params, train, table, config, seed, epoch, on_batch)
         val_accuracy, val_probs, val_confusion = evaluate(params, val)
-        val_loss = float(-floored_log(val_probs[np.arange(val.n_samples), val.labels]).mean())
+        val_loss = -float(np.add.reduce(floored_log(val_probs[val_picks]))) / val.n_samples
         val_ece = ece(val_probs, val.labels, config.ece_bins)
         record = EpochMetrics(epoch, phase, train_loss, val_loss, val_accuracy, val_ece)
         metrics.append(record)

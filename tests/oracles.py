@@ -6,6 +6,10 @@ quantities one sample at a time (softmax, the four strategies' targets and
 losses, single-sample accumulation into the confusion tracker and the online
 smoother, and the single-sample forward pass), with their argument checks.
 Tests compare the batch path against them.
+
+The last section keeps the straightforward forms that faster code in the
+package replaced (per-batch accumulation, np.add.at counting, clipped
+binning, row-by-row validation); tests hold the package to them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from smoothlab import ConfusionTracker, ModelParams, OnlineLabelSmoother
+from smoothlab.calibration import _ROW_SUM_TOL
 from smoothlab.errors import DimensionError, DomainError, NumericError
 from smoothlab.trainer import softmax_rows_inplace
 
@@ -220,3 +225,52 @@ def smoother_update(smoother: OnlineLabelSmoother, p, y: int) -> None:
 def smoother_target(smoother: OnlineLabelSmoother, y: int) -> np.ndarray:
     """The online-smoothing target served for class y this epoch."""
     return smoother.targets[_check_class_id(y, smoother.num_classes)]
+
+
+# ------------------------------------------ straightforward forms of fast paths
+
+
+def smoother_update_batch(smoother: OnlineLabelSmoother, labels, probs) -> None:
+    """Fold one batch into the smoother's accumulators at once: each row whose
+    argmax is its label is added to that label's sum."""
+    correct = np.argmax(probs, axis=1) == labels
+    if np.any(correct):
+        np.add.at(smoother._sums, labels[correct], probs[correct])
+        np.add.at(smoother._counts, labels[correct], 1)
+
+
+def confusion_counts(labels, predictions, num_classes: int) -> np.ndarray:
+    """Confusion counts, true x predicted, one np.add.at per sample."""
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(confusion, (labels, predictions), 1)
+    return confusion
+
+
+def bin_index(confidence, num_bins: int) -> np.ndarray:
+    """Bin m - 1 for (m-1)/n < c <= m/n over all edges 0, 1/n, .., 1; the clip
+    pins c == 0 into the first bin and c > 1 into the last."""
+    edges = np.arange(num_bins + 1) / num_bins
+    return np.clip(np.searchsorted(edges, confidence, side="left") - 1, 0, num_bins - 1)
+
+
+def validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The probability-matrix checks of ``reliability_bins``, each finding its
+    offending rows over the whole matrix."""
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
+        raise DimensionError(f"probs must be a non-empty 2-D matrix, got shape {p.shape}")
+    if y.ndim != 1 or y.shape[0] != p.shape[0]:
+        raise DimensionError("labels must be 1-D with one entry per row of probs")
+    nonfinite = np.nonzero(~np.isfinite(p).all(axis=1))[0]
+    if nonfinite.size:
+        raise DomainError(f"row {nonfinite[0]} of probs has a non-finite entry")
+    if np.any(p < 0.0) or np.any(p > 1.0 + _ROW_SUM_TOL):
+        raise DomainError("probability entries must lie in [0, 1]")
+    row_sums = p.sum(axis=1)
+    bad = np.nonzero(np.abs(row_sums - 1.0) > _ROW_SUM_TOL)[0]
+    if bad.size:
+        raise DomainError(f"row {bad[0]} of probs sums to {row_sums[bad[0]]!r}, not 1")
+    if np.any(y < 0) or np.any(y >= p.shape[1]):
+        raise DomainError(f"labels must lie in [0, {p.shape[1]})")
+    return p, y

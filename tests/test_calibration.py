@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     DimensionError,
@@ -8,6 +10,9 @@ from smoothlab import (
     reliability_bins,
     write_reliability_csv,
 )
+from smoothlab.calibration import _bin_index, _validated
+
+from oracles import bin_index, validated
 
 
 def brute_force_ece(probs, labels, num_bins):
@@ -167,6 +172,69 @@ class TestEce:
             fast = ece(probs, labels, num_bins)
             slow = brute_force_ece(probs, labels, num_bins)
             assert abs(fast - slow) < 1e-12
+
+
+class TestAgainstStraightforwardForms:
+    """The inner-edge binning and the whole-matrix checks agree with the
+    clipped binning and the row-by-row checks of ``oracles``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_bins=st.integers(1, 20),
+        picks=st.lists(st.integers(0, 20), max_size=30),
+        others=st.lists(st.floats(0.0, 1.0), max_size=30),
+    )
+    def test_bin_index_matches_clipped_searchsorted(self, num_bins, picks, others):
+        # every edge m/n exactly (0 among them), just past 1, and arbitrary values
+        edges = [m / num_bins for m in picks if m <= num_bins]
+        confidence = np.array([*edges, 1.0 + 1e-7, *others])
+        got = _bin_index(confidence, num_bins)
+        assert np.array_equal(got, bin_index(confidence, num_bins))
+        assert got.dtype == np.intp
+
+    @settings(max_examples=100, deadline=None)
+    @given(num_bins=st.integers(1, 20), m=st.integers(1, 20), c=st.integers(2, 4))
+    def test_confidence_on_an_edge_or_past_one_lands_as_the_oracle_bins_it(
+        self, num_bins, m, c
+    ):
+        # rows whose confidence is exactly m/n (where m/n >= 1/c), or 1 + 1e-7
+        conf = [m / num_bins] if c * m >= num_bins and m <= num_bins else []
+        rows = [[v, *[(1.0 - v) / (c - 1)] * (c - 1)] for v in conf]
+        rows.append([1.0 + 1e-7, *[0.0] * (c - 1)])
+        probs = np.array(rows)
+        labels = np.zeros(len(rows), dtype=int)
+        want = np.bincount(bin_index(probs.max(axis=1), num_bins), minlength=num_bins)
+        assert np.array_equal(reliability_bins(probs, labels, num_bins).counts, want)
+
+    FAULTS = [np.nan, np.inf, -np.inf, -1e-9, -0.5, 0.0, 1.0, 1.0 + 1e-7, 1.0 + 2e-6, 1.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_validation_rejects_the_same_rows_with_the_same_messages(self, data, n, c, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(c), size=n)
+        labels = rng.integers(0, c, size=n)
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, c - 1))
+        for (i, j), fault in data.draw(st.lists(st.tuples(cells, st.sampled_from(self.FAULTS)),
+                                                max_size=3)):
+            probs[i, j] = fault
+        for i, nudge in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                     st.sampled_from([1e-7, -1e-7, 1e-5])),
+                                           max_size=2)):
+            probs[i, 0] += nudge
+        for i, label in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                     st.sampled_from([-1, c, c + 3])),
+                                           max_size=1)):
+            labels[i] = label
+
+        def outcome(check):
+            try:
+                p, y = check(probs, labels)
+            except (DimensionError, DomainError) as exc:
+                return type(exc), str(exc)
+            return p.tobytes(), y.tobytes()
+
+        assert outcome(_validated) == outcome(validated)
 
 
 def test_reliability_csv_export(tmp_path):

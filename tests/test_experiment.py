@@ -300,6 +300,27 @@ class TestCompare:
             run_compare(cfg)
         assert sorted(cfg.out_dir.rglob("*")) == before
 
+    def test_leftover_run_dir_without_summary_refused_and_left_unchanged(self, tmp_path, capsys):
+        # an interrupted compare can leave a run dir with snapshots but no summary
+        run_dir = tmp_path / "runs" / "cpls_seed1"
+        run_dir.mkdir(parents=True)
+        (run_dir / "confusion_epoch_9.csv").write_text("1.000000,0.000000\n")
+        cfg_path = write_config(tmp_path, train_epochs=2)
+        assert main(["compare", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"run directory {run_dir} is not empty; compare into a new one" in err
+        files = sorted(p.relative_to(tmp_path) for p in (tmp_path / "runs").rglob("*"))
+        leftover = ["runs/cpls_seed1", "runs/cpls_seed1/confusion_epoch_9.csv"]
+        assert [str(p) for p in files] == leftover
+        # an empty leftover dir, or one of a run this compare does not make, is no conflict
+        (run_dir / "confusion_epoch_9.csv").unlink()
+        (tmp_path / "runs" / "cpls_seed9").mkdir()
+        (tmp_path / "runs" / "cpls_seed9" / "confusion_epoch_1.csv").write_text("x\n")
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        assert sorted(p.name for p in run_dir.glob("confusion_epoch_*.csv")) == [
+            "confusion_epoch_1.csv", "confusion_epoch_2.csv"
+        ]
+
     def test_order_does_not_change_values(self, tmp_path):
         cfg_a = parse_config(write_config(tmp_path, strategies="hard,cpls"))
         out_b = tmp_path / "runs_b"

@@ -6,8 +6,8 @@ alter the outputs regenerates ``golden/tiny_compare.sha256`` with the command
 in ``golden/tiny_compare.cfg`` and says why in its change notes.
 
 The config has two seeds, so the digests are checked with the seeds run in
-this process and on two worker processes, and from the ``python -m smoothlab``
-command line.
+this process and on two worker processes, from the ``python -m smoothlab``
+command line, and from a program read on stdin.
 """
 
 import hashlib
@@ -63,6 +63,27 @@ def test_module_command_line_matches_golden_digests(tmp_path):
          str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
         text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_matches_golden(out)
+
+
+def test_program_read_on_stdin_matches_golden_digests(tmp_path):
+    # A spawned worker cannot re-run a program read from stdin, so its two
+    # seeds run in the calling process, whatever the CPU count.
+    out = tmp_path / "out"
+    program = (
+        "import sys\n"
+        "import smoothlab.experiment as experiment\n"
+        "from smoothlab.cli import main\n"
+        "if __name__ == '__main__':\n"
+        "    experiment._usable_cpus = lambda: 2\n"
+        f"    sys.exit(main(['compare', '--config', {str(GOLDEN / 'tiny_compare.cfg')!r}, "
+        f"'--out', {str(out)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-"], input=program, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert_matches_golden(out)

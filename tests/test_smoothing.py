@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab import (
     ConfusionTracker,
@@ -24,6 +26,7 @@ from oracles import (
     log_softmax,
     smoother_target,
     smoother_update,
+    smoother_update_batch,
     soft_ce,
     softmax,
     vanilla_ls_target,
@@ -344,6 +347,31 @@ class TestOnlineLabelSmoother:
         a.advance_epoch()
         b.advance_epoch()
         assert np.allclose(a.targets, b.targets, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.integers(2, 8),
+        sizes=st.lists(st.integers(0, 40), max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        epochs=st.integers(1, 3),
+    )
+    def test_epoch_fold_equals_per_batch_folds_bit_for_bit(self, c, sizes, seed, epochs):
+        """``advance_epoch`` folds the recorded batches with one add.at; the
+        oracle folds each batch as it comes. The targets agree to the bit."""
+        rng = np.random.default_rng(seed)
+        deferred, per_batch = OnlineLabelSmoother(c), OnlineLabelSmoother(c)
+        for _ in range(epochs):
+            for size in sizes:
+                # coarse probabilities make argmax ties and repeated rows common
+                probs = rng.dirichlet(np.ones(c), size=size).round(1)
+                probs /= probs.sum(axis=1, keepdims=True)
+                agree = rng.random(size) < 0.6
+                labels = np.where(agree, probs.argmax(axis=1), rng.integers(0, c, size))
+                deferred.update_batch(labels, probs)
+                smoother_update_batch(per_batch, labels, probs)
+            deferred.advance_epoch()
+            per_batch.advance_epoch()
+            assert deferred.targets.tobytes() == per_batch.targets.tobytes()
 
 
 class TestLossGradients:

@@ -34,6 +34,7 @@ from smoothlab import (
 from oracles import (
     accumulate,
     affine_forward,
+    confusion_counts,
     finite_difference_gradient,
     forward,
     hard_ce,
@@ -265,6 +266,54 @@ class TestFlatBuffers:
         assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads_w + grads_b]))
 
 
+class TestBufferContracts:
+    """What the step's buffers promise callers: the gradient lives in one
+    buffer per params, and every batch's probabilities are a new array."""
+
+    def test_gradient_is_the_params_buffer_and_the_next_call_overwrites_it(self):
+        ds = tiny_dataset()
+        params = init_params((4, 6, 3), 1)
+        targets = np.eye(3)[ds.labels]
+        _, _, first = loss_and_gradients(params, ds.features[:10], targets[:10])
+        assert first is params.flat_grad
+        grads = params.grad_weights + params.grad_biases
+        assert all(g.base is params.flat_grad for g in grads)
+        assert [g.shape for g in grads] == [a.shape for a in params.weights + params.biases]
+        kept = first.copy()
+        _, _, second = loss_and_gradients(params, ds.features[10:], targets[10:])
+        assert second is first
+        assert not np.array_equal(first, kept)
+        # the buffer holds exactly the gradient a fresh params gives for that batch
+        fresh = ModelParams(params.weights, params.biases)
+        _, _, alone = loss_and_gradients(fresh, ds.features[10:], targets[10:])
+        assert np.array_equal(second, alone)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 36])
+    def test_on_batch_never_gets_the_same_probs_twice_in_an_epoch(self, batch_size):
+        # The ols smoother keeps every batch's arrays until the epoch ends, so
+        # none may be reused or written after it was handed over.
+        ds = tiny_dataset(seed=2)
+        params = init_params((4, 6, 3), 4)
+        seen, copies = [], []
+
+        def on_batch(labels, probs):
+            seen.append((labels, probs))
+            copies.append((labels.copy(), probs.copy()))
+
+        config = make_config(batch_size=batch_size)
+        for epoch in (1, 2):
+            train_epoch(params, ds, np.eye(3), config, 4, epoch, on_batch)
+        assert len(seen) == 2 * -(-ds.n_samples // batch_size)
+        held = [probs for _, probs in seen]
+        assert len({id(probs) for probs in held}) == len(held)
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1 :]
+        )
+        for (labels, probs), (labels_then, probs_then) in zip(seen, copies):
+            assert np.array_equal(labels, labels_then)
+            assert probs.tobytes() == probs_then.tobytes()
+
+
 class TestBitExactOracle:
     """train_epoch on the flat buffers equals ``reference_epoch`` bit for bit."""
 
@@ -437,6 +486,23 @@ class TestEvaluate:
         assert confusion.sum() == ds.n_samples
         assert abs(np.trace(confusion) / ds.n_samples - accuracy) < 1e-12
         assert probs.shape == (ds.n_samples, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.integers(2, 9),
+        n=st.integers(1, 60),
+        hidden=st.lists(st.integers(1, 6), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_confusion_matches_add_at_counting(self, c, n, hidden, seed):
+        rng = np.random.default_rng(seed)
+        ds = LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, c, size=n), c)
+        params = init_params((3, *hidden, c), seed)
+        accuracy, probs, confusion = evaluate(params, ds)
+        want = confusion_counts(ds.labels, probs.argmax(axis=1), c)
+        assert confusion.dtype == want.dtype == np.int64
+        assert confusion.tobytes() == want.tobytes()
+        assert accuracy == float((probs.argmax(axis=1) == ds.labels).mean())
 
 
 class TestExtractFeatures:
