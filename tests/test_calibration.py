@@ -214,17 +214,15 @@ class TestAgainstStraightforwardForms:
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(c), size=n)
         labels = rng.integers(0, c, size=n)
-        cells = st.tuples(st.integers(0, n - 1), st.integers(0, c - 1))
-        for (i, j), fault in data.draw(st.lists(st.tuples(cells, st.sampled_from(self.FAULTS)),
-                                                max_size=3)):
-            probs[i, j] = fault
-        for i, nudge in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                                     st.sampled_from([1e-7, -1e-7, 1e-5])),
-                                           max_size=2)):
+        row, col = st.integers(0, n - 1), st.integers(0, c - 1)
+        faults = st.tuples(row, col, st.sampled_from(self.FAULTS))
+        nudges = st.tuples(row, st.sampled_from([1e-7, -1e-7, 1e-5]))
+        bad_labels = st.tuples(row, st.sampled_from([-1, c, c + 3]))
+        for i, j, value in data.draw(st.lists(faults, max_size=3)):
+            probs[i, j] = value
+        for i, nudge in data.draw(st.lists(nudges, max_size=2)):
             probs[i, 0] += nudge
-        for i, label in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                                     st.sampled_from([-1, c, c + 3])),
-                                           max_size=1)):
+        for i, label in data.draw(st.lists(bad_labels, max_size=1)):
             labels[i] = label
 
         def outcome(check):
