@@ -178,7 +178,7 @@ class TestAgainstStraightforwardForms:
     """The inner-edge binning and the whole-matrix checks agree with the
     clipped binning and the row-by-row checks of ``oracles``, bit for bit."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         num_bins=st.integers(1, 20),
         picks=st.lists(st.integers(0, 20), max_size=30),
@@ -208,7 +208,7 @@ class TestAgainstStraightforwardForms:
 
     FAULTS = [np.nan, np.inf, -np.inf, -1e-9, -0.5, 0.0, 1.0, 1.0 + 1e-7, 1.0 + 2e-6, 1.5]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6), c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_validation_rejects_the_same_rows_with_the_same_messages(self, data, n, c, seed):
         rng = np.random.default_rng(seed)

@@ -348,7 +348,7 @@ class TestOnlineLabelSmoother:
         b.advance_epoch()
         assert np.allclose(a.targets, b.targets, atol=1e-15)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         c=st.integers(2, 8),
         sizes=st.lists(st.integers(0, 40), max_size=12),
