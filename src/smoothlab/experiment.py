@@ -447,6 +447,15 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    guard = (
+        "each worker re-imports the main module, so a script that calls run_compare on "
+        'more than one seed must make that call under if __name__ == "__main__":'
+    )
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        # A spawned worker is running an unguarded main module. Refuse before a
+        # pool exists: this worker may be killed when another one dies, and a
+        # pool's semaphores would then be left for the resource tracker.
+        raise RuntimeError(f"run_compare called while a worker started; {guard}")
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         # A spawned worker takes this process's environment as it stands when
@@ -463,11 +472,7 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
                     os.environ[name] = value
         return [future.result() for future in futures]
     except BrokenProcessPool as exc:
-        raise RuntimeError(
-            f"a compare worker process died ({exc}); each worker re-imports the main "
-            "module, so a script that calls run_compare on more than one seed must "
-            'make that call under if __name__ == "__main__":'
-        ) from exc
+        raise RuntimeError(f"a compare worker process died ({exc}); {guard}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -375,6 +375,28 @@ class TestSeedWorkers:
         assert multiprocessing.active_children() == []
         assert dict(os.environ) == environ
 
+    def test_worker_running_an_unguarded_main_refuses_before_making_a_pool(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker killed while its own pool existed left that pool's semaphores
+        # to the resource tracker, whose warning could then end the output.
+        import concurrent.futures
+        import multiprocessing
+
+        import smoothlab.experiment as experiment
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # how a spawned worker looks while it runs the main module
+        monkeypatch.setattr(multiprocessing.current_process(), "_inheriting", True, raising=False)
+        cfg = parse_config(write_config(tmp_path, seeds="1,2"))
+        with pytest.raises(RuntimeError, match=r"^run_compare called while a worker started; "):
+            run_compare(cfg)
+        assert multiprocessing.active_children() == []
+
     def test_script_without_main_guard_fails_naming_the_guard(self, tmp_path):
         import smoothlab
         from smoothlab.experiment import _usable_cpus
