@@ -4,6 +4,7 @@ ingestion, and the stratified train/validation/test split."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,37 +202,139 @@ def stratified_split(
     return splits[0], splits[1], splits[2]
 
 
+@contextmanager
+def _csv_file(path, header, columns: int):
+    """Open ``path`` under the one artifact CSV contract: UTF-8, every line
+    ending in LF, and the optional header line written first."""
+    if header is not None and len(header) != columns:
+        raise DimensionError(f"{len(header)} header fields for {columns} columns")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        yield fh
+
+
 def write_csv(path, cells, rows, header=None) -> None:
-    """Write the one artifact CSV format: UTF-8, comma-joined cells, every line
-    (the optional header included) ending in LF.
+    """Write the one artifact CSV format: comma-joined cells, one line per row.
 
     ``cells`` holds one %-conversion per column (``"%.6f"`` for a 6 dp float,
     ``"%d"`` for an integer, ``"%s"`` for text); each row is a tuple of Python
     scalars formatted by the one line template they make. Rows are streamed,
     never joined into one string."""
-    if header is not None and len(header) != len(cells):
-        raise DimensionError(f"{len(header)} header fields for {len(cells)} columns")
     line = ",".join(cells) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
+    with _csv_file(path, header, len(cells)) as fh:
         fh.writelines(line % row for row in rows)
 
 
+# save_csv spells each number as 4-byte words gathered from one table and then
+# deletes the padding spaces. Word kinds, 1000 words each, indexed by a 3-digit
+# group g: blank, "   g" (a leading group), " ggg" (a later group), the same
+# two ending the row's label, "-  g" (a negative leading group), and the two
+# fraction groups ".ggg" and "ggg,".
+_BLANK, _LEAD, _MID, _END_LEAD, _END_MID, _NEG, _FRAC_HI, _FRAC_LO = range(8)
+_TEMPLATES = ("    ", " %3d", " %03d", "%3d\n", "%03d\n", "-%3d", ".%03d", "%03d,")
+_WORDS = np.frombuffer(
+    "".join(t % g if "%" in t else t for t in _TEMPLATES for g in range(1000)).encode("ascii"),
+    dtype=np.uint32,
+)
+# save_csv formats about this many values per pass, a whole number of rows;
+# its transient arrays then stay under a megabyte.
+_BLOCK_VALUES = 8192
+
+
+def _block_rows(n_features: int) -> int:
+    return max(1, _BLOCK_VALUES // max(1, n_features))
+
+
+def _group_count(digits: str) -> int:
+    return (len(digits) + 2) // 3
+
+
+def _groups(values: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) 3-digit groups of non-negative int64 values, most significant first."""
+    out = np.empty((values.size, width), dtype=np.int64)
+    rest = values
+    for j in range(width - 1, 0, -1):
+        high = rest // 1000
+        out[:, j] = rest - high * 1000
+        rest = high
+    out[:, 0] = rest
+    return out
+
+
+def _integer_words(groups: np.ndarray, lead) -> np.ndarray:
+    """Word indices of integers given by their groups: blanks before the first
+    non-zero group (the last group if all are zero), ``lead`` kind there."""
+    width = groups.shape[1]
+    if width == 1:
+        return lead * 1000 + groups
+    nonzero = groups[:, :-1] != 0
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width - 1)[:, None]
+    pos = np.arange(width)
+    kind = np.where(pos < first, _BLANK, np.where(pos == first, lead, _MID))
+    return kind * 1000 + groups
+
+
+def _format_rows(features: np.ndarray, labels: np.ndarray) -> str:
+    """The CSV lines of finite rows, each value as ``"%.6f"`` and the label as
+    ``"%d"`` write it: k = round-half-even(|x| * 10**6) split into digit groups."""
+    n, d = features.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(features).ravel()
+        scaled *= 1e6
+        k = np.rint(scaled)
+        # scaled is within half an ulp of the exact |x| * 10**6, so rint rounds
+        # as "%.6f" does unless a half lies that close. The margin below covers
+        # two ulps, and from 2**50 up it exceeds 0.5: those values, with inf,
+        # take their digits from "%.6f" itself.
+        slow = np.flatnonzero(~(0.5 - np.abs(scaled - k) > scaled * 4.5e-16))
+    k[slow] = 0.0
+    # (k + 0.5) / 10**6 lies at least 5e-7 from an integer and, for k < 2**50,
+    # within 3e-7 of its floating-point product, so floor splits k exactly;
+    # the same holds for frac and 10**3.
+    whole = np.floor((k + 0.5) * 1e-6)
+    frac = k - whole * 1e6
+    texts = ["%.6f" % abs(v) for v in features.ravel()[slow].tolist()]
+    width = max(map(_group_count, [str(int(whole.max(initial=0.0))), *(t[:-7] for t in texts)]))
+    groups = whole[:, None] if width == 1 else _groups(whole.astype(np.int64), width)
+    for i, text in zip(slow.tolist(), texts):
+        digits = text[:-7].zfill(3 * width)
+        groups[i] = [int(digits[j : j + 3]) for j in range(0, 3 * width, 3)]
+        frac[i] = int(text[-6:])
+    frac_hi = np.floor((frac + 0.5) * 1e-3)
+    label = _integer_words(_groups(labels, _group_count(str(labels.max(initial=0)))), _LEAD)
+    label[:, -1] += (_END_LEAD - _LEAD) * 1000  # "   g" -> "  g\n", " ggg" -> "ggg\n"
+    words = np.empty((n, d * (width + 2) + label.shape[1]), dtype=np.int32)
+    cells = words[:, : d * (width + 2)].reshape(n, d, width + 2)  # a view: splits one axis
+    lead = _LEAD + (_NEG - _LEAD) * np.signbit(features).reshape(-1, 1)
+    cells[..., :width] = _integer_words(groups, lead).reshape(n, d, width)
+    cells[..., width] = (frac_hi + _FRAC_HI * 1000).reshape(n, d)
+    cells[..., width + 1] = (frac - frac_hi * 1000 + _FRAC_LO * 1000).reshape(n, d)
+    words[:, d * (width + 2) :] = label
+    return _WORDS.take(words).tobytes().translate(None, b" ").decode("ascii")
+
+
 def save_csv(ds: LabeledDataset, path) -> None:
-    """Write a dataset under the CSV contract: header f0..f{d-1},label, 6 dp."""
+    """Write a dataset under the CSV contract: header f0..f{d-1},label, each
+    value as ``"%.6f"`` writes it. Finite matrices are formatted a block of
+    rows at a time by numpy; one holding nan or inf uses the row template."""
     header = [f"f{i}" for i in range(ds.n_features)] + ["label"]
-    # Formatting Python floats is faster than numpy scalars; converting row by
-    # row keeps the whole matrix from being copied into Python objects at once.
-    rows = ((*row.tolist(), label) for row, label in zip(ds.features, ds.labels.tolist()))
-    write_csv(path, ("%.6f",) * ds.n_features + ("%d",), rows, header)
+    if not np.isfinite(ds.features).all():
+        rows = ((*row.tolist(), label) for row, label in zip(ds.features, ds.labels.tolist()))
+        write_csv(path, ("%.6f",) * ds.n_features + ("%d",), rows, header)
+        return
+    step = _block_rows(ds.n_features)
+    with _csv_file(path, header, len(header)) as fh:
+        for start in range(0, ds.n_samples, step):
+            stop = start + step
+            fh.write(_format_rows(ds.features[start:stop], ds.labels[start:stop]))
 
 
 def load_csv(path) -> LabeledDataset:
     """Parse a feature CSV (header f0..f{d-1},label) into a LabeledDataset.
 
-    The class count is 1 + max(label). Parse failures report the 1-based file
-    row that caused them.
+    The class count is 1 + max(label); labels naming a single class are
+    rejected. Parse failures report the 1-based file row that caused them.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -269,6 +372,8 @@ def load_csv(path) -> LabeledDataset:
         if label < 0:
             raise ParseError(f"{path}: row {row_no}: negative label {label}")
         labels[i] = label
+    if labels.min() == labels.max():
+        raise ParseError(f"{path}: every label is {labels[0]}; a dataset needs at least 2 classes")
     return LabeledDataset(features, labels, int(labels.max()) + 1)
 
 

@@ -9,7 +9,8 @@ Tests compare the batch path against them.
 
 The last section keeps the straightforward forms that faster code in the
 package replaced (per-batch accumulation, np.add.at counting, clipped
-binning, row-by-row validation); tests hold the package to them bit for bit.
+binning, row-by-row validation, the row-template CSV writer); tests hold the
+package to them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from smoothlab import ConfusionTracker, ModelParams, OnlineLabelSmoother
+from smoothlab import ConfusionTracker, LabeledDataset, ModelParams, OnlineLabelSmoother
 from smoothlab.calibration import _ROW_SUM_TOL
+from smoothlab.datasets import write_csv
 from smoothlab.errors import DimensionError, DomainError, NumericError
 from smoothlab.trainer import softmax_rows_inplace
 
@@ -274,3 +276,11 @@ def validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     if np.any(y < 0) or np.any(y >= p.shape[1]):
         raise DomainError(f"labels must lie in [0, {p.shape[1]})")
     return p, y
+
+
+def save_csv(ds: LabeledDataset, path) -> None:
+    """Write a dataset under the CSV contract: header f0..f{d-1},label, one
+    row-template line per sample, every value through ``"%.6f"``."""
+    header = [f"f{i}" for i in range(ds.n_features)] + ["label"]
+    rows = ((*row.tolist(), label) for row, label in zip(ds.features, ds.labels.tolist()))
+    write_csv(path, ("%.6f",) * ds.n_features + ("%d",), rows, header)

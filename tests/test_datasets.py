@@ -19,11 +19,57 @@ from smoothlab import (
     standardize,
     stratified_split,
 )
-from smoothlab.datasets import write_csv
+from smoothlab.datasets import _apportion, _block_rows, write_csv
+
+from oracles import save_csv as row_template_save_csv
 
 
 def small_blob(dim=2, per_class=10, classes=2, overlap=()):
     return BlobSpec(classes, per_class, dimension=dim, overlap_pairs=overlap)
+
+
+# Finite values on which "%.6f" is easy to get wrong.
+VALUE_KINDS = ("tie", "near_half", "zero", "tiny_negative", "log_uniform", "subnormal", "edge")
+EDGES = np.array(
+    [
+        0.0, -0.0, 5e-324, -2.2250738585072014e-308, -4.9999999999999e-7, 5e-7, -1e-9,
+        1 / 128, -3 / 128, 0.0000015, 0.5e-6, 999.9999995, -999999.9999995, 1e12, -1e15,
+        2**50 / 1e6, np.nextafter(2**50 / 1e6, 0), 2**51 / 1e6, 2**52 / 1e6 + 0.5, 4.5e9,
+        1e300, -1.7976931348623157e308,
+    ]
+)
+
+
+def hard_values(rng, size, kinds):
+    """``size`` values, each drawn from one of ``kinds`` at random:
+    tie: j/128, whose 7th decimal is an exact half;
+    near_half: (j + 0.5)/10**6 and the floats one ulp either side of it;
+    zero: 0.0 and -0.0; tiny_negative: in (-5e-7, 0], printed "-0.000000";
+    log_uniform: magnitudes from 1e-9 to 1e12; subnormal: below 2**-1022;
+    edge: the fixed values of EDGES."""
+    pick = rng.integers(len(kinds), size=size)
+    out = np.empty(size)
+    for i, kind in enumerate(kinds):
+        m = int(np.sum(pick == i))
+        sign = rng.choice([-1.0, 1.0], m)
+        if kind == "tie":
+            values = rng.integers(-(2**27), 2**27, m) / 128
+        elif kind == "near_half":
+            half = (rng.integers(-(10**12), 10**12, m) + 0.5) / 1e6
+            step = rng.integers(-1, 2, m)
+            values = np.where(step == 0, half, np.nextafter(half, np.copysign(np.inf, step)))
+        elif kind == "zero":
+            values = sign * 0.0
+        elif kind == "tiny_negative":
+            values = -rng.uniform(0.0, 5e-7, m)
+        elif kind == "log_uniform":
+            values = sign * 10.0 ** rng.uniform(-9, 12, m)
+        elif kind == "subnormal":
+            values = sign * rng.integers(1, 2**52, m, dtype=np.uint64).view(np.float64)
+        else:
+            values = rng.choice(EDGES, m)
+        out[pick == i] = values
+    return out
 
 
 class TestLabeledDataset:
@@ -163,6 +209,31 @@ class TestSplit:
         with pytest.raises(ConfigError):
             stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.integers(3, 40), min_size=2, max_size=6),
+        weights=st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_splits_partition_the_rows_by_apportioned_class_counts(self, counts, weights, seed):
+        # Each row carries its index as its one feature, so the splits name the
+        # rows they took: disjoint, together every row once, each in input
+        # order with its own label, and per class the counts _apportion gives.
+        spec = SplitSpec(*(w / sum(weights) for w in weights))
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+        ds = LabeledDataset(np.arange(labels.size, dtype=float)[:, None], labels, len(counts))
+        parts = stratified_split(ds, spec, seed)
+        taken = [part.features[:, 0].astype(np.int64) for part in parts]
+        assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(labels.size))
+        for part, rows in zip(parts, taken):
+            assert np.all(np.diff(rows) > 0)
+            assert np.array_equal(part.labels, labels[rows])
+        for c, n in enumerate(counts):
+            apportioned = _apportion(n, spec.fractions)
+            assert [int(np.sum(part.labels == c)) for part in parts] == apportioned
+            assert sum(apportioned) == n
+            assert all(abs(k - f * n) < 1 for k, f in zip(apportioned, spec.fractions))
+
 
 class TestCsv:
     def test_counting(self, tmp_path):
@@ -189,6 +260,12 @@ class TestCsv:
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.num_classes == ds.num_classes
 
+    def test_single_class_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "one_class.csv"
+        path.write_text("f0,label\n1.0,2\n2.0,2\n3.0,2\n")
+        with pytest.raises(ParseError, match="one_class.csv: every label is 2"):
+            load_csv(path)
+
     def test_save_csv_exact_bytes(self, tmp_path):
         ds = LabeledDataset(np.array([[1.0, -0.5], [0.1234567, 20.0]]), np.array([1, 0]), 2)
         path = tmp_path / "hand.csv"
@@ -206,6 +283,63 @@ class TestCsv:
         expected = ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in cells)
         header = ",".join(f"c{i}" for i in range(len(cells)))
         assert path.read_bytes() == f"{header}\n{expected}\n".encode()
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        rows=st.sampled_from(["one", "block", "block+1", "few"]),
+        kinds=st.lists(st.sampled_from(VALUE_KINDS), min_size=1, unique=True),
+        top_label=st.sampled_from([1, 9, 999, 1000, 10**6]),
+        nonfinite=st.sampled_from([None, None, None, None, math.nan, math.inf, -math.inf]),
+    )
+    @example(seed=0, d=4, rows="few", kinds=["edge"], top_label=1000, nonfinite=None)
+    def test_save_csv_matches_row_template_byte_for_byte(
+        self, tmp_path, seed, d, rows, kinds, top_label, nonfinite
+    ):
+        rng = np.random.default_rng(seed)
+        n = {"one": 1, "block": _block_rows(d), "block+1": _block_rows(d) + 1}.get(rows, 7)
+        features = hard_values(rng, n * d, kinds).reshape(n, d)
+        if nonfinite is not None:
+            features[rng.integers(n), rng.integers(d)] = nonfinite
+        ds = LabeledDataset(features, rng.integers(0, top_label + 1, n), top_label + 1)
+        save_csv(ds, tmp_path / "fast.csv")
+        row_template_save_csv(ds, tmp_path / "spec.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        d=st.integers(1, 8),
+        kinds=st.lists(st.sampled_from(VALUE_KINDS), min_size=1, unique=True),
+        top_label=st.sampled_from([1, 9, 1000]),
+    )
+    def test_round_trip_within_half_a_unit_of_the_sixth_place(
+        self, tmp_path, seed, n, d, kinds, top_label
+    ):
+        # The file holds each value rounded to 6 dp, within 5e-7 of it; parsing
+        # that decimal adds at most half an ulp, under |x| * 2**-52. Its bytes
+        # are a fixed point.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, top_label + 1, n)
+        labels[:2] = (0, top_label)
+        ds = LabeledDataset(hard_values(rng, n * d, kinds).reshape(n, d), labels, top_label + 1)
+        save_csv(ds, tmp_path / "first.csv")
+        loaded = load_csv(tmp_path / "first.csv")
+        error = np.abs(loaded.features - ds.features)
+        assert np.all(error <= 5e-7 + np.abs(ds.features) * 2.0**-52)
+        assert np.array_equal(loaded.labels, ds.labels)
+        save_csv(loaded, tmp_path / "second.csv")
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
     def test_header_must_match_columns(self, tmp_path):
         with pytest.raises(DimensionError):

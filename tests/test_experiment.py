@@ -453,6 +453,17 @@ class TestCsvSource:
         assert len(err) == 1 and err[0].startswith("error: ") and "row 3" in err[0]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_single_class_csv_rejected_naming_the_file(self, tmp_path, capsys, command):
+        # it used to fail with a bare "num_classes must be >= 2, got 1"
+        csv_path = tmp_path / "feats.csv"
+        csv_path.write_text("f0,f1,label\n0.5,1.0,0\n0.25,2.0,0\n1.5,0.5,0\n")
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {csv_path}: every label is 0; a dataset needs at least 2 classes"]
+        assert not (tmp_path / "runs").exists()
+
     def test_relative_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
         # data.csv is relative to the config file; out stays relative to the
         # working directory, as --out is
