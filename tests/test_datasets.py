@@ -28,16 +28,18 @@ def small_blob(dim=2, per_class=10, classes=2, overlap=()):
     return BlobSpec(classes, per_class, dimension=dim, overlap_pairs=overlap)
 
 
-# Finite values on which "%.6f" is easy to get wrong.
+# Finite values on which "%.6f" is easy to get wrong. A "huge" value gives
+# every value of its block about a hundred digit groups, so only the explicit
+# examples draw them.
 VALUE_KINDS = ("tie", "near_half", "zero", "tiny_negative", "log_uniform", "subnormal", "edge")
 EDGES = np.array(
     [
         0.0, -0.0, 5e-324, -2.2250738585072014e-308, -4.9999999999999e-7, 5e-7, -1e-9,
         1 / 128, -3 / 128, 0.0000015, 0.5e-6, 999.9999995, -999999.9999995, 1e12, -1e15,
         2**50 / 1e6, np.nextafter(2**50 / 1e6, 0), 2**51 / 1e6, 2**52 / 1e6 + 0.5, 4.5e9,
-        1e300, -1.7976931348623157e308,
     ]
 )
+HUGE = np.array([1e20, -2.0**70, 1e300, -1.7976931348623157e308])
 
 
 def hard_values(rng, size, kinds):
@@ -46,7 +48,7 @@ def hard_values(rng, size, kinds):
     near_half: (j + 0.5)/10**6 and the floats one ulp either side of it;
     zero: 0.0 and -0.0; tiny_negative: in (-5e-7, 0], printed "-0.000000";
     log_uniform: magnitudes from 1e-9 to 1e12; subnormal: below 2**-1022;
-    edge: the fixed values of EDGES."""
+    edge, huge: the fixed values of EDGES, HUGE."""
     pick = rng.integers(len(kinds), size=size)
     out = np.empty(size)
     for i, kind in enumerate(kinds):
@@ -67,7 +69,7 @@ def hard_values(rng, size, kinds):
         elif kind == "subnormal":
             values = sign * rng.integers(1, 2**52, m, dtype=np.uint64).view(np.float64)
         else:
-            values = rng.choice(EDGES, m)
+            values = rng.choice(EDGES if kind == "edge" else HUGE, m)
         out[pick == i] = values
     return out
 
@@ -298,6 +300,8 @@ class TestCsv:
         nonfinite=st.sampled_from([None, None, None, None, math.nan, math.inf, -math.inf]),
     )
     @example(seed=0, d=4, rows="few", kinds=["edge"], top_label=1000, nonfinite=None)
+    @example(seed=1, d=3, rows="few", kinds=["huge", "tie"], top_label=9, nonfinite=None)
+    @example(seed=2, d=2, rows="block+1", kinds=["huge", "edge"], top_label=1, nonfinite=None)
     def test_save_csv_matches_row_template_byte_for_byte(
         self, tmp_path, seed, d, rows, kinds, top_label, nonfinite
     ):
