@@ -276,31 +276,25 @@ def _integer_words(groups: np.ndarray, lead) -> np.ndarray:
 
 
 def _format_rows(features: np.ndarray, labels: np.ndarray) -> str:
-    """The CSV lines of finite rows, each value as ``"%.6f"`` and the label as
-    ``"%d"`` write it: k = round-half-even(|x| * 10**6) split into digit groups."""
+    """The CSV lines of rows whose every |x| is below 2**50 / 10**6, each value
+    as ``"%.6f"`` and the label as ``"%d"`` write it: k = round-half-even(|x| *
+    10**6) split into digit groups."""
     n, d = features.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.abs(features).ravel()
-        scaled *= 1e6
-        k = np.rint(scaled)
-        # scaled is within half an ulp of the exact |x| * 10**6, so rint rounds
-        # as "%.6f" does unless a half lies that close. The margin below covers
-        # two ulps, and from 2**50 up it exceeds 0.5: those values, with inf,
-        # take their digits from "%.6f" itself.
-        slow = np.flatnonzero(~(0.5 - np.abs(scaled - k) > scaled * 4.5e-16))
-    k[slow] = 0.0
-    # (k + 0.5) / 10**6 lies at least 5e-7 from an integer and, for k < 2**50,
+    scaled = np.abs(features).ravel()
+    scaled *= 1e6
+    k = np.rint(scaled)
+    # scaled is within half an ulp of the exact |x| * 10**6, so rint rounds as
+    # "%.6f" does unless a half lies that close; the margin below covers two
+    # ulps. Those values take k from the digits "%.6f" writes.
+    slow = np.flatnonzero(~(0.5 - np.abs(scaled - k) > scaled * 4.5e-16))
+    k[slow] = [int(("%.6f" % abs(v)).replace(".", "")) for v in features.ravel()[slow].tolist()]
+    # (k + 0.5) / 10**6 lies at least 5e-7 from an integer and, for k <= 2**50,
     # within 3e-7 of its floating-point product, so floor splits k exactly;
     # the same holds for frac and 10**3.
     whole = np.floor((k + 0.5) * 1e-6)
     frac = k - whole * 1e6
-    texts = ["%.6f" % abs(v) for v in features.ravel()[slow].tolist()]
-    width = max(map(_group_count, [str(int(whole.max(initial=0.0))), *(t[:-7] for t in texts)]))
+    width = _group_count(str(int(whole.max(initial=0.0))))
     groups = whole[:, None] if width == 1 else _groups(whole.astype(np.int64), width)
-    for i, text in zip(slow.tolist(), texts):
-        digits = text[:-7].zfill(3 * width)
-        groups[i] = [int(digits[j : j + 3]) for j in range(0, 3 * width, 3)]
-        frac[i] = int(text[-6:])
     frac_hi = np.floor((frac + 0.5) * 1e-3)
     label = _integer_words(_groups(labels, _group_count(str(labels.max(initial=0)))), _LEAD)
     label[:, -1] += (_END_LEAD - _LEAD) * 1000  # "   g" -> "  g\n", " ggg" -> "ggg\n"
@@ -316,10 +310,12 @@ def _format_rows(features: np.ndarray, labels: np.ndarray) -> str:
 
 def save_csv(ds: LabeledDataset, path) -> None:
     """Write a dataset under the CSV contract: header f0..f{d-1},label, each
-    value as ``"%.6f"`` writes it. Finite matrices are formatted a block of
-    rows at a time by numpy; one holding nan or inf uses the row template."""
+    value as ``"%.6f"`` writes it. A matrix whose every |x| is below
+    2**50 / 10**6 is formatted a block of rows at a time by numpy; one holding
+    a larger value, nan or inf uses the row template, since the block formatter
+    gives every value of a block the digit groups of its widest one."""
     header = [f"f{i}" for i in range(ds.n_features)] + ["label"]
-    if not np.isfinite(ds.features).all():
+    if not np.abs(ds.features).max(initial=0.0) < 2**50 / 1e6:
         rows = ((*row.tolist(), label) for row, label in zip(ds.features, ds.labels.tolist()))
         write_csv(path, ("%.6f",) * ds.n_features + ("%d",), rows, header)
         return
@@ -333,8 +329,9 @@ def save_csv(ds: LabeledDataset, path) -> None:
 def load_csv(path) -> LabeledDataset:
     """Parse a feature CSV (header f0..f{d-1},label) into a LabeledDataset.
 
-    The class count is 1 + max(label); labels naming a single class are
-    rejected. Parse failures report the 1-based file row that caused them.
+    The class count is 1 + max(label); labels naming a single class, or
+    skipping one below the largest, are rejected. Parse failures report the
+    1-based file row that caused them.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -372,8 +369,15 @@ def load_csv(path) -> LabeledDataset:
         if label < 0:
             raise ParseError(f"{path}: row {row_no}: negative label {label}")
         labels[i] = label
-    if labels.min() == labels.max():
-        raise ParseError(f"{path}: every label is {labels[0]}; a dataset needs at least 2 classes")
+    classes = np.unique(labels)
+    if classes.size == 1:
+        raise ParseError(f"{path}: every label is {classes[0]}; a dataset needs at least 2 classes")
+    gaps = np.flatnonzero(classes != np.arange(classes.size))
+    if gaps.size:
+        raise ParseError(
+            f"{path}: no row has label {gaps[0]}; labels must cover every class from 0 to "
+            f"{classes[-1]}"
+        )
     return LabeledDataset(features, labels, int(labels.max()) + 1)
 
 

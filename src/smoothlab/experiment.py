@@ -138,48 +138,43 @@ def _list_of(item: Callable, distinct: bool = False) -> Callable:
     return parse
 
 
-# Every config key: its default, spelled as in a config file, and the parser
-# that turns a value into its setting or a ConfigError naming the key. A read
-# config has each key parsed, whether or not its run uses it.
-_KEYS: dict[str, tuple[str, Callable]] = {
-    "data.csv": ("", _parse_text),  # empty: the synthetic generator below
-    "data.classes": ("8", _parse_int),
-    "data.per_class": ("100", _parse_int),
-    "data.dimension": ("8", _parse_int),
-    "data.spread": ("1.0", _parse_float),
-    "data.overlap": ("0:1,2:3", _list_of(_parse_pair)),
-    "split.train": ("0.70", _parse_float),
-    "split.val": ("0.15", _parse_float),
-    "split.test": ("0.15", _parse_float),
-    "model.hidden": ("32", _list_of(_parse_int)),
-    "train.epochs": ("50", _parse_int),
-    "train.batch_size": ("32", _parse_int),
-    "train.learning_rate": ("0.1", _parse_float),
-    "train.momentum": ("0.9", _parse_float),
-    "train.ece_bins": ("10", _parse_int),
-    "strategies": ("hard,vanilla,ols,cpls", _list_of(_parse_kind, distinct=True)),
-    "vanilla.alpha": ("0.1", _parse_float),
-    "cpls.beta": ("0.5", _parse_float),
-    "cpls.warmup": ("5", _parse_int),
-    "ols.warmup": ("5", _parse_int),
-    "seeds": ("1,2,3,4,5,6,7,8,9,10", _list_of(_parse_seed, distinct=True)),
-    "out": ("runs", _parse_text),
+# Every config key: its default, spelled as in a config file; the parser that
+# turns a value into its setting or a ConfigError naming the key; and the owner
+# and field the setting goes to. An owner is "blob" (BlobSpec), "split"
+# (SplitSpec), "train" (TrainConfig) or a strategy kind (TargetStrategy); the
+# keys without one are read by config_from_values itself. A read config has
+# each key parsed, whether or not its run uses it.
+_KEYS: dict[str, tuple[str, Callable, str | None, str | None]] = {
+    "data.csv": ("", _parse_text, None, None),  # empty: the synthetic generator below
+    "data.classes": ("8", _parse_int, "blob", "num_classes"),
+    "data.per_class": ("100", _parse_int, "blob", "samples_per_class"),
+    "data.dimension": ("8", _parse_int, "blob", "dimension"),
+    "data.spread": ("1.0", _parse_float, "blob", "spread"),
+    "data.overlap": ("0:1,2:3", _list_of(_parse_pair), "blob", "overlap_pairs"),
+    "split.train": ("0.70", _parse_float, "split", "train_fraction"),
+    "split.val": ("0.15", _parse_float, "split", "val_fraction"),
+    "split.test": ("0.15", _parse_float, "split", "test_fraction"),
+    "model.hidden": ("32", _list_of(_parse_int), "train", "hidden"),
+    "train.epochs": ("50", _parse_int, "train", "epochs"),
+    "train.batch_size": ("32", _parse_int, "train", "batch_size"),
+    "train.learning_rate": ("0.1", _parse_float, "train", "learning_rate"),
+    "train.momentum": ("0.9", _parse_float, "train", "momentum"),
+    "train.ece_bins": ("10", _parse_int, "train", "ece_bins"),
+    "strategies": ("hard,vanilla,ols,cpls", _list_of(_parse_kind, distinct=True), None, None),
+    "vanilla.alpha": ("0.1", _parse_float, "vanilla", "alpha"),
+    "cpls.beta": ("0.5", _parse_float, "cpls", "beta"),
+    "cpls.warmup": ("5", _parse_int, "cpls", "warmup_epochs"),
+    "ols.warmup": ("5", _parse_int, "ols", "warmup_epochs"),
+    "seeds": ("1,2,3,4,5,6,7,8,9,10", _list_of(_parse_seed, distinct=True), None, None),
+    "out": ("runs", _parse_text, None, None),
 }
 
 
-# The generator's keys, by the BlobSpec field each sets; a CSV source takes none.
-_BLOB_KEYS = {
-    "num_classes": "data.classes",
-    "samples_per_class": "data.per_class",
-    "dimension": "data.dimension",
-    "spread": "data.spread",
-    "overlap_pairs": "data.overlap",
-}
-
-
-def _build(cls, settings: dict, *args, **keys: str):
-    """``cls(*args, **fields)`` with each field set from the config key that
-    ``keys`` maps it to; a value out of its domain is reported under those keys."""
+def _build(cls, settings: dict, owner: str, *args):
+    """``cls(*args, **fields)`` with each field that ``_KEYS`` gives to
+    ``owner`` set from its key; a value out of its domain is reported under
+    those keys."""
+    keys = {name: key for key, (*_, dest, name) in _KEYS.items() if dest == owner}
     try:
         return cls(*args, **{name: settings[key] for name, key in keys.items()})
     except (ConfigError, DomainError) as exc:
@@ -195,37 +190,15 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     unknown = set(values) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    settings = {key: parse(values.get(key, text), key) for key, (text, parse) in _KEYS.items()}
+    settings = {key: parse(values.get(key, text), key) for key, (text, parse, *_) in _KEYS.items()}
     csv_path = settings["data.csv"]
-    stale = [key for key in _BLOB_KEYS.values() if key in values]
+    stale = [key for key, (*_, owner, _) in _KEYS.items() if owner == "blob" and key in values]
     if csv_path and stale:
         raise ConfigError(f"data.csv is set; the generator's keys do not apply: {', '.join(stale)}")
-    split = _build(
-        SplitSpec,
-        settings,
-        train_fraction="split.train",
-        val_fraction="split.val",
-        test_fraction="split.test",
-    )
-    train = _build(
-        TrainConfig,
-        settings,
-        hidden="model.hidden",
-        epochs="train.epochs",
-        batch_size="train.batch_size",
-        learning_rate="train.learning_rate",
-        momentum="train.momentum",
-        ece_bins="train.ece_bins",
-    )
-    kinds = {
-        "hard": _build(TargetStrategy, settings, "hard"),
-        "vanilla": _build(TargetStrategy, settings, "vanilla", alpha="vanilla.alpha"),
-        "ols": _build(TargetStrategy, settings, "ols", warmup_epochs="ols.warmup"),
-        "cpls": _build(
-            TargetStrategy, settings, "cpls", beta="cpls.beta", warmup_epochs="cpls.warmup"
-        ),
-    }
-    data = load_csv(csv_path) if csv_path else _build(BlobSpec, settings, **_BLOB_KEYS)
+    split = _build(SplitSpec, settings, "split")
+    train = _build(TrainConfig, settings, "train")
+    kinds = {kind: _build(TargetStrategy, settings, kind, kind) for kind in STRATEGY_KINDS}
+    data = load_csv(csv_path) if csv_path else _build(BlobSpec, settings, "blob")
     return ExperimentConfig(
         data=data,
         split=split,

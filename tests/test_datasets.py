@@ -28,18 +28,25 @@ def small_blob(dim=2, per_class=10, classes=2, overlap=()):
     return BlobSpec(classes, per_class, dimension=dim, overlap_pairs=overlap)
 
 
-# Finite values on which "%.6f" is easy to get wrong. A "huge" value gives
-# every value of its block about a hundred digit groups, so only the explicit
-# examples draw them.
-VALUE_KINDS = ("tie", "near_half", "zero", "tiny_negative", "log_uniform", "subnormal", "edge")
+# Finite values on which "%.6f" is easy to get wrong. save_csv formats a block
+# of values below 2**50 / 10**6 with numpy, and a matrix holding a "huge" value
+# (2**50 / 10**6 or more) by the row template; every other kind stays below it.
+VALUE_KINDS = (
+    "tie", "near_half", "zero", "tiny_negative", "log_uniform", "subnormal", "edge", "huge"
+)
 EDGES = np.array(
     [
         0.0, -0.0, 5e-324, -2.2250738585072014e-308, -4.9999999999999e-7, 5e-7, -1e-9,
-        1 / 128, -3 / 128, 0.0000015, 0.5e-6, 999.9999995, -999999.9999995, 1e12, -1e15,
-        2**50 / 1e6, np.nextafter(2**50 / 1e6, 0), 2**51 / 1e6, 2**52 / 1e6 + 0.5, 4.5e9,
+        1 / 128, -3 / 128, 0.0000015, 0.5e-6, 999.9999995, -999999.9999995,
+        np.nextafter(2**50 / 1e6, 0),
     ]
 )
-HUGE = np.array([1e20, -2.0**70, 1e300, -1.7976931348623157e308])
+HUGE = np.array(
+    [
+        2**50 / 1e6, 2**51 / 1e6, 2**52 / 1e6 + 0.5, 4.5e9, 1e12, -1e15,
+        1e20, -2.0**70, 1e300, -1.7976931348623157e308,
+    ]
+)
 
 
 def hard_values(rng, size, kinds):
@@ -47,7 +54,7 @@ def hard_values(rng, size, kinds):
     tie: j/128, whose 7th decimal is an exact half;
     near_half: (j + 0.5)/10**6 and the floats one ulp either side of it;
     zero: 0.0 and -0.0; tiny_negative: in (-5e-7, 0], printed "-0.000000";
-    log_uniform: magnitudes from 1e-9 to 1e12; subnormal: below 2**-1022;
+    log_uniform: magnitudes from 1e-9 to 1e9; subnormal: below 2**-1022;
     edge, huge: the fixed values of EDGES, HUGE."""
     pick = rng.integers(len(kinds), size=size)
     out = np.empty(size)
@@ -65,7 +72,7 @@ def hard_values(rng, size, kinds):
         elif kind == "tiny_negative":
             values = -rng.uniform(0.0, 5e-7, m)
         elif kind == "log_uniform":
-            values = sign * 10.0 ** rng.uniform(-9, 12, m)
+            values = sign * 10.0 ** rng.uniform(-9, 9, m)
         elif kind == "subnormal":
             values = sign * rng.integers(1, 2**52, m, dtype=np.uint64).view(np.float64)
         else:
@@ -268,6 +275,16 @@ class TestCsv:
         with pytest.raises(ParseError, match="one_class.csv: every label is 2"):
             load_csv(path)
 
+    def test_labels_skipping_a_class_rejected_naming_the_file(self, tmp_path):
+        # 0,0,0,2,2,2 used to load as three classes, one of them empty
+        path = tmp_path / "gap.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,0\n4.0,2\n5.0,2\n6.0,2\n")
+        with pytest.raises(ParseError, match="gap.csv: no row has label 1; .* from 0 to 2"):
+            load_csv(path)
+        path.write_text("f0,label\n1.0,3\n2.0,1\n3.0,2\n")
+        with pytest.raises(ParseError, match="gap.csv: no row has label 0; .* from 0 to 3"):
+            load_csv(path)
+
     def test_save_csv_exact_bytes(self, tmp_path):
         ds = LabeledDataset(np.array([[1.0, -0.5], [0.1234567, 20.0]]), np.array([1, 0]), 2)
         path = tmp_path / "hand.csv"
@@ -297,19 +314,20 @@ class TestCsv:
         rows=st.sampled_from(["one", "block", "block+1", "few"]),
         kinds=st.lists(st.sampled_from(VALUE_KINDS), min_size=1, unique=True),
         top_label=st.sampled_from([1, 9, 999, 1000, 10**6]),
-        nonfinite=st.sampled_from([None, None, None, None, math.nan, math.inf, -math.inf]),
+        planted=st.sampled_from([None, None, None, None, math.nan, math.inf, -math.inf, 1e300]),
     )
-    @example(seed=0, d=4, rows="few", kinds=["edge"], top_label=1000, nonfinite=None)
-    @example(seed=1, d=3, rows="few", kinds=["huge", "tie"], top_label=9, nonfinite=None)
-    @example(seed=2, d=2, rows="block+1", kinds=["huge", "edge"], top_label=1, nonfinite=None)
+    @example(seed=0, d=4, rows="few", kinds=["edge"], top_label=1000, planted=None)
+    @example(seed=1, d=3, rows="few", kinds=["huge", "tie"], top_label=9, planted=None)
+    @example(seed=2, d=2, rows="block+1", kinds=["huge", "edge"], top_label=1, planted=None)
+    @example(seed=3, d=1, rows="block+1", kinds=["edge"], top_label=1, planted=1e300)
     def test_save_csv_matches_row_template_byte_for_byte(
-        self, tmp_path, seed, d, rows, kinds, top_label, nonfinite
+        self, tmp_path, seed, d, rows, kinds, top_label, planted
     ):
         rng = np.random.default_rng(seed)
         n = {"one": 1, "block": _block_rows(d), "block+1": _block_rows(d) + 1}.get(rows, 7)
         features = hard_values(rng, n * d, kinds).reshape(n, d)
-        if nonfinite is not None:
-            features[rng.integers(n), rng.integers(d)] = nonfinite
+        if planted is not None:
+            features[rng.integers(n), rng.integers(d)] = planted
         ds = LabeledDataset(features, rng.integers(0, top_label + 1, n), top_label + 1)
         save_csv(ds, tmp_path / "fast.csv")
         row_template_save_csv(ds, tmp_path / "spec.csv")
@@ -332,11 +350,13 @@ class TestCsv:
     ):
         # The file holds each value rounded to 6 dp, within 5e-7 of it; parsing
         # that decimal adds at most half an ulp, under |x| * 2**-52. Its bytes
-        # are a fixed point.
+        # are a fixed point. load_csv refuses labels that skip a class, so every
+        # label from 0 to top_label has a row, and n more rows take labels at random.
         rng = np.random.default_rng(seed)
-        labels = rng.integers(0, top_label + 1, n)
-        labels[:2] = (0, top_label)
-        ds = LabeledDataset(hard_values(rng, n * d, kinds).reshape(n, d), labels, top_label + 1)
+        labels = np.concatenate([np.arange(top_label + 1), rng.integers(0, top_label + 1, n)])
+        labels = rng.permutation(labels)
+        m = labels.size
+        ds = LabeledDataset(hard_values(rng, m * d, kinds).reshape(m, d), labels, top_label + 1)
         save_csv(ds, tmp_path / "first.csv")
         loaded = load_csv(tmp_path / "first.csv")
         error = np.abs(loaded.features - ds.features)

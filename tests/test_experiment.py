@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ from smoothlab import (
     ConfigError,
     DomainError,
     ParseError,
+    SplitSpec,
     TrainConfig,
     generate_confusable_blobs,
     load_csv,
@@ -26,7 +28,7 @@ from smoothlab import (
 )
 from smoothlab.cli import main
 from smoothlab.experiment import _KEYS, config_from_values, parse_kv_text
-from smoothlab.smoothing import STRATEGY_KINDS
+from smoothlab.smoothing import _KIND_FIELDS, STRATEGY_KINDS
 
 FAST_CONFIG = """
 # small experiment used by the test-suite
@@ -68,6 +70,77 @@ def write_config(tmp_path, *lines, **extra):
     path = tmp_path / "exp.cfg"
     path.write_text("\n".join([*kept, *lines]) + "\n")
     return path
+
+
+def _text_of(values):
+    """A strategy of valid ``values`` as (config text, parsed value) pairs."""
+    return values.map(lambda v: (repr(v), v))
+
+
+def _list_text(items, unique=False, min_size=0):
+    """A strategy of valid comma lists of ``items``, as (text, tuple) pairs."""
+    return st.lists(items, unique=unique, min_size=min_size, max_size=4).map(
+        lambda vs: (",".join(map(str, vs)), tuple(vs))
+    )
+
+
+# Valid values of every config key but data.csv and the split fractions, which
+# must sum to 1 and are drawn together in the property below.
+VALID_VALUES = {
+    "data.classes": _text_of(st.integers(4, 64)),  # the overlap pairs name classes 0..3
+    "data.per_class": _text_of(st.integers(1, 1000)),
+    "data.dimension": _text_of(st.integers(1, 64)),
+    "data.spread": _text_of(st.floats(1e-3, 1e3)),
+    "data.overlap": st.permutations(range(4)).flatmap(
+        lambda p: st.sampled_from([(), ((p[0], p[1]),), ((p[0], p[1]), (p[2], p[3]))])
+    ).map(lambda pairs: (",".join(f"{a}:{b}" for a, b in pairs), pairs)),
+    "model.hidden": _list_text(st.integers(1, 128)),
+    "train.epochs": _text_of(st.integers(1, 1000)),
+    "train.batch_size": _text_of(st.integers(1, 4096)),
+    "train.learning_rate": _text_of(st.floats(0.0, 10.0)),
+    "train.momentum": _text_of(st.floats(0.0, 1.0, exclude_max=True)),
+    "train.ece_bins": _text_of(st.integers(1, 100)),
+    "strategies": st.lists(st.sampled_from(STRATEGY_KINDS), min_size=1, unique=True).map(
+        lambda kinds: (",".join(kinds), tuple(kinds))
+    ),
+    "vanilla.alpha": _text_of(st.floats(0.0, 1.0, exclude_max=True)),
+    "cpls.beta": _text_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    "cpls.warmup": _text_of(st.integers(0, 100)),
+    "ols.warmup": _text_of(st.integers(0, 100)),
+    "seeds": _list_text(st.integers(0, 2**63), unique=True, min_size=1),
+    "out": st.text("abc_01", min_size=1, max_size=8).map(lambda v: (v, v)),
+}
+SPLIT_PERCENT = {"split.train": 70, "split.val": 15, "split.test": 15}
+
+
+def settings_of(cfg, every_kind):
+    """Each key's setting as a parsed config holds it, found where the key is
+    documented to land; spelled out apart from ``_KEYS``, so that a table
+    entry naming the wrong field fails. ``every_kind`` maps each strategy kind
+    to its TargetStrategy, whether or not ``strategies`` lists it."""
+    return {
+        "data.classes": cfg.data.num_classes,
+        "data.per_class": cfg.data.samples_per_class,
+        "data.dimension": cfg.data.dimension,
+        "data.spread": cfg.data.spread,
+        "data.overlap": cfg.data.overlap_pairs,
+        "split.train": cfg.split.train_fraction,
+        "split.val": cfg.split.val_fraction,
+        "split.test": cfg.split.test_fraction,
+        "model.hidden": cfg.train.hidden,
+        "train.epochs": cfg.train.epochs,
+        "train.batch_size": cfg.train.batch_size,
+        "train.learning_rate": cfg.train.learning_rate,
+        "train.momentum": cfg.train.momentum,
+        "train.ece_bins": cfg.train.ece_bins,
+        "strategies": tuple(s.kind for s in cfg.strategies),
+        "vanilla.alpha": every_kind["vanilla"].alpha,
+        "cpls.beta": every_kind["cpls"].beta,
+        "cpls.warmup": every_kind["cpls"].warmup_epochs,
+        "ols.warmup": every_kind["ols"].warmup_epochs,
+        "seeds": cfg.seeds,
+        "out": str(cfg.out_dir),
+    }
 
 
 class TestConfigParsing:
@@ -153,7 +226,55 @@ class TestConfigParsing:
         block = re.search(r"```\n(# experiment\.cfg\n.*?)```", readme, re.DOTALL).group(1)
         values = parse_kv_text(block, "README.md")
         config_from_values(values)
-        assert values == {key: default for key, (default, _) in _KEYS.items()}
+        assert values == {key: default for key, (default, *_) in _KEYS.items()}
+
+    def test_table_sends_each_key_to_a_field_of_its_owner(self):
+        sent: dict[str, list[str]] = {}
+        for key, (_, _, owner, name) in _KEYS.items():
+            if owner is not None:
+                sent.setdefault(owner, []).append(name)
+        for kind in STRATEGY_KINDS:
+            assert tuple(sent.pop(kind, ())) == _KIND_FIELDS[kind]
+        for owner, cls in {"blob": BlobSpec, "split": SplitSpec, "train": TrainConfig}.items():
+            names = sent.pop(owner)
+            assert len(set(names)) == len(names)
+            assert set(names) <= {f.name for f in dataclasses.fields(cls)}
+        assert sent == {}
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_config_text_round_trips_through_the_table(self, tmp_path, data):
+        # Valid values for a random subset of keys, written as config text,
+        # land on their own fields; every other field keeps its default.
+        assert set(VALID_VALUES) | set(SPLIT_PERCENT) == set(_KEYS) - {"data.csv"}
+        pool = [*VALID_VALUES, *SPLIT_PERCENT]
+        keys = data.draw(st.lists(st.sampled_from(pool), unique=True), label="keys")
+        split = [key for key in keys if key in SPLIT_PERCENT]
+        fractions = {}
+        if split:
+            # The written fractions share, in whole percents, what the others leave.
+            share = 100 - sum(pct for key, pct in SPLIT_PERCENT.items() if key not in split)
+            size = len(split) - 1
+            cuts = st.sets(st.integers(1, share - 1), min_size=size, max_size=size)
+            bounds = [0, *sorted(data.draw(cuts, label="cuts")), share]
+            fractions = {key: f"0.{hi - lo:02d}" for key, lo, hi in zip(split, bounds, bounds[1:])}
+        written = {
+            key: (fractions[key], float(fractions[key]))
+            if key in fractions
+            else data.draw(VALID_VALUES[key], label=key)
+            for key in keys
+        }
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in written.items()))
+
+        cfg = parse_config(path)
+        all_kinds = parse_config(path, {"strategies": ",".join(STRATEGY_KINDS)}).strategies
+        got = settings_of(cfg, {s.kind: s for s in all_kinds})
+        defaults = {key: parse(text, key) for key, (text, parse, *_) in _KEYS.items()}
+        expected = {key: defaults[key] for key in got} | {k: v for k, (_, v) in written.items()}
+        assert got == expected
 
     def test_parse_config_file(self, tmp_path):
         path = write_config(tmp_path)
@@ -462,6 +583,18 @@ class TestCsvSource:
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {csv_path}: every label is 0; a dataset needs at least 2 classes"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_csv_skipping_a_class_rejected_naming_the_file(self, tmp_path, capsys):
+        # it used to fail at the split as "class 1 has 0 samples", naming no file
+        csv_path = tmp_path / "feats.csv"
+        csv_path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,0\n4.0,2\n5.0,2\n6.0,2\n")
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {csv_path}: no row has label 1; labels must cover every class from 0 to 2"
+        ]
         assert not (tmp_path / "runs").exists()
 
     def test_relative_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
