@@ -179,18 +179,21 @@ def stratified_split(
     """Per-class split of a dataset into train/val/test under the given fractions.
 
     Every class is apportioned independently so class balance survives the
-    split; within a class, membership is decided by a seeded shuffle.
+    split; within a class, membership is decided by a seeded shuffle. A class
+    too small to give every split a sample is refused, since a split without
+    it would write artifacts that lack the class.
     """
     rng = np.random.default_rng(seed)
     picks: tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]] = ([], [], [])
     for c in range(ds.num_classes):
         cls_idx = np.nonzero(ds.labels == c)[0]
-        if cls_idx.size < 3:
+        counts = _apportion(cls_idx.size, spec.fractions)
+        if 0 in counts:
+            split = ("train", "val", "test")[counts.index(0)]
             raise ConfigError(
-                f"class {c} has {cls_idx.size} samples; need at least 3 to split"
+                f"class {c} has {cls_idx.size} samples, too few to give the {split} split one"
             )
         perm = rng.permutation(cls_idx)
-        counts = _apportion(cls_idx.size, spec.fractions)
         start = 0
         for part, count in zip(picks, counts):
             part.append(perm[start : start + count])

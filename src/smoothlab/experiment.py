@@ -259,9 +259,9 @@ def run_generate(cfg: ExperimentConfig) -> dict[str, Path]:
         raise ConfigError("generate writes synthetic data, but data.csv is set")
     seed = cfg.seeds[0]
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     ds = generate_confusable_blobs(cfg.data, seed)
     train, val, test = stratified_split(ds, cfg.split, seed)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "train": out / "train.csv",
         "val": out / "val.csv",
@@ -300,14 +300,18 @@ def run_single(
     run_dir.mkdir(parents=True, exist_ok=True)
 
     artifacts: dict[str, Path] = {}
+    # A cpls run's tracker table of each epoch; normalize() binds a new array
+    # every epoch, so the list holds every table, not the last one E times.
+    val_confusion: list = []
 
-    def snapshot_confusion(epoch, params, record, tracker):
+    def collect_confusion(epoch, params, record, tracker):
         if tracker is not None:
-            path = run_dir / f"confusion_epoch_{epoch}.csv"
-            write_confusion_csv(tracker.normalized, path)
-            artifacts[f"confusion_epoch_{epoch}"] = path
+            val_confusion.append(tracker.normalized)
 
-    params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=snapshot_confusion)
+    params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=collect_confusion)
+    if val_confusion:
+        artifacts["val_confusion"] = run_dir / "val_confusion.csv"
+        write_confusion_csv(val_confusion, artifacts["val_confusion"])
 
     # The test split is touched exactly once, after training finishes.
     test_accuracy, test_probs, test_confusion = evaluate(params, test)
@@ -473,8 +477,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     for seed in cfg.seeds:
         for strategy in cfg.strategies:
             _empty_run_dir(cfg, strategy, seed, "compare")
-    out.mkdir(parents=True, exist_ok=True)
-    per_seed = _run_seeds(cfg)
+    per_seed = _run_seeds(cfg)  # each run makes its run dir, and so the out dir
     records = [record for seed_records in per_seed for record in seed_records]
     by_strategy = list(zip(*per_seed))
 

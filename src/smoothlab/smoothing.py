@@ -175,9 +175,17 @@ class OnlineLabelSmoother:
         self._counts = np.zeros_like(self._counts)
 
 
-def write_confusion_csv(matrix: np.ndarray, path) -> None:
-    """Snapshot a normalized confusion matrix as C rows x C columns, 6 dp."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    write_csv(path, ("%.6f",) * m.shape[1], map(tuple, m.tolist()))
+def write_confusion_csv(history: np.ndarray, path) -> None:
+    """Write the normalized confusion tables of epochs 1..E, an (E, C, C)
+    stack, as one row per (epoch, true class) in that order under the header
+    ``epoch,true_class,p0,...,p{C-1}``, probabilities at 6 dp."""
+    h = np.asarray(history, dtype=np.float64)
+    if h.ndim != 3 or h.size == 0 or h.shape[1] != h.shape[2]:
+        raise DimensionError(f"expected a non-empty (epochs, C, C) stack, got shape {h.shape}")
+    rows = (
+        (epoch, true_class, *row)
+        for epoch, table in enumerate(h.tolist(), start=1)
+        for true_class, row in enumerate(table)
+    )
+    header = ("epoch", "true_class", *(f"p{j}" for j in range(h.shape[2])))
+    write_csv(path, ("%d", "%d") + ("%.6f",) * h.shape[2], rows, header)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab import (
@@ -172,6 +174,47 @@ class TestEce:
             fast = ece(probs, labels, num_bins)
             slow = brute_force_ece(probs, labels, num_bins)
             assert abs(fast - slow) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_bins=st.integers(1, 20),
+        c=st.integers(2, 5),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(("random", "edge", "tie")),
+                st.integers(0, 20),  # the edge index m, or the tie width
+                st.integers(0, 4),  # the column of an edge confidence
+                st.integers(0, 4),  # the label
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_bins=1, c=2, rows=[("edge", 1, 0, 0)], seed=0)
+    @example(num_bins=4, c=2, rows=[("tie", 0, 0, 1)], seed=0)
+    def test_matches_brute_force_on_edges_and_ties(self, num_bins, c, rows, seed):
+        # Rows are Dirichlet draws, rows whose confidence is exactly an edge
+        # m/num_bins, or rows whose top probability 1/k is shared by k classes
+        # (the argmax takes the lowest of them).
+        rng = np.random.default_rng(seed)
+        probs, labels = [], []
+        for kind, m, column, label in rows:
+            if kind == "random":
+                row = rng.dirichlet(np.ones(c))
+            elif kind == "edge":
+                # at least 1/c, so no other entry of the row is larger
+                v = max(m % (num_bins + 1), math.ceil(num_bins / c)) / num_bins
+                row = np.full(c, (1.0 - v) / (c - 1))
+                row[column % c] = v
+            else:
+                k = 2 + m % (c - 1)
+                row = np.zeros(c)
+                row[rng.permutation(c)[:k]] = 1.0 / k
+            probs.append(row)
+            labels.append(label % c)
+        fast = ece(np.array(probs), np.array(labels), num_bins)
+        assert abs(fast - brute_force_ece(probs, labels, num_bins)) < 1e-12
 
 
 class TestAgainstStraightforwardForms:

@@ -218,6 +218,22 @@ class TestSplit:
         with pytest.raises(ConfigError):
             stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=0)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_class_leaving_a_split_empty_rejected(self, n):
+        # 70/15/15 apportions 3 samples as 2/1/0 and 4 as 3/1/0: the test
+        # split, and every artifact made from it, would lack class 1
+        labels = np.repeat([0, 1, 2], [20, n, 20])
+        ds = LabeledDataset(np.zeros((labels.size, 2)), labels, 3)
+        with pytest.raises(ConfigError) as info:
+            stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=0)
+        assert str(info.value) == f"class 1 has {n} samples, too few to give the test split one"
+
+    def test_five_samples_give_every_split_one(self):
+        labels = np.repeat([0, 1], [5, 20])
+        ds = LabeledDataset(np.zeros((labels.size, 2)), labels, 2)
+        parts = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=0)
+        assert [int(np.sum(part.labels == 0)) for part in parts] == [3, 1, 1]
+
     @settings(max_examples=100, deadline=None)
     @given(
         counts=st.lists(st.integers(3, 40), min_size=2, max_size=6),
@@ -228,9 +244,23 @@ class TestSplit:
         # Each row carries its index as its one feature, so the splits name the
         # rows they took: disjoint, together every row once, each in input
         # order with its own label, and per class the counts _apportion gives.
+        # A draw where _apportion gives some class no sample of some split is
+        # refused, naming the first such class and split.
         spec = SplitSpec(*(w / sum(weights) for w in weights))
         labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
         ds = LabeledDataset(np.arange(labels.size, dtype=float)[:, None], labels, len(counts))
+        short = [
+            (c, n, ("train", "val", "test")[apportioned.index(0)])
+            for c, n in enumerate(counts)
+            if 0 in (apportioned := _apportion(n, spec.fractions))
+        ]
+        if short:
+            c, n, split = short[0]
+            with pytest.raises(ConfigError) as info:
+                stratified_split(ds, spec, seed)
+            want = f"class {c} has {n} samples, too few to give the {split} split one"
+            assert str(info.value) == want
+            return
         parts = stratified_split(ds, spec, seed)
         taken = [part.features[:, 0].astype(np.int64) for part in parts]
         assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(labels.size))

@@ -14,6 +14,7 @@ from smoothlab import (
     BlobSpec,
     ConfigError,
     DomainError,
+    LabeledDataset,
     ParseError,
     SplitSpec,
     TrainConfig,
@@ -27,6 +28,7 @@ from smoothlab import (
     save_csv,
 )
 from smoothlab.cli import main
+from smoothlab.datasets import write_csv
 from smoothlab.experiment import _KEYS, config_from_values, parse_kv_text
 from smoothlab.smoothing import _KIND_FIELDS, STRATEGY_KINDS
 
@@ -346,8 +348,8 @@ class TestTrainCommand:
         assert (run_dir / "reliability.csv").exists()
         assert (run_dir / "test_confusion.csv").exists()
         assert (run_dir / "features.csv").exists()
-        # hard runs emit no confusion snapshots
-        assert not list(run_dir.glob("confusion_epoch_*.csv"))
+        # hard runs emit no validation confusion tables
+        assert not (run_dir / "val_confusion.csv").exists()
         # metrics has exactly `epochs` data rows
         lines = (run_dir / "metrics.csv").read_text().splitlines()
         assert lines[0] == "epoch,phase,train_loss,val_loss,val_accuracy,val_ece"
@@ -360,10 +362,64 @@ class TestTrainCommand:
         cfg = parse_config(write_config(tmp_path))
         record = run_training(cfg, cfg.strategies[1], seed=1)
         run_dir = record.artifacts["summary"].parent
-        snapshots = sorted(run_dir.glob("confusion_epoch_*.csv"))
-        assert len(snapshots) == cfg.train.epochs
-        rows = snapshots[0].read_text().splitlines()
-        assert len(rows) == 4 and all(len(r.split(",")) == 4 for r in rows)
+        assert record.artifacts["val_confusion"] == run_dir / "val_confusion.csv"
+        assert sorted(p.name for p in run_dir.glob("*confusion*")) == [
+            "test_confusion.csv", "val_confusion.csv"
+        ]
+        header, *rows = (run_dir / "val_confusion.csv").read_text().splitlines()
+        assert header == "epoch,true_class,p0,p1,p2,p3"
+        # one row per (epoch, true class), epochs in order and classes within them
+        keys = [tuple(int(v) for v in row.split(",")[:2]) for row in rows]
+        assert keys == [(e, y) for e in range(1, cfg.train.epochs + 1) for y in range(4)]
+        assert all(len(row.split(",")) == 2 + 4 for row in rows)
+        summary = (run_dir / "summary.txt").read_text().splitlines()
+        assert [line for line in summary if "confusion" in line] == [
+            "artifact.test_confusion=test_confusion.csv",
+            "artifact.val_confusion=val_confusion.csv",
+        ]
+
+    def test_val_confusion_holds_each_epochs_table_in_the_snapshot_format(
+        self, tmp_path, monkeypatch
+    ):
+        # Record a copy of the table fit hands to on_epoch in every epoch; each
+        # epoch's block of val_confusion.csv, with its "epoch,true_class,"
+        # prefix removed, is that table written as one C-column snapshot.
+        import smoothlab.experiment as experiment
+
+        handed = []
+
+        def recording_fit(*args, on_epoch):
+            def record(epoch, params, metrics, tracker):
+                handed.append(tracker.normalized.copy())
+                on_epoch(epoch, params, metrics, tracker)
+
+            return fit(*args, on_epoch=record)
+
+        fit = experiment.fit
+        monkeypatch.setattr(experiment, "fit", recording_fit)
+        cfg = parse_config(write_config(tmp_path, train_epochs=6))
+        run_dir = run_training(cfg, cfg.strategies[1], seed=1).artifacts["summary"].parent
+        assert len(handed) == 6
+        # the tables change over the epochs, so a list of one array aliased six
+        # times would not pass
+        assert any(not np.array_equal(handed[0], table) for table in handed[1:])
+        blocks = {}
+        for line in (run_dir / "val_confusion.csv").read_text().splitlines(keepends=True)[1:]:
+            epoch, _, rest = line.split(",", 2)
+            blocks[int(epoch)] = blocks.get(int(epoch), "") + rest
+        assert sorted(blocks) == list(range(1, 7))
+        for epoch, table in enumerate(handed, start=1):
+            snapshot = tmp_path / f"snapshot_{epoch}.csv"
+            write_csv(snapshot, ("%.6f",) * 4, map(tuple, table.tolist()))
+            assert blocks[epoch].encode() == snapshot.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["vanilla", "ols"])  # hard: test_artifacts_hard
+    def test_only_cpls_writes_val_confusion(self, tmp_path, kind):
+        cfg = parse_config(write_config(tmp_path, "ols.warmup = 1"), {"strategies": kind})
+        record = run_training(cfg, cfg.strategies[0], seed=1)
+        run_dir = record.artifacts["summary"].parent
+        assert [p.name for p in run_dir.glob("*confusion*")] == ["test_confusion.csv"]
+        assert "val_confusion" not in record.artifacts
 
     def test_summary_accuracy_matches_confusion_trace(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -422,25 +478,26 @@ class TestCompare:
         assert sorted(cfg.out_dir.rglob("*")) == before
 
     def test_leftover_run_dir_without_summary_refused_and_left_unchanged(self, tmp_path, capsys):
-        # an interrupted compare can leave a run dir with snapshots but no summary
+        # an interrupted compare can leave a run dir with artifacts but no summary
         run_dir = tmp_path / "runs" / "cpls_seed1"
         run_dir.mkdir(parents=True)
-        (run_dir / "confusion_epoch_9.csv").write_text("1.000000,0.000000\n")
+        (run_dir / "val_confusion.csv").write_text("epoch,true_class,p0\n9,0,1.000000\n")
         cfg_path = write_config(tmp_path, train_epochs=2)
         assert main(["compare", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert f"run directory {run_dir} is not empty; compare into a new one" in err
         files = sorted(p.relative_to(tmp_path) for p in (tmp_path / "runs").rglob("*"))
-        leftover = ["runs/cpls_seed1", "runs/cpls_seed1/confusion_epoch_9.csv"]
+        leftover = ["runs/cpls_seed1", "runs/cpls_seed1/val_confusion.csv"]
         assert [str(p) for p in files] == leftover
+        assert (run_dir / "val_confusion.csv").read_text().endswith("\n9,0,1.000000\n")
         # an empty leftover dir, or one of a run this compare does not make, is no conflict
-        (run_dir / "confusion_epoch_9.csv").unlink()
+        (run_dir / "val_confusion.csv").unlink()
         (tmp_path / "runs" / "cpls_seed9").mkdir()
-        (tmp_path / "runs" / "cpls_seed9" / "confusion_epoch_1.csv").write_text("x\n")
+        (tmp_path / "runs" / "cpls_seed9" / "val_confusion.csv").write_text("x\n")
         assert main(["compare", "--config", str(cfg_path)]) == 0
-        assert sorted(p.name for p in run_dir.glob("confusion_epoch_*.csv")) == [
-            "confusion_epoch_1.csv", "confusion_epoch_2.csv"
-        ]
+        rows = (run_dir / "val_confusion.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == ["1"] * 4 + ["2"] * 4
+        assert (tmp_path / "runs" / "cpls_seed9" / "val_confusion.csv").read_text() == "x\n"
 
     def test_order_does_not_change_values(self, tmp_path):
         cfg_a = parse_config(write_config(tmp_path, strategies="hard,cpls"))
@@ -597,6 +654,28 @@ class TestCsvSource:
         ]
         assert not (tmp_path / "runs").exists()
 
+    def test_class_too_small_for_the_test_split_rejected(self, tmp_path, capsys):
+        # 3 samples split 2/1/0, so features.csv would lack class 1 and
+        # load_csv would refuse it
+        labels = np.repeat([0, 1, 2], [20, 3, 20])
+        csv_path = tmp_path / "feats.csv"
+        save_csv(LabeledDataset(np.arange(labels.size, dtype=float)[:, None], labels, 3), csv_path)
+        cfg_path = write_config(tmp_path, f"data.csv = {csv_path}")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: class 1 has 3 samples, too few to give the test split one"]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "compare"])
+    def test_generated_class_too_small_for_the_test_split_rejected(
+        self, tmp_path, capsys, command
+    ):
+        cfg_path = write_config(tmp_path, "data.per_class = 4")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: class 0 has 4 samples, too few to give the test split one"]
+        assert not (tmp_path / "runs").exists()
+
     def test_relative_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
         # data.csv is relative to the config file; out stays relative to the
         # working directory, as --out is
@@ -693,9 +772,10 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path), "--strategy", "cpls"]) == 0
         run_dir = tmp_path / "runs" / "cpls_seed1"
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
-        assert run_dir / "confusion_epoch_4.csv" in before
+        assert run_dir / "val_confusion.csv" in before
         capsys.readouterr()
-        # a shorter run would leave the first run's later confusion snapshots behind
+        # a second run into the same dir would replace some of the first run's
+        # files and could leave others behind
         cfg_path = write_config(tmp_path, train_epochs=2)
         assert main(["train", "--config", str(cfg_path), "--strategy", "cpls"]) == 1
         assert f"run directory {run_dir} is not empty" in capsys.readouterr().err
@@ -718,6 +798,7 @@ class TestCli:
             "hard_seed1/test_confusion.csv",
             "cpls_seed1/metrics.csv",
             "cpls_seed1/test_confusion.csv",
+            "cpls_seed1/val_confusion.csv",
         }
         for path in written:
             assert_artifact_csv(path)

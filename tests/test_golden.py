@@ -37,7 +37,7 @@ def assert_matches_golden(out):
     }
     assert sorted(got) == sorted(want)
     assert [name for name in sorted(want) if got[name] != want[name]] == []
-    assert len(want) == 50
+    assert len(want) == 44
 
 
 def test_tiny_compare_matches_golden_digests(tmp_path, capsys):

@@ -421,11 +421,27 @@ class TestLossGradients:
 
 def test_write_confusion_csv(tmp_path):
     tr = ConfusionTracker(3)
+    tables = [tr.normalized]
     accumulate(tr, 0, 1)
     tr.normalize()
+    tables.append(tr.normalized)
     path = tmp_path / "confusion.csv"
-    write_confusion_csv(tr.normalized, path)
+    write_confusion_csv(tables, path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[0] == "0.000000,1.000000,0.000000"
-    assert all(len(line.split(",")) == 3 for line in lines)
+    assert len(lines) == 1 + 2 * 3
+    assert lines[0] == "epoch,true_class,p0,p1,p2"
+    assert lines[1] == "1,0,1.000000,0.000000,0.000000"
+    assert lines[4] == "2,0,0.000000,1.000000,0.000000"
+    assert all(len(line.split(",")) == 5 for line in lines)
+
+
+@pytest.mark.parametrize(
+    "history",
+    [[], np.zeros((0, 3, 3)), np.eye(3), np.zeros((2, 3, 4)), np.zeros((2, 0, 0))],
+    ids=["no-epochs", "zero-epochs", "one-matrix", "not-square", "no-classes"],
+)
+def test_write_confusion_csv_rejects_all_but_a_stack_of_square_tables(tmp_path, history):
+    path = tmp_path / "confusion.csv"
+    with pytest.raises(DimensionError, match="non-empty \\(epochs, C, C\\) stack"):
+        write_confusion_csv(history, path)
+    assert not path.exists()
