@@ -93,7 +93,7 @@ def reliability_bins(probs, labels, num_bins: int) -> ReliabilityBins:
     )
 
 
-def ece(probs, labels, num_bins: int = 10) -> float:
+def ece(probs, labels, num_bins: int) -> float:
     """Expected calibration error: total-count-weighted |accuracy - confidence|.
 
     Each bin contributes |acc(B) - conf(B)| weighted by the fraction of all

@@ -12,9 +12,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, ParseError
 
-# Reps of the overlap components are laid out eight spreads apart along the
-# first axis, so a pair's one-spread offset keeps every other pair of centers
-# at least six spreads apart.
+# Reps of the overlap components are laid out eight noise standard deviations
+# apart along the first axis, so a pair's one-deviation offset keeps every
+# other pair of centers at least six noise standard deviations apart.
 _REP_SPACING = 8.0
 
 
@@ -59,18 +59,18 @@ class LabeledDataset:
 class BlobSpec:
     """Geometry of a synthetic Gaussian-blob classification problem.
 
-    ``overlap_pairs`` lists class pairs whose centers sit exactly one
-    ``spread`` apart; every other pair of centers is at least six spreads
+    Each class is an isotropic Gaussian with unit noise standard deviation.
+    ``overlap_pairs`` lists class pairs whose centers sit exactly one noise
+    standard deviation apart; every other pair of centers is at least six
     apart, so only the listed pairs confuse a sane classifier. A class may
     belong to at most one pair: a class in two pairs would force two
-    supposedly-far classes within two spreads of each other.
+    supposedly-far classes within two noise standard deviations of each other.
     """
 
     num_classes: int
     samples_per_class: int
-    dimension: int = 2
-    spread: float = 1.0
-    overlap_pairs: tuple[tuple[int, int], ...] = ()
+    dimension: int
+    overlap_pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -79,8 +79,6 @@ class BlobSpec:
             raise DomainError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
-        if not (0 < self.spread < math.inf):
-            raise DomainError(f"spread must be positive and finite, got {self.spread}")
         pairs = tuple((int(a), int(b)) for a, b in self.overlap_pairs)
         paired: set[int] = set()
         for a, b in pairs:
@@ -99,8 +97,9 @@ class BlobSpec:
         """(num_classes, dimension) centers, derived from the other fields.
 
         Classes are placed in index order, one component at a time, eight
-        spreads apart along the first axis; a class's overlap mate joins its
-        component one spread away along the second axis (the first in 1-D).
+        noise standard deviations apart along the first axis; a class's overlap
+        mate joins its component one noise standard deviation away along the
+        second axis (the first in 1-D).
         """
         mate = {a: b for a, b in self.overlap_pairs} | {b: a for a, b in self.overlap_pairs}
         centers = np.zeros((self.num_classes, self.dimension))
@@ -110,10 +109,10 @@ class BlobSpec:
         for c in range(self.num_classes):
             if c in placed:
                 continue
-            centers[c, 0] = _REP_SPACING * self.spread * component
+            centers[c, 0] = _REP_SPACING * component
             if c in mate:
                 centers[mate[c]] = centers[c]
-                centers[mate[c], offset_axis] += self.spread
+                centers[mate[c], offset_axis] += 1.0
                 placed.add(mate[c])
             component += 1
         return centers
@@ -145,7 +144,8 @@ class SplitSpec:
 
 
 def generate_confusable_blobs(spec: BlobSpec, seed: int) -> LabeledDataset:
-    """Draw samples_per_class isotropic Gaussian samples around each center.
+    """Draw samples_per_class unit-variance isotropic Gaussian samples around
+    each center.
 
     Deterministic for a given seed; class c occupies the contiguous block
     [c * samples_per_class, (c+1) * samples_per_class).
@@ -153,7 +153,7 @@ def generate_confusable_blobs(spec: BlobSpec, seed: int) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     centers = spec.class_centers
     blocks = [
-        rng.normal(centers[c], spec.spread, size=(spec.samples_per_class, spec.dimension))
+        rng.normal(centers[c], 1.0, size=(spec.samples_per_class, spec.dimension))
         for c in range(spec.num_classes)
     ]
     features = np.vstack(blocks)
@@ -337,7 +337,7 @@ def load_csv(path) -> LabeledDataset:
     1-based file row that caused them.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header row")

@@ -149,7 +149,6 @@ _KEYS: dict[str, tuple[str, Callable, str | None, str | None]] = {
     "data.classes": ("8", _parse_int, "blob", "num_classes"),
     "data.per_class": ("100", _parse_int, "blob", "samples_per_class"),
     "data.dimension": ("8", _parse_int, "blob", "dimension"),
-    "data.spread": ("1.0", _parse_float, "blob", "spread"),
     "data.overlap": ("0:1,2:3", _list_of(_parse_pair), "blob", "overlap_pairs"),
     "split.train": ("0.70", _parse_float, "split", "train_fraction"),
     "split.val": ("0.15", _parse_float, "split", "val_fraction"),
@@ -213,7 +212,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
     """Read a config file; ``overrides`` set keys over the file's values. A
     relative ``data.csv`` in the file is read from the file's directory."""
     path = Path(path)
-    values = parse_kv_text(path.read_text(encoding="utf-8"), str(path))
+    values = parse_kv_text(path.read_text(encoding="utf-8-sig"), str(path))
     if values.get("data.csv"):
         values["data.csv"] = str(path.parent / values["data.csv"])
     return config_from_values({**values, **(overrides or {})})
@@ -230,7 +229,6 @@ def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
                 f"blob.classes={blob.num_classes}",
                 f"blob.per_class={blob.samples_per_class}",
                 f"blob.dimension={blob.dimension}",
-                f"blob.spread={blob.spread!r}",
                 f"blob.overlap={overlap}",
                 f"blob.centers={centers}",
                 f"seed={seed}",
@@ -365,9 +363,15 @@ def _empty_run_dir(
 def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> RunRecord:
     """Standalone single run: prepare splits for the seed, then train and emit.
 
-    A run directory that already holds a file is refused before anything is
-    written, so no run's artifacts sit beside those of an earlier one.
+    A run directory that already holds a file, or an output directory that
+    holds a compare's table, is refused before anything is written, so no
+    run's artifacts sit beside those of an earlier one and no compare's report
+    lists a run it did not make.
     """
+    if (cfg.out_dir / "comparison.csv").exists():
+        raise ConfigError(
+            f"output directory {cfg.out_dir} holds a compare's runs; train into a new one"
+        )
     run_dir = _empty_run_dir(cfg, strategy, seed, "train")
     splits = prepare_splits(cfg, seed)
     return run_single(splits, cfg, strategy, seed, run_dir)

@@ -307,7 +307,7 @@ def test_criterion_7_confusion_mass_property(headline_runs):
 
 def test_criterion_8_split_protocol():
     ok = True
-    spec = BlobSpec(4, 100, dimension=2)
+    spec = BlobSpec(4, 100, dimension=2, overlap_pairs=())
     fractions = SplitSpec(0.70, 0.15, 0.15)
     for trial in range(50):
         ds = generate_confusable_blobs(spec, seed=trial)

@@ -130,46 +130,39 @@ class TestBlobGeneration:
 
     def test_class_in_two_pairs_rejected(self):
         with pytest.raises(ConfigError):
-            BlobSpec(4, 10, overlap_pairs=((0, 1), (1, 2)))
+            BlobSpec(4, 10, dimension=2, overlap_pairs=((0, 1), (1, 2)))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_center_geometry_contract(self, data):
-        # Listed pairs sit exactly one spread apart; every other pair of
-        # centers is at least six spreads apart.
+        # Listed pairs sit exactly one noise standard deviation apart; every
+        # other pair of centers is at least six apart.
         classes = data.draw(st.integers(2, 12), label="classes")
         dim = data.draw(st.integers(1, 5), label="dimension")
-        spread = data.draw(st.floats(1e-3, 1e3), label="spread")
         order = data.draw(st.permutations(range(classes)), label="order")
         n_pairs = data.draw(st.integers(0, classes // 2), label="pairs")
         pairs = tuple(zip(order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]))
-        centers = BlobSpec(classes, 1, dim, spread, pairs).class_centers
+        centers = BlobSpec(classes, 1, dim, pairs).class_centers
         assert centers.shape == (classes, dim)
         near = {frozenset(p) for p in pairs}
         for a in range(classes):
             for b in range(a + 1, classes):
                 dist = float(np.linalg.norm(centers[a] - centers[b]))
                 if frozenset((a, b)) in near:
-                    assert dist == pytest.approx(spread, rel=1e-9)
+                    assert dist == 1.0
                 else:
-                    assert dist >= 6 * spread
-
-    def test_non_finite_spread_rejected(self):
-        with pytest.raises(DomainError, match="spread"):
-            BlobSpec(3, 5, spread=math.inf)
-        with pytest.raises(DomainError, match="spread"):
-            BlobSpec(3, 5, spread=math.nan)
+                    assert dist >= 6.0
 
     def test_pair_validation(self):
         with pytest.raises(DomainError):
-            BlobSpec(3, 5, overlap_pairs=((0, 0),))
+            BlobSpec(3, 5, dimension=2, overlap_pairs=((0, 0),))
         with pytest.raises(DomainError):
-            BlobSpec(3, 5, overlap_pairs=((0, 7),))
+            BlobSpec(3, 5, dimension=2, overlap_pairs=((0, 7),))
 
 
 class TestSplit:
     def test_exact_70_15_15(self):
-        spec = BlobSpec(4, 100, dimension=2)
+        spec = BlobSpec(4, 100, dimension=2, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=1)
         train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=1)
         for c in range(4):
@@ -184,7 +177,7 @@ class TestSplit:
             SplitSpec(0.5, 0.3, 0.3)
 
     def test_partition(self):
-        spec = BlobSpec(3, 17, dimension=2)
+        spec = BlobSpec(3, 17, dimension=2, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=2)
         train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=2)
         assert train.n_samples + val.n_samples + test.n_samples == ds.n_samples
@@ -196,7 +189,7 @@ class TestSplit:
 
     def test_within_one_sample_of_quota(self):
         # 13 per class at 70:15:15 is the awkward case: quotas 9.1/1.95/1.95.
-        spec = BlobSpec(2, 13, dimension=2)
+        spec = BlobSpec(2, 13, dimension=2, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=3)
         fracs = SplitSpec(0.70, 0.15, 0.15)
         train, val, test = stratified_split(ds, fracs, seed=3)
@@ -205,7 +198,7 @@ class TestSplit:
                 assert abs(np.sum(part.labels == c) - frac * 13) <= 1
 
     def test_deterministic(self):
-        spec = BlobSpec(3, 20, dimension=2)
+        spec = BlobSpec(3, 20, dimension=2, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=4)
         a = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=9)
         b = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=9)
@@ -275,12 +268,15 @@ class TestSplit:
 
 
 class TestCsv:
-    def test_counting(self, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    def test_counting(self, tmp_path, bom):
+        # spreadsheets' "CSV UTF-8" exports start the file with a byte-order mark
         path = tmp_path / "tiny.csv"
-        path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n")
+        path.write_text(bom + "f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n", encoding="utf-8")
         ds = load_csv(path)
         assert ds.n_samples == 3
         assert ds.num_classes == 2
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert np.array_equal(ds.labels, [0, 1, 0])
 
     def test_header_only_rejected(self, tmp_path):
@@ -290,7 +286,7 @@ class TestCsv:
             load_csv(path)
 
     def test_round_trip(self, tmp_path):
-        spec = BlobSpec(3, 15, dimension=4)
+        spec = BlobSpec(3, 15, dimension=4, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=5)
         path = tmp_path / "blob.csv"
         save_csv(ds, path)
@@ -434,14 +430,14 @@ class TestStandardize:
         assert np.array_equal(out.features[:, 0], np.zeros(6))
 
     def test_train_moments(self):
-        spec = BlobSpec(3, 30, dimension=3)
+        spec = BlobSpec(3, 30, dimension=3, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=6)
         (out,) = standardize(ds)
         assert np.max(np.abs(out.features.mean(axis=0))) < 1e-12
         assert np.max(np.abs(out.features.std(axis=0) - 1.0)) < 1e-9
 
     def test_transform_comes_from_train(self):
-        spec = BlobSpec(3, 40, dimension=2)
+        spec = BlobSpec(3, 40, dimension=2, overlap_pairs=())
         ds = generate_confusable_blobs(spec, seed=7)
         train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed=7)
         train_t, val_t, _ = standardize(train, val, test)

@@ -92,7 +92,6 @@ VALID_VALUES = {
     "data.classes": _text_of(st.integers(4, 64)),  # the overlap pairs name classes 0..3
     "data.per_class": _text_of(st.integers(1, 1000)),
     "data.dimension": _text_of(st.integers(1, 64)),
-    "data.spread": _text_of(st.floats(1e-3, 1e3)),
     "data.overlap": st.permutations(range(4)).flatmap(
         lambda p: st.sampled_from([(), ((p[0], p[1]),), ((p[0], p[1]), (p[2], p[3]))])
     ).map(lambda pairs: (",".join(f"{a}:{b}" for a, b in pairs), pairs)),
@@ -124,7 +123,6 @@ def settings_of(cfg, every_kind):
         "data.classes": cfg.data.num_classes,
         "data.per_class": cfg.data.samples_per_class,
         "data.dimension": cfg.data.dimension,
-        "data.spread": cfg.data.spread,
         "data.overlap": cfg.data.overlap_pairs,
         "split.train": cfg.split.train_fraction,
         "split.val": cfg.split.val_fraction,
@@ -243,6 +241,13 @@ class TestConfigParsing:
             assert set(names) <= {f.name for f in dataclasses.fields(cls)}
         assert sent == {}
 
+    @pytest.mark.parametrize("cls", [BlobSpec, SplitSpec, TrainConfig])
+    def test_table_is_the_only_source_of_defaults(self, cls):
+        # a dataclass default would be a second value beside the key's
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING, f.name
+            assert f.default_factory is dataclasses.MISSING, f.name
+
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -278,8 +283,12 @@ class TestConfigParsing:
         expected = {key: defaults[key] for key in got} | {k: v for k, (_, v) in written.items()}
         assert got == expected
 
-    def test_parse_config_file(self, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    def test_parse_config_file(self, tmp_path, bom):
+        # a byte-order mark, as some editors save UTF-8, is not part of the first key
         path = write_config(tmp_path)
+        lines = [line for line in path.read_text().splitlines() if "=" in line]
+        path.write_text(bom + "\n".join(lines) + "\n", encoding="utf-8")
         cfg = parse_config(path)
         assert cfg.data.num_classes == 4
         assert cfg.train.epochs == 4
@@ -324,7 +333,6 @@ class TestGenerate:
             "blob.classes": str(blob.num_classes),
             "blob.per_class": str(blob.samples_per_class),
             "blob.dimension": str(blob.dimension),
-            "blob.spread": repr(blob.spread),
             "blob.overlap": ",".join(f"{a}:{b}" for a, b in blob.overlap_pairs),
             "blob.centers": ";".join(":".join(row) for row in centers),
             "seed": "9",
@@ -599,7 +607,8 @@ class TestSeedWorkers:
 
 def write_feature_csv(path):
     """A 3-class, 2-feature CSV of 60 rows, for configs with a CSV source."""
-    save_csv(generate_confusable_blobs(BlobSpec(3, 20, dimension=2), seed=0), path)
+    blobs = generate_confusable_blobs(BlobSpec(3, 20, dimension=2, overlap_pairs=()), seed=0)
+    save_csv(blobs, path)
     return path
 
 
@@ -698,7 +707,6 @@ class TestCsvSource:
             "data.classes = 5",
             "data.per_class = 30",
             "data.dimension = 2",
-            "data.spread = 2.0",
             "data.overlap = 0:2",
         ],
     )
@@ -781,6 +789,19 @@ class TestCli:
         assert f"run directory {run_dir} is not empty" in capsys.readouterr().err
         after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         assert after == before
+
+    def test_train_into_a_compare_dir_refused_and_left_unchanged(self, tmp_path, capsys):
+        # the run would join the compare's in report, though its table never counted it
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        mix = tmp_path / "mix"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(mix)]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in mix.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg_path), "--out", str(mix), "--seed", "7"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(mix) in err[0]
+        assert {p: p.read_bytes() for p in mix.rglob("*") if p.is_file()} == before
+        assert not (mix / "hard_seed7").exists()
 
     def test_compare_and_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -888,6 +909,9 @@ class TestCli:
             ("vanilla.alpha = banana", "vanilla.alpha"),
             ("ols.warmup = -3", "ols.warmup"),
             ("cpls.beta = 2", "cpls.beta"),
+            # the generator's unit is the noise standard deviation, and every
+            # run standardizes its splits, so no key scales the blobs
+            ("data.spread = 2.0", "unknown config keys: data.spread"),
         ],
     )
     def test_bad_train_setting_rejected_when_read(self, tmp_path, capsys, command, line, setting):
@@ -904,7 +928,6 @@ class TestCli:
             "data.classes = 1",
             "data.per_class = 0",
             "data.dimension = 0",
-            "data.spread = 0",
             "data.overlap = 0:1,1:2",
             "data.overlap = 0:9",
             "split.train = 0.9",
@@ -925,7 +948,7 @@ class TestCli:
     ):
         # the message names the config key, not the dataclass field behind it;
         # a rule over several fields names every key of its group
-        data_keys = "data.classes/data.per_class/data.dimension/data.spread/data.overlap"
+        data_keys = "data.classes/data.per_class/data.dimension/data.overlap"
         groups = {
             "data.overlap = 0:1,1:2": data_keys,
             "data.overlap = 0:9": data_keys,

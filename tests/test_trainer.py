@@ -47,7 +47,7 @@ from oracles import (
 
 
 def tiny_dataset(seed=0, n_per=12, classes=3, dim=4):
-    spec = BlobSpec(classes, n_per, dimension=dim)
+    spec = BlobSpec(classes, n_per, dimension=dim, overlap_pairs=())
     ds = generate_confusable_blobs(spec, seed=seed)
     (ds,) = standardize(ds)
     return ds
