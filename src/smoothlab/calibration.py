@@ -36,11 +36,12 @@ def _validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     if y.ndim != 1 or y.shape[0] != p.shape[0]:
         raise DimensionError(f"labels must be 1-D with one entry per row of probs")
     # Each check looks at the whole array first and finds the row it names
-    # only when it fails.
-    if not np.isfinite(p).all():
-        row = np.nonzero(~np.isfinite(p).all(axis=1))[0][0]
-        raise DomainError(f"row {row} of probs has a non-finite entry")
-    if p.min() < 0.0 or p.max() > 1.0 + _ROW_SUM_TOL:
+    # only when it fails. A non-finite entry fails the range check too (NaN
+    # compares false), so the non-finite row is looked for only then.
+    if not (p.min() >= 0.0 and p.max() <= 1.0 + _ROW_SUM_TOL):
+        if not np.isfinite(p).all():
+            row = np.nonzero(~np.isfinite(p).all(axis=1))[0][0]
+            raise DomainError(f"row {row} of probs has a non-finite entry")
         raise DomainError("probability entries must lie in [0, 1]")
     row_sums = p.sum(axis=1)
     deviation = np.abs(row_sums - 1.0)
@@ -74,8 +75,11 @@ def reliability_bins(probs, labels, num_bins: int) -> ReliabilityBins:
     if num_bins < 1:
         raise DomainError(f"num_bins must be >= 1, got {num_bins}")
     p, y = _validated(probs, labels)
-    confidence = p.max(axis=1)
-    correct = p.argmax(axis=1) == y
+    # The argmax is taken once and the confidence read at it: a row's max is
+    # that entry, whatever order a max reduction takes.
+    predicted = p.argmax(axis=1)
+    confidence = p[np.arange(p.shape[0]), predicted]
+    correct = predicted == y
     idx = _bin_index(confidence, num_bins)
 
     counts = np.bincount(idx, minlength=num_bins)

@@ -27,7 +27,11 @@ from .errors import ConfigError, DomainError, ParseError
 from .smoothing import STRATEGY_KINDS, TargetStrategy, write_confusion_csv
 from .trainer import (
     EpochMetrics,
+    ModelParams,
     TrainConfig,
+    _fit_stack,
+    _RunError,
+    _stack_cap,
     evaluate,
     extract_features,
     fit,
@@ -295,9 +299,6 @@ def run_single(
 ) -> RunRecord:
     """Train one (strategy, seed) pair on prepared splits and emit its artifacts."""
     train, val, test = splits
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    artifacts: dict[str, Path] = {}
     # A cpls run's tracker table of each epoch; normalize() binds a new array
     # every epoch, so the list holds every table, not the last one E times.
     val_confusion: list = []
@@ -307,6 +308,24 @@ def run_single(
             val_confusion.append(tracker.normalized)
 
     params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=collect_confusion)
+    return _emit_run(test, cfg, strategy, seed, run_dir, params, metrics, val_confusion)
+
+
+def _emit_run(
+    test: LabeledDataset,
+    cfg: ExperimentConfig,
+    strategy: TargetStrategy,
+    seed: int,
+    run_dir: Path,
+    params: ModelParams,
+    metrics: list[EpochMetrics],
+    val_confusion: list,
+) -> RunRecord:
+    """Write a trained run's artifacts into ``run_dir``: its cpls tracker
+    tables (when ``val_confusion`` holds any), its metrics, the test-split
+    scores and features, and the summary. Returns the run's record."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    artifacts: dict[str, Path] = {}
     if val_confusion:
         artifacts["val_confusion"] = run_dir / "val_confusion.csv"
         write_confusion_csv(val_confusion, artifacts["val_confusion"])
@@ -350,6 +369,10 @@ def run_single(
     return record
 
 
+# The file a compare keeps in its output directory until its table is written.
+_UNFINISHED = "comparison.csv.unfinished"
+
+
 def _empty_run_dir(
     cfg: ExperimentConfig, strategy: TargetStrategy, seed: int, command: str
 ) -> Path:
@@ -364,11 +387,11 @@ def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> 
     """Standalone single run: prepare splits for the seed, then train and emit.
 
     A run directory that already holds a file, or an output directory that
-    holds a compare's table, is refused before anything is written, so no
-    run's artifacts sit beside those of an earlier one and no compare's report
-    lists a run it did not make.
+    holds a compare's table or the mark of a compare that never wrote it, is
+    refused before anything is written, so no run's artifacts sit beside those
+    of an earlier one and no compare's report lists a run it did not make.
     """
-    if (cfg.out_dir / "comparison.csv").exists():
+    if (cfg.out_dir / "comparison.csv").exists() or (cfg.out_dir / _UNFINISHED).exists():
         raise ConfigError(
             f"output directory {cfg.out_dir} holds a compare's runs; train into a new one"
         )
@@ -388,33 +411,88 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int) -> list[RunRecord]:
-    """Every strategy's run for one seed, in config order, on one set of splits."""
-    splits = prepare_splits(cfg, seed)
+def _chunks(items, count: int) -> list:
+    """``items`` cut into ``count`` contiguous chunks whose sizes differ by at
+    most one, the longer chunks first."""
+    size, extra = divmod(len(items), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _train_stack(
+    splits: list[tuple[LabeledDataset, LabeledDataset, LabeledDataset]],
+    cfg: ExperimentConfig,
+    strategy: TargetStrategy,
+    seeds: list[int],
+) -> list[RunRecord]:
+    """One strategy's runs of ``seeds`` (each on its splits), trained in
+    lockstep and emitted; a single run is ``run_single``. An error that one
+    run of several owns is raised as ``_RunError``."""
+    run_dirs = [cfg.out_dir / f"{strategy.kind}_seed{seed}" for seed in seeds]
+    if len(seeds) == 1:
+        return [run_single(splits[0], cfg, strategy, seeds[0], run_dirs[0])]
+    fitted = _fit_stack([(train, val) for train, val, _ in splits], cfg.train, strategy, seeds)
     records = []
-    for strategy in cfg.strategies:
-        run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+    for index, run in enumerate(zip(splits, seeds, run_dirs, fitted)):
+        (_, _, test), seed, run_dir, (params, metrics, tables) = run
         try:
-            records.append(run_single(splits, cfg, strategy, seed, run_dir))
+            records.append(_emit_run(test, cfg, strategy, seed, run_dir, params, metrics, tables))
         except Exception as exc:
-            raise RuntimeError(
-                f"run failed for strategy={strategy.kind} seed={seed}: {exc}"
-            ) from exc
+            raise _RunError(index, exc) from exc
+    return records
+
+
+def _run_chunk(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[list[RunRecord]]:
+    """Every strategy's run for each seed of a chunk: per seed, its records in
+    config order.
+
+    The chunk is cut into stacks of at most ``_stack_cap`` seeds, as evenly as
+    chunks are cut from the seeds, and only one stack's splits are held at a
+    time. For each strategy in turn, a stack's seeds train in lockstep
+    (``_fit_stack``). A failure names the strategy and the seed of the run
+    that owns it, or every seed of its stack when no single run does.
+    """
+    data = cfg.data
+    width = data.dimension if isinstance(data, BlobSpec) else data.n_features
+    cap = _stack_cap((width, *cfg.train.hidden, data.num_classes), cfg.train.batch_size)
+    records: list[list[RunRecord]] = []
+    for stack in _chunks(seeds, -(-len(seeds) // cap)):
+        splits = [prepare_splits(cfg, seed) for seed in stack]
+        # before the first run; run_compare turns the mark into the table
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        (cfg.out_dir / _UNFINISHED).touch()
+        stack_records: list[list[RunRecord]] = [[] for _ in stack]
+        for strategy in cfg.strategies:
+            try:
+                runs = _train_stack(splits, cfg, strategy, stack)
+            except _RunError as exc:
+                raise RuntimeError(
+                    f"run failed for strategy={strategy.kind} seed={stack[exc.index]}: {exc.error}"
+                ) from exc.error
+            except Exception as exc:
+                named = f"seed{'s' if len(stack) > 1 else ''}={','.join(map(str, stack))}"
+                raise RuntimeError(
+                    f"run failed for strategy={strategy.kind} {named}: {exc}"
+                ) from exc
+            for seed_records, record in zip(stack_records, runs):
+                seed_records.append(record)
+        records += stack_records
     return records
 
 
 def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
-    """``_run_seed`` for every seed, results in config order.
+    """Every seed's records (see ``_run_chunk``), in config order.
 
     The seeds are independent, so they run on one worker process per usable
-    CPU, up to one per seed. They run in this process when there is a single
-    worker, or when the main module's __file__ names no file that a worker
-    could run.
+    CPU, up to one per seed, each worker taking one contiguous chunk of them
+    (see ``_chunks``). They run in this process, as one chunk, when there is a
+    single worker, or when the main module's __file__ names no file that a
+    worker could run.
     Workers are spawned, not forked, so none inherits this process's BLAS
     thread pool; each starts with ``cpus // workers`` BLAS threads, so the
     workers' threads together use each CPU once.
-    The first failure in config order is raised; no seed starts after it, and
-    the seeds already running finish before this returns.
+    The first failure in config order is raised, and the chunks already
+    running finish before this returns.
     """
     cpus = _usable_cpus()
     workers = min(len(cfg.seeds), cpus)
@@ -422,7 +500,7 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
     # from stdin (``python - < script.py``) has a __file__ that names no file.
     main_file = getattr(sys.modules["__main__"], "__file__", None)
     if workers == 1 or (main_file is not None and not os.path.isfile(main_file)):
-        return [_run_seed(cfg, seed) for seed in cfg.seeds]
+        return _run_chunk(cfg, cfg.seeds)
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -444,14 +522,15 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
         saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers))))
         try:
-            futures = [pool.submit(_run_seed, cfg, seed) for seed in cfg.seeds]
+            chunks = _chunks(cfg.seeds, workers)
+            futures = [pool.submit(_run_chunk, cfg, chunk) for chunk in chunks]
         finally:
             for name, value in saved.items():
                 if value is None:
                     os.environ.pop(name, None)
                 else:
                     os.environ[name] = value
-        return [future.result() for future in futures]
+        return [records for future in futures for records in future.result()]
     except BrokenProcessPool as exc:
         raise RuntimeError(f"a compare worker process died ({exc}); {guard}") from exc
     finally:
@@ -466,7 +545,11 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     and the seed alone); only the loss targets differ. An output directory that
     already holds a comparison table or a run summary, or a run directory of
     this compare that holds any file, is refused before anything is written,
-    so no report mixes runs of two invocations.
+    so no report mixes runs of two invocations. From before the first run
+    until the table is written, the output directory holds the mark
+    ``_UNFINISHED``, which ``run_training`` refuses as it refuses the table;
+    the table is written into the mark, which is then renamed, so a finished
+    tree holds no mark.
 
     The seeds run in parallel worker processes where more than one CPU is
     usable (see ``_run_seeds``); every output byte is the same either way. A
@@ -481,7 +564,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     for seed in cfg.seeds:
         for strategy in cfg.strategies:
             _empty_run_dir(cfg, strategy, seed, "compare")
-    per_seed = _run_seeds(cfg)  # each run makes its run dir, and so the out dir
+    per_seed = _run_seeds(cfg)
     records = [record for seed_records in per_seed for record in seed_records]
     by_strategy = list(zip(*per_seed))
 
@@ -498,7 +581,9 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
             rows.append((runs[0].strategy, label, stat(accs), stat(eces)))
     table_path = out / "comparison.csv"
     header = ("strategy", "seed", "test_accuracy", "test_ece_x100")
-    write_csv(table_path, ("%s", "%s", "%.6f", "%.6f"), rows, header)
+    mark = out / _UNFINISHED
+    write_csv(mark, ("%s", "%s", "%.6f", "%.6f"), rows, header)
+    os.replace(mark, table_path)
     return table_path, records
 
 

@@ -29,7 +29,7 @@ from smoothlab import (
 )
 from smoothlab.cli import main
 from smoothlab.datasets import write_csv
-from smoothlab.experiment import _KEYS, config_from_values, parse_kv_text
+from smoothlab.experiment import _KEYS, _UNFINISHED, _chunks, config_from_values, parse_kv_text
 from smoothlab.smoothing import _KIND_FIELDS, STRATEGY_KINDS
 
 FAST_CONFIG = """
@@ -538,8 +538,96 @@ class TestCompare:
             experiment.run_compare(cfg)
 
 
+class TestStacks:
+    """Compares whose seeds of one strategy train in lockstep, in one process."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 10**6), unique=True, min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_chunks_are_contiguous_cover_each_seed_once_and_keep_config_order(self, seeds, data):
+        count = data.draw(st.integers(1, len(seeds)))
+        chunks = _chunks(tuple(seeds), count)
+        assert len(chunks) == count
+        # concatenated in order they give the seeds back, so each chunk is a
+        # contiguous run of them and the records come back in config order
+        assert [seed for chunk in chunks for seed in chunk] == seeds
+        sizes = [len(chunk) for chunk in chunks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    def test_non_finite_loss_names_the_lowest_failing_seed(self, tmp_path, monkeypatch):
+        import smoothlab.experiment as experiment
+        import smoothlab.trainer as trainer
+
+        real_init = trainer.init_params
+
+        def poison(sizes, seed):
+            params = real_init(sizes, seed)
+            if seed in (3, 2):
+                params.weights[0][0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(trainer, "init_params", poison)
+        cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
+        message = (
+            "run failed for strategy=hard seed=2: non-finite training loss at epoch 1, batch 0"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_compare(cfg)
+
+    def test_failure_of_the_whole_stack_names_every_seed(self, tmp_path, monkeypatch):
+        import smoothlab.experiment as experiment
+        import smoothlab.trainer as trainer
+
+        def boom(self, x, targets):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(trainer._ParamStack, "loss_and_gradients", boom)
+        cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
+        message = "run failed for strategy=hard seeds=3,1,2: synthetic failure"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_compare(cfg)
+
+    def test_failure_writing_one_run_names_its_seed(self, tmp_path, monkeypatch):
+        import smoothlab.experiment as experiment
+
+        real_emit = experiment._emit_run
+
+        def emit(test, cfg, strategy, seed, *args):
+            if strategy.kind == "cpls" and seed == 1:
+                raise OSError("disk full")
+            return real_emit(test, cfg, strategy, seed, *args)
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(experiment, "_emit_run", emit)
+        cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
+        with pytest.raises(RuntimeError, match=r"^run failed for strategy=cpls seed=1: disk full$"):
+            run_compare(cfg)
+
+
 class TestSeedWorkers:
     """Compares whose seeds run on worker processes."""
+
+    def test_uneven_chunks_give_the_bytes_of_one_process(self, tmp_path, monkeypatch):
+        # seeds 3,1 stack on one worker and 2 runs alone on the other
+        import smoothlab.experiment as experiment
+
+        trees = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            cfg_path = write_config(
+                tmp_path, "strategies = hard,ols,cpls", train_epochs=2, seeds="3,1,2"
+            )
+            assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+            files = [p for p in out.rglob("*") if p.is_file()]
+            trees.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert trees[0] == trees[1]
+        rows = trees[0][Path("comparison.csv")].decode().splitlines()[1:10]
+        assert [row.split(",")[1] for row in rows] == ["3", "1", "2"] * 3
 
     def test_failure_in_a_worker_names_the_first_run_and_leaves_nothing(
         self, tmp_path, monkeypatch
@@ -802,6 +890,40 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and str(mix) in err[0]
         assert {p: p.read_bytes() for p in mix.rglob("*") if p.is_file()} == before
         assert not (mix / "hard_seed7").exists()
+
+    def test_train_into_a_stopped_compare_refused_and_left_unchanged(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a compare stopped before its table was written: report would list
+        # the stray run among the compare's
+        import smoothlab.experiment as experiment
+
+        real_run_seeds = experiment._run_seeds
+
+        def stopped(cfg):
+            real_run_seeds(cfg)
+            raise KeyboardInterrupt
+
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        cut = tmp_path / "cut"
+        monkeypatch.setattr(experiment, "_run_seeds", stopped)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--config", str(cfg_path), "--out", str(cut)])
+        monkeypatch.undo()
+        assert not (cut / "comparison.csv").exists()
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in cut.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg_path), "--out", str(cut), "--seed", "7"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(cut) in err[0]
+        assert {p: p.read_bytes() for p in cut.rglob("*") if p.is_file()} == before
+        assert not (cut / "hard_seed7").exists()
+
+    def test_finished_compare_leaves_no_mark(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "runs" / "comparison.csv").is_file()
+        assert not (tmp_path / "runs" / _UNFINISHED).exists()
 
     def test_compare_and_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

@@ -25,11 +25,15 @@ from smoothlab import (
     fit,
     generate_confusable_blobs,
     init_params,
+    load_csv,
     loss_and_gradients,
+    save_csv,
     standardize,
     stratified_split,
     train_epoch,
 )
+
+from smoothlab.trainer import _fit_stack, _RunError
 
 from oracles import (
     accumulate,
@@ -675,3 +679,92 @@ class TestFit:
         params, _ = fit(train, val, make_config(epochs=1, hidden=hidden), HARD, 0)
         sizes = (7, *hidden, 5)
         assert [w.shape for w in params.weights] == list(zip(sizes[1:], sizes[:-1]))
+
+
+KINDS = [
+    HARD,
+    TargetStrategy("vanilla", alpha=0.1),
+    TargetStrategy("ols", warmup_epochs=1),
+    cpls(0.5, 1),
+]
+
+
+def fit_alone(train, val, config, strategy, seed):
+    """``fit``'s parameters and metrics, and the cpls tracker's table after each epoch."""
+    tables = []
+
+    def grab(epoch, params, record, tracker):
+        if tracker is not None:
+            tables.append(tracker.normalized)
+
+    params, metrics = fit(train, val, config, strategy, seed, on_epoch=grab)
+    return params, metrics, tables
+
+
+def assert_stack_matches_fit(splits, config, strategy, seeds):
+    stacked = _fit_stack(splits, config, strategy, seeds)
+    assert len(stacked) == len(seeds)
+    for (train, val), seed, got in zip(splits, seeds, stacked):
+        want = fit_alone(train, val, config, strategy, seed)
+        assert got[0].flat.tobytes() == want[0].flat.tobytes()
+        assert [w.shape for w in got[0].weights] == [w.shape for w in want[0].weights]
+        assert got[1] == want[1]
+        for m_got, m_want in zip(got[1], want[1]):
+            for name in EpochMetrics.__dataclass_fields__:
+                value = getattr(m_got, name)
+                assert type(value) is type(getattr(m_want, name))
+                assert repr(value) == repr(getattr(m_want, name))  # the bits, for floats
+        assert len(got[2]) == len(want[2]) == (config.epochs if strategy.kind == "cpls" else 0)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[2], want[2]))
+
+
+class TestFitStack:
+    """``_fit_stack`` gives each run of a stack what ``fit`` gives it alone, bit
+    for bit: the parameters, every metric and the cpls tracker's tables."""
+
+    @pytest.mark.parametrize("hidden", [(), (6, 5), (32,)])
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    @pytest.mark.parametrize("strategy", KINDS, ids=lambda s: s.kind)
+    def test_matches_fit_per_run(self, strategy, count, hidden):
+        seeds = [7 + 3 * i for i in range(count)]
+        splits = [split_blob(seed=s, classes=4, dim=3, overlap=((0, 1),))[:2] for s in seeds]
+        assert splits[0][0].n_samples % 16 != 0  # a remainder batch every epoch
+        config = make_config(epochs=4, lr=0.1, batch_size=16, hidden=hidden)
+        assert_stack_matches_fit(splits, config, strategy, seeds)
+
+    @pytest.mark.parametrize("strategy", KINDS, ids=lambda s: s.kind)
+    def test_matches_fit_per_run_on_a_csv_source(self, tmp_path, strategy):
+        # one parsed file, split by each seed, as a compare with data.csv does
+        path = tmp_path / "feats.csv"
+        save_csv(generate_confusable_blobs(BlobSpec(3, 25, 4, ((0, 1),)), seed=0), path)
+        ds = load_csv(path)
+        seeds = [2, 1, 3]
+        splits = [
+            standardize(*stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed))[:2]
+            for seed in seeds
+        ]
+        config = make_config(epochs=3, lr=0.1, batch_size=7, hidden=(6, 5))
+        assert_stack_matches_fit(splits, config, strategy, seeds)
+
+    def test_non_finite_loss_names_the_lowest_failing_seed(self, monkeypatch):
+        poisoned = {4, 2}
+
+        def poison(sizes, seed):
+            params = init_params(sizes, seed)
+            if seed in poisoned:
+                params.weights[0][0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(smoothlab.trainer, "init_params", poison)
+        seeds = [4, 3, 2]
+        splits = [split_blob(seed=s)[:2] for s in seeds]
+        with pytest.raises(_RunError) as caught:
+            _fit_stack(splits, make_config(), HARD, seeds)
+        assert seeds[caught.value.index] == 2
+        assert isinstance(caught.value.error, NumericError)
+        assert str(caught.value.error) == "non-finite training loss at epoch 1, batch 0"
+
+    def test_splits_of_different_shapes_rejected(self):
+        splits = [split_blob(seed=1)[:2], split_blob(seed=2, per_class=30)[:2]]
+        with pytest.raises(DimensionError, match="share their split shapes"):
+            _fit_stack(splits, make_config(), HARD, [1, 2])
