@@ -422,61 +422,72 @@ def _chunks(items, count: int) -> list:
 def _train_stack(
     splits: list[tuple[LabeledDataset, LabeledDataset, LabeledDataset]],
     cfg: ExperimentConfig,
-    strategy: TargetStrategy,
     seeds: list[int],
-) -> list[RunRecord]:
-    """One strategy's runs of ``seeds`` (each on its splits), trained in
-    lockstep and emitted; a single run is ``run_single``. An error that one
-    run of several owns is raised as ``_RunError``."""
-    run_dirs = [cfg.out_dir / f"{strategy.kind}_seed{seed}" for seed in seeds]
-    if len(seeds) == 1:
-        return [run_single(splits[0], cfg, strategy, seeds[0], run_dirs[0])]
-    fitted = _fit_stack([(train, val) for train, val, _ in splits], cfg.train, strategy, seeds)
+) -> list[list[RunRecord]]:
+    """Every strategy's runs of ``seeds`` (each seed on its splits): per seed,
+    its records in config order.
+
+    The runs form one stack, strategy by strategy in config order and seed by
+    seed within each; they train in lockstep (``_fit_stack``) and are then
+    emitted in that order. A stack of one seed trains each strategy alone
+    (``run_single``). An error that one run owns is raised as ``_RunError``
+    with the run's place in the stack.
+    """
+    runs = [
+        (strategy, split, seed) for strategy in cfg.strategies for split, seed in zip(splits, seeds)
+    ]
+    fitted = None
+    if len(seeds) > 1:
+        pairs = [(train, val) for train, val, _ in splits]
+        fitted = _fit_stack(pairs, cfg.train, cfg.strategies, seeds)
     records = []
-    for index, run in enumerate(zip(splits, seeds, run_dirs, fitted)):
-        (_, _, test), seed, run_dir, (params, metrics, tables) = run
+    for index, (strategy, split, seed) in enumerate(runs):
+        run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
         try:
-            records.append(_emit_run(test, cfg, strategy, seed, run_dir, params, metrics, tables))
+            if fitted is None:
+                records.append(run_single(split, cfg, strategy, seed, run_dir))
+            else:
+                records.append(_emit_run(split[2], cfg, strategy, seed, run_dir, *fitted[index]))
         except Exception as exc:
             raise _RunError(index, exc) from exc
-    return records
+    return [records[place :: len(seeds)] for place in range(len(seeds))]
 
 
 def _run_chunk(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[list[RunRecord]]:
     """Every strategy's run for each seed of a chunk: per seed, its records in
     config order.
 
-    The chunk is cut into stacks of at most ``_stack_cap`` seeds, as evenly as
-    chunks are cut from the seeds, and only one stack's splits are held at a
-    time. For each strategy in turn, a stack's seeds train in lockstep
-    (``_fit_stack``). A failure names the strategy and the seed of the run
-    that owns it, or every seed of its stack when no single run does.
+    The chunk is cut into stacks of at most ``_stack_cap`` runs, that is of
+    that many seeds over the number of strategies (at least one), as evenly
+    as chunks are cut from the seeds, and only one stack's splits are held at
+    a time. Every strategy's runs of a stack's seeds train in lockstep
+    together (``_train_stack``). A failure names the strategy and the seed of
+    the run that owns it, or every strategy and every seed of its stack when
+    no single run does.
     """
     data = cfg.data
     width = data.dimension if isinstance(data, BlobSpec) else data.n_features
-    cap = _stack_cap((width, *cfg.train.hidden, data.num_classes), cfg.train.batch_size)
+    runs = _stack_cap((width, *cfg.train.hidden, data.num_classes), cfg.train.batch_size)
+    cap = max(1, runs // len(cfg.strategies))  # in seeds, each one run per strategy
     records: list[list[RunRecord]] = []
     for stack in _chunks(seeds, -(-len(seeds) // cap)):
         splits = [prepare_splits(cfg, seed) for seed in stack]
         # before the first run; run_compare turns the mark into the table
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         (cfg.out_dir / _UNFINISHED).touch()
-        stack_records: list[list[RunRecord]] = [[] for _ in stack]
-        for strategy in cfg.strategies:
-            try:
-                runs = _train_stack(splits, cfg, strategy, stack)
-            except _RunError as exc:
-                raise RuntimeError(
-                    f"run failed for strategy={strategy.kind} seed={stack[exc.index]}: {exc.error}"
-                ) from exc.error
-            except Exception as exc:
-                named = f"seed{'s' if len(stack) > 1 else ''}={','.join(map(str, stack))}"
-                raise RuntimeError(
-                    f"run failed for strategy={strategy.kind} {named}: {exc}"
-                ) from exc
-            for seed_records, record in zip(stack_records, runs):
-                seed_records.append(record)
-        records += stack_records
+        try:
+            records += _train_stack(splits, cfg, stack)
+        except _RunError as exc:
+            strategy = cfg.strategies[exc.index // len(stack)]
+            seed = stack[exc.index % len(stack)]
+            raise RuntimeError(
+                f"run failed for strategy={strategy.kind} seed={seed}: {exc.error}"
+            ) from exc.error
+        except Exception as exc:
+            kinds = ",".join(strategy.kind for strategy in cfg.strategies)
+            raise RuntimeError(
+                f"run failed for strategies={kinds} seeds={','.join(map(str, stack))}: {exc}"
+            ) from exc
     return records
 
 

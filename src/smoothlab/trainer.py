@@ -6,9 +6,10 @@ target for label y), so the per-batch work is always plain soft-target
 cross-entropy. ``fit`` keeps only the per-epoch state the strategy's kind
 reads: the confusion tracker for cpls, the online-smoothing accumulator for ols.
 
-``_fit_stack`` trains several seeds of one strategy in lockstep, as one
-stacked program with the same per-run state, and gives each run the bits
-``fit`` gives it alone; ``fit`` stays the reference.
+``_fit_stack`` trains every strategy's runs of several seeds in lockstep, as
+one stacked program with the same per-run state and one batched validation
+pass per epoch, and gives each run the bits ``fit`` gives it alone; ``fit``
+stays the reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import ece
+from .calibration import _bin_index, _validated, ece
 from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .datasets import LabeledDataset
 from .smoothing import (
@@ -358,12 +359,25 @@ class _RunState:
         val_probs: np.ndarray,
         val_confusion: np.ndarray,
     ) -> EpochMetrics:
-        """Record the epoch from its validation pass, then fold that pass (cpls)
-        or the epoch's training batches (ols) into the next epoch's table. A
-        cpls tracker binds a new ``normalized`` array every epoch."""
+        """Take the val loss and ECE of the epoch's validation pass, then
+        ``fold`` the epoch."""
         n = self.val.n_samples
         val_loss = -float(np.add.reduce(floored_log(val_probs[self.val_picks]))) / n
         val_ece = ece(val_probs, self.val.labels, self.ece_bins)
+        return self.fold(epoch, train_loss, val_loss, val_accuracy, val_ece, val_confusion)
+
+    def fold(
+        self,
+        epoch: int,
+        train_loss: float,
+        val_loss: float,
+        val_accuracy: float,
+        val_ece: float,
+        val_confusion: np.ndarray,
+    ) -> EpochMetrics:
+        """Record the epoch's metrics, then fold its validation counts (cpls)
+        or its training batches (ols) into the next epoch's table. A cpls
+        tracker binds a new ``normalized`` array every epoch."""
         phase = self.strategy.phase(epoch)
         record = EpochMetrics(epoch, phase, train_loss, val_loss, val_accuracy, val_ece)
         self.metrics.append(record)
@@ -386,9 +400,10 @@ _STACK_BUDGET = 2_000_000
 
 
 def _stack_cap(layer_sizes: tuple[int, ...], batch_size: int) -> int:
-    """The most runs of this network and batch size that one stack holds:
-    ``_STACK_BUDGET`` over one run's working set, its parameter, momentum,
-    gradient and step buffers plus one batch's activations forward and back."""
+    """The most runs of this network and batch size that one stack holds,
+    whatever their strategies: ``_STACK_BUDGET`` over one run's working set,
+    its parameter, momentum, gradient and step buffers plus one batch's
+    activations forward and back."""
     num_params = sum(
         (fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
     )
@@ -404,6 +419,53 @@ class _RunError(Exception):
         super().__init__(index, error)
         self.index = index
         self.error = error
+
+
+def _stack_scores(
+    probs: np.ndarray, labels: np.ndarray, num_bins: int
+) -> tuple[list[float], list[np.float64], list[float], np.ndarray]:
+    """Each run's val loss, accuracy, ECE and confusion counts (true x
+    predicted) from an (R, n, C) stack of validation probabilities and its (R, n)
+    labels, each the bits ``fit`` takes for the run alone (``_scores``, the
+    floored-log loss and the public ``ece``), in one pass over the stack.
+
+    The probabilities are checked as the public ``ece`` checks them, all runs
+    at once; when that fails, ``ece`` is called run by run, and the first run
+    it fails on raises ``_RunError`` with that run's index and message.
+    """
+    count, n, c = probs.shape
+    try:
+        _validated(probs.reshape(-1, c), labels.ravel())
+    except (DimensionError, DomainError):
+        for index in range(count):
+            try:
+                ece(probs[index], labels[index], num_bins)
+            except (DimensionError, DomainError) as exc:
+                raise _RunError(index, exc) from exc
+        raise
+    # As in reliability_bins: the argmax once, the confidence read at it.
+    predictions = probs.argmax(axis=2)
+    confidence = np.take_along_axis(probs, predictions[:, :, None], axis=2)[:, :, 0]
+    picked = np.take_along_axis(probs, labels[:, :, None], axis=2)[:, :, 0]
+    val_losses = -np.add.reduce(floored_log(picked), axis=1) / n
+    correct = predictions == labels
+    accuracies = np.count_nonzero(correct, axis=1) / n
+    # Run r's counts and bins sit at offset r of one bincount each.
+    runs = np.arange(count)[:, None]
+    cells = ((runs * c + labels) * c + predictions).ravel()
+    confusions = np.bincount(cells, minlength=count * c * c).reshape(count, c, c)
+    bins = (runs * num_bins + _bin_index(confidence, num_bins)).ravel()
+    size = count * num_bins
+    counts = np.bincount(bins, minlength=size)
+    conf_sums = np.bincount(bins, weights=confidence.ravel(), minlength=size)
+    correct_sums = np.bincount(bins, weights=correct.ravel(), minlength=size)
+    nonempty = counts > 0
+    mean_conf = np.divide(conf_sums, counts, out=np.zeros(size), where=nonempty)
+    accuracy = np.divide(correct_sums, counts, out=np.zeros(size), where=nonempty)
+    gaps = counts / n * np.abs(accuracy - mean_conf)
+    eces = np.add.reduce(gaps.reshape(count, num_bins), axis=1)
+    # the accuracy as _scores types it, a numpy float
+    return val_losses.tolist(), list(accuracies), eces.tolist(), confusions
 
 
 class _ParamStack:
@@ -489,64 +551,78 @@ class _ParamStack:
 def _fit_stack(
     splits: list[tuple[LabeledDataset, LabeledDataset]],
     config: TrainConfig,
-    strategy: TargetStrategy,
+    strategies: list[TargetStrategy],
     seeds: list[int],
 ) -> list[tuple[ModelParams, list[EpochMetrics], list[np.ndarray]]]:
-    """``fit`` of one strategy on each (train, val) split with its seed, the
+    """``fit`` of every strategy on each (train, val) split with its seed, the
     runs trained in lockstep: one stacked SGD program (see ``_ParamStack``)
     whose every run gets, bit for bit, the parameters and metrics ``fit``
     gives it alone. The splits must share their shapes, as the splits of one
-    config's seeds do.
+    config's seeds do. The runs are strategy by strategy, seed by seed within
+    each: run r is ``strategies[r // S]`` with ``seeds[r % S]`` for S seeds.
 
-    Each run keeps its own targets, shuffle and ``_RunState``; the step's
-    probabilities reach an ols smoother as run r's slice, and the validation
-    pass is one stacked forward per epoch. Returns, per run, its parameters,
-    its metrics and, for cpls, the tracker's table after each epoch. A
-    non-finite loss raises ``_RunError`` naming the lowest seed it shows in
-    at that step, and an error in one run's validation pass one naming that run.
+    Each run keeps its own targets and ``_RunState``; a seed's runs share its
+    shuffled training split, drawn once per epoch. An ols smoother is fed a
+    copy of its run's slice of the step's probabilities, and the validation
+    pass is one stacked forward and one ``_stack_scores`` per epoch. Returns,
+    per run, its parameters, its metrics and, for cpls, the tracker's table
+    after each epoch. A non-finite loss raises ``_RunError`` naming, of the
+    runs it shows in at that step, the one of the first strategy and then the
+    lowest seed; an error in one run's validation pass names that run.
     """
     train, val = splits[0]
     shapes = (train.features.shape, val.features.shape)
     if any((t.features.shape, v.features.shape) != shapes for t, v in splits):
         raise DimensionError("the runs of a stack must share their split shapes")
-    count, n, num_classes = len(seeds), train.n_samples, train.num_classes
+    n, num_classes = train.n_samples, train.num_classes
     sizes = (train.n_features, *config.hidden, num_classes)
-    stack = _ParamStack([init_params(sizes, seed) for seed in seeds])
-    runs = [_RunState(strategy, v, config) for _, v in splits]
-    smoothers = [run.smoother for run in runs if run.smoother is not None]
-    val_features = np.stack([v.features for _, v in splits])
-    tables_seen: list[list[np.ndarray]] = [[] for _ in seeds]
-    in_stack = np.arange(count)[:, None]
+    initial = [init_params(sizes, seed) for seed in seeds]
+    stack = _ParamStack([params for _ in strategies for params in initial])
+    runs = [_RunState(strategy, v, config) for strategy in strategies for _, v in splits]
+    smoothers = [(r, run.smoother) for r, run in enumerate(runs) if run.smoother is not None]
+    count = len(runs)
+    # the order in which a non-finite loss names runs, and each run's seed row
+    blame = [(place, seed) for place in range(len(strategies)) for seed in seeds]
+    rows = np.arange(count) % len(seeds)
+    # Every epoch refills the same buffers, one row per seed.
+    features = np.empty((len(seeds), n, train.n_features))
+    labels = np.empty((len(seeds), n), dtype=train.labels.dtype)
+    tables = np.empty((count, num_classes, num_classes))
+    # row r * C + y of tables_flat is run r's target for label y
+    tables_flat = tables.reshape(-1, num_classes)
+    offsets = np.arange(count)[:, None] * num_classes
+    val_features = np.stack([v.features for _, v in splits])[rows]
+    val_labels = np.stack([v.labels for _, v in splits])[rows]
+    tables_seen: list[list[np.ndarray]] = [[] for _ in runs]
 
     for epoch in range(1, config.epochs + 1):
-        orders = [np.random.default_rng([seed, epoch]).permutation(n) for seed in seeds]
-        features = np.stack([t.features[order] for (t, _), order in zip(splits, orders)])
-        labels = np.stack([t.labels[order] for (t, _), order in zip(splits, orders)])
-        targets = np.stack([run.table(epoch) for run in runs])[in_stack, labels]
+        for row, ((t, _), seed) in enumerate(zip(splits, seeds)):
+            order = np.random.default_rng([seed, epoch]).permutation(n)
+            np.take(t.features, order, axis=0, out=features[row])
+            np.take(t.labels, order, out=labels[row])
+        for index, run in enumerate(runs):
+            tables[index] = run.table(epoch)
         totals = np.zeros(count)
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             batch = slice(start, start + config.batch_size)
-            losses, probs = stack.loss_and_gradients(features[:, batch], targets[:, batch])
+            batch_labels = labels[rows, batch]
+            targets = np.take(tables_flat, batch_labels + offsets, axis=0)
+            losses, probs = stack.loss_and_gradients(features[rows, batch], targets)
             finite = np.isfinite(losses)
             if not finite.all():
-                index = min(np.flatnonzero(~finite).tolist(), key=seeds.__getitem__)
+                index = min(np.flatnonzero(~finite).tolist(), key=blame.__getitem__)
                 error = NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
                 raise _RunError(index, error)
-            for smoother, run_labels, run_probs in zip(smoothers, labels[:, batch], probs):
-                smoother.update_batch(run_labels, run_probs)
+            for index, smoother in smoothers:
+                smoother.update_batch(batch_labels[index], probs[index].copy())
             stack.sgd_step(config.learning_rate, config.momentum)
             totals += losses * probs.shape[1]
         train_losses = (totals / n).tolist()
 
         val_probs = softmax_rows_inplace(stack.forward(val_features)[0])
-        for index, run in enumerate(runs):
-            try:
-                val_accuracy, val_confusion = _scores(val_probs[index], run.val)
-                run.end_epoch(
-                    epoch, train_losses[index], val_accuracy, val_probs[index], val_confusion
-                )
-            except Exception as exc:
-                raise _RunError(index, exc) from exc
+        scores = _stack_scores(val_probs, val_labels, config.ece_bins)
+        for index, (run, train_loss, *score) in enumerate(zip(runs, train_losses, *scores)):
+            run.fold(epoch, train_loss, *score)
             if run.tracker is not None:
                 tables_seen[index].append(run.tracker.normalized)
     return [

@@ -587,9 +587,34 @@ class TestStacks:
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(trainer._ParamStack, "loss_and_gradients", boom)
         cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
-        message = "run failed for strategy=hard seeds=3,1,2: synthetic failure"
+        message = "run failed for strategies=hard,cpls seeds=3,1,2: synthetic failure"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             run_compare(cfg)
+
+    def test_a_stack_holds_every_strategy_of_as_many_seeds_as_the_cap_allows(
+        self, tmp_path, monkeypatch
+    ):
+        import smoothlab.experiment as experiment
+
+        stacked, alone = [], []
+        real_fit_stack, real_run_single = experiment._fit_stack, experiment.run_single
+
+        def fit_stack(splits, config, strategies, seeds):
+            stacked.append(([strategy.kind for strategy in strategies], list(seeds)))
+            return real_fit_stack(splits, config, strategies, seeds)
+
+        def run_single(splits, cfg, strategy, seed, run_dir):
+            alone.append((strategy.kind, seed))
+            return real_run_single(splits, cfg, strategy, seed, run_dir)
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+        # five runs: two seeds of the two strategies
+        monkeypatch.setattr(experiment, "_stack_cap", lambda sizes, batch_size: 5)
+        monkeypatch.setattr(experiment, "_fit_stack", fit_stack)
+        monkeypatch.setattr(experiment, "run_single", run_single)
+        run_compare(parse_config(write_config(tmp_path, seeds="3,1,2")))
+        assert stacked == [(["hard", "cpls"], [3, 1])]
+        assert alone == [("hard", 2), ("cpls", 2)]
 
     def test_failure_writing_one_run_names_its_seed(self, tmp_path, monkeypatch):
         import smoothlab.experiment as experiment

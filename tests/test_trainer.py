@@ -33,7 +33,7 @@ from smoothlab import (
     train_epoch,
 )
 
-from smoothlab.trainer import _fit_stack, _RunError
+from smoothlab.trainer import _fit_stack, _RunError, _RunState, _scores, _stack_scores
 
 from oracles import (
     accumulate,
@@ -701,10 +701,13 @@ def fit_alone(train, val, config, strategy, seed):
     return params, metrics, tables
 
 
-def assert_stack_matches_fit(splits, config, strategy, seeds):
-    stacked = _fit_stack(splits, config, strategy, seeds)
-    assert len(stacked) == len(seeds)
-    for (train, val), seed, got in zip(splits, seeds, stacked):
+def assert_stack_matches_fit(splits, config, strategies, seeds):
+    """Run k * S + s of ``_fit_stack``, for S seeds, is ``strategies[k]`` on
+    ``splits[s]`` with ``seeds[s]``; each must match ``fit`` of that run alone."""
+    stacked = _fit_stack(splits, config, strategies, seeds)
+    runs = [(kind, split, seed) for kind in strategies for split, seed in zip(splits, seeds)]
+    assert len(stacked) == len(runs)
+    for (strategy, (train, val), seed), got in zip(runs, stacked):
         want = fit_alone(train, val, config, strategy, seed)
         assert got[0].flat.tobytes() == want[0].flat.tobytes()
         assert [w.shape for w in got[0].weights] == [w.shape for w in want[0].weights]
@@ -716,6 +719,14 @@ def assert_stack_matches_fit(splits, config, strategy, seeds):
                 assert repr(value) == repr(getattr(m_want, name))  # the bits, for floats
         assert len(got[2]) == len(want[2]) == (config.epochs if strategy.kind == "cpls" else 0)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got[2], want[2]))
+
+
+def csv_splits(tmp_path, seeds):
+    """One parsed feature file, split by each seed, as a compare with data.csv does."""
+    path = tmp_path / "feats.csv"
+    save_csv(generate_confusable_blobs(BlobSpec(3, 25, 4, ((0, 1),)), seed=0), path)
+    ds = load_csv(path)
+    return [standardize(*stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), s))[:2] for s in seeds]
 
 
 class TestFitStack:
@@ -730,41 +741,126 @@ class TestFitStack:
         splits = [split_blob(seed=s, classes=4, dim=3, overlap=((0, 1),))[:2] for s in seeds]
         assert splits[0][0].n_samples % 16 != 0  # a remainder batch every epoch
         config = make_config(epochs=4, lr=0.1, batch_size=16, hidden=hidden)
-        assert_stack_matches_fit(splits, config, strategy, seeds)
+        assert_stack_matches_fit(splits, config, [strategy], seeds)
 
-    @pytest.mark.parametrize("strategy", KINDS, ids=lambda s: s.kind)
-    def test_matches_fit_per_run_on_a_csv_source(self, tmp_path, strategy):
-        # one parsed file, split by each seed, as a compare with data.csv does
-        path = tmp_path / "feats.csv"
-        save_csv(generate_confusable_blobs(BlobSpec(3, 25, 4, ((0, 1),)), seed=0), path)
-        ds = load_csv(path)
+    @pytest.mark.parametrize("kinds", [KINDS, KINDS[::-1]], ids=["config", "reversed"])
+    @pytest.mark.parametrize("hidden", [(), (6, 5), (32,)])
+    @pytest.mark.parametrize("seeds", [[7, 4], [9, 2, 5]], ids=str)
+    def test_every_kind_in_one_stack_matches_fit_per_run(self, seeds, hidden, kinds):
+        splits = [split_blob(seed=s, classes=4, dim=3, overlap=((0, 1),))[:2] for s in seeds]
+        assert splits[0][0].n_samples % 16 != 0  # a remainder batch every epoch
+        config = make_config(epochs=4, lr=0.1, batch_size=16, hidden=hidden)
+        assert_stack_matches_fit(splits, config, kinds, seeds)
+
+    @pytest.mark.parametrize(
+        "kinds", [[kind] for kind in KINDS] + [KINDS], ids=[k.kind for k in KINDS] + ["every-kind"]
+    )
+    def test_matches_fit_per_run_on_a_csv_source(self, tmp_path, kinds):
         seeds = [2, 1, 3]
-        splits = [
-            standardize(*stratified_split(ds, SplitSpec(0.70, 0.15, 0.15), seed))[:2]
-            for seed in seeds
-        ]
         config = make_config(epochs=3, lr=0.1, batch_size=7, hidden=(6, 5))
-        assert_stack_matches_fit(splits, config, strategy, seeds)
+        assert_stack_matches_fit(csv_splits(tmp_path, seeds), config, kinds, seeds)
 
-    def test_non_finite_loss_names_the_lowest_failing_seed(self, monkeypatch):
-        poisoned = {4, 2}
-
-        def poison(sizes, seed):
+    @staticmethod
+    def poison(monkeypatch, seeds):
+        def poisoned(sizes, seed):
             params = init_params(sizes, seed)
-            if seed in poisoned:
+            if seed in seeds:
                 params.weights[0][0, 0] = np.nan
             return params
 
-        monkeypatch.setattr(smoothlab.trainer, "init_params", poison)
+        monkeypatch.setattr(smoothlab.trainer, "init_params", poisoned)
+
+    def test_non_finite_loss_names_the_lowest_failing_seed(self, monkeypatch):
+        self.poison(monkeypatch, {4, 2})
         seeds = [4, 3, 2]
         splits = [split_blob(seed=s)[:2] for s in seeds]
         with pytest.raises(_RunError) as caught:
-            _fit_stack(splits, make_config(), HARD, seeds)
+            _fit_stack(splits, make_config(), [HARD], seeds)
         assert seeds[caught.value.index] == 2
         assert isinstance(caught.value.error, NumericError)
+        assert str(caught.value.error) == "non-finite training loss at epoch 1, batch 0"
+
+    def test_non_finite_loss_names_the_first_strategy_then_the_lowest_seed(self, monkeypatch):
+        # every strategy's run of a poisoned seed fails at the same step
+        self.poison(monkeypatch, {4, 2})
+        seeds = [4, 3, 2]
+        splits = [split_blob(seed=s)[:2] for s in seeds]
+        with pytest.raises(_RunError) as caught:
+            _fit_stack(splits, make_config(), KINDS[::-1], seeds)
+        assert caught.value.index == 2  # the first strategy's run of seed 2
         assert str(caught.value.error) == "non-finite training loss at epoch 1, batch 0"
 
     def test_splits_of_different_shapes_rejected(self):
         splits = [split_blob(seed=1)[:2], split_blob(seed=2, per_class=30)[:2]]
         with pytest.raises(DimensionError, match="share their split shapes"):
-            _fit_stack(splits, make_config(), HARD, [1, 2])
+            _fit_stack(splits, make_config(), [HARD], [1, 2])
+
+
+@st.composite
+def probability_stacks(draw):
+    """An (R, n, C) stack of probability rows, its (R, n) labels and a bin
+    count. Rows are random, hold tied maxima, put their maximum exactly on a
+    bin edge m / num_bins, or hold 1 + 1e-7 (inside the row-sum tolerance)."""
+    count, n, c = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    num_bins = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(count * n):
+        kind = draw(st.sampled_from(["random", "tie", "edge", "over"]))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c))
+        if kind == "random":
+            row = np.array(weights) / math.fsum(weights)
+        elif kind == "tie":
+            tied = draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=c, unique=True))
+            weights = np.array(weights)
+            weights[tied] = weights.max()
+            row = weights / weights.sum()
+        elif kind == "edge":
+            top = draw(st.integers(-(-num_bins // c), num_bins)) / num_bins
+            row, rest = np.zeros(c), 1.0 - top
+            row[draw(st.integers(0, c - 1))] = top
+            for j in range(c):  # the rest in pieces no larger than the top
+                if row[j] == 0.0 and rest > 0.0:
+                    row[j] = min(top, rest)
+                    rest -= row[j]
+        else:
+            row = np.zeros(c)
+            row[draw(st.integers(0, c - 1))] = 1.0 + 1e-7
+        rows.append(row)
+    probs = np.array(rows).reshape(count, n, c)
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=count * n, max_size=count * n)))
+    return probs, labels.reshape(count, n), num_bins
+
+
+class TestStackScores:
+    """The stacked validation pass gives each run the bits of the per-run one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(probability_stacks())
+    def test_each_run_matches_the_per_run_pass(self, stack):
+        probs, labels, num_bins = stack
+        config = make_config(ece_bins=num_bins)
+        val_losses, accuracies, eces, confusions = _stack_scores(probs, labels, num_bins)
+        for r in range(probs.shape[0]):
+            val = LabeledDataset(np.zeros((labels.shape[1], 1)), labels[r], probs.shape[2])
+            accuracy, confusion = _scores(probs[r], val)
+            record = _RunState(HARD, val, config).end_epoch(1, 0.0, accuracy, probs[r], confusion)
+            for got, want in [
+                (accuracies[r], accuracy),
+                (val_losses[r], record.val_loss),
+                (eces[r], record.val_ece),
+            ]:
+                assert type(got) is type(want)
+                assert repr(got) == repr(want)  # the bits
+            assert confusions[r].dtype == confusion.dtype
+            assert np.array_equal(confusions[r], confusion)
+
+    @pytest.mark.parametrize("run, row", [(0, 0), (2, 3), (1, 4)])
+    def test_non_finite_entry_names_its_run_and_row(self, run, row):
+        probs = np.full((3, 5, 4), 0.25)
+        probs[run, row, 1] = np.nan
+        labels = np.zeros((3, 5), dtype=np.int64)
+        with pytest.raises(_RunError) as caught:
+            _stack_scores(probs, labels, 10)
+        assert caught.value.index == run
+        assert isinstance(caught.value.error, DomainError)
+        assert str(caught.value.error) == f"row {row} of probs has a non-finite entry"
