@@ -121,10 +121,13 @@ class ConfusionTracker:
         self.normalized = np.eye(num_classes)
 
     def accumulate_counts(self, counts: np.ndarray) -> "ConfusionTracker":
-        """Add a whole count matrix (e.g. one validation pass) at once."""
+        """Add a whole count matrix (e.g. one validation pass) at once; its
+        entries must be non-negative whole numbers."""
         c = np.asarray(counts)
         if c.shape != self.counts.shape:
             raise DimensionError(f"expected counts of shape {self.counts.shape}, got {c.shape}")
+        if c.dtype.kind not in "biu" and not (np.isfinite(c) & (c == np.floor(c))).all():
+            raise DomainError("confusion counts must be finite whole numbers")
         if c.min() < 0:
             raise DomainError("confusion counts must be non-negative")
         self.counts += c.astype(np.int64)

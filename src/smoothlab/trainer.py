@@ -6,10 +6,11 @@ target for label y), so the per-batch work is always plain soft-target
 cross-entropy. ``fit`` keeps only the per-epoch state the strategy's kind
 reads: the confusion tracker for cpls, the online-smoothing accumulator for ols.
 
-``_fit_stack`` trains every strategy's runs of several seeds in lockstep, as
-one stacked program with the same per-run state and one batched validation
-pass per epoch, and gives each run the bits ``fit`` gives it alone; ``fit``
-stays the reference.
+``_ParamStack`` holds the only forward pass, gradient and SGD step, for R
+runs at once; the per-run functions run it at R=1. ``_fit_stack`` trains every
+strategy's runs of several seeds in lockstep with one batched validation pass
+per epoch, and gives each run the bits ``fit`` gives it alone. Both are held
+to ``reference_epoch`` in the trainer tests and to ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ class ModelParams:
 
     The constructor copies the given arrays into a flat float64 buffer that the
     instance owns: ``flat`` holds every weight matrix and then every bias,
-    layer by layer, and the two lists are views into it. ``flat_velocity``
-    holds the momentum in the same layout and starts at zero, so one SGD step
-    can update every layer at once. ``flat_grad`` is the buffer, in the same
-    layout, that ``loss_and_gradients`` writes each gradient into;
-    ``grad_weights`` and ``grad_biases`` are its per-layer views.
+    layer by layer, and the two lists are views into it. ``_stack`` is the
+    one-run ``_ParamStack`` over ``flat`` that trains it; ``flat_velocity``
+    (the momentum, starting at zero) and ``flat_grad`` (where
+    ``loss_and_gradients`` writes each gradient) are its row 0, in the same
+    layout.
     """
 
     weights: list[np.ndarray]
@@ -82,8 +83,7 @@ class ModelParams:
     flat: np.ndarray = field(init=False, repr=False)
     flat_velocity: np.ndarray = field(init=False, repr=False)
     flat_grad: np.ndarray = field(init=False, repr=False)
-    grad_weights: list[np.ndarray] = field(init=False, repr=False)
-    grad_biases: list[np.ndarray] = field(init=False, repr=False)
+    _stack: _ParamStack = field(init=False, repr=False)
     _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -95,10 +95,10 @@ class ModelParams:
         self.flat = np.concatenate(
             [np.asarray(a, dtype=np.float64).ravel() for a in self.weights + self.biases]
         )
-        self.flat_velocity = np.zeros_like(self.flat)
-        self.flat_grad = np.zeros_like(self.flat)
+        self._stack = _ParamStack(self._layout, self.flat[None])
+        self.flat_velocity = self._stack.velocity[0]
+        self.flat_grad = self._stack.grad[0]
         self.weights, self.biases = self.split(self.flat)
-        self.grad_weights, self.grad_biases = self.split(self.flat_grad)
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a flat buffer in this layout."""
@@ -154,65 +154,29 @@ def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    # activations[i] is the input to layer i; activations[-1] feeds the output layer.
-    activations = [x]
-    h = x
-    # np.dot has less call overhead than @ on these small matrices; both hand a
-    # 2-D float64 product to the same BLAS routine, so the bits are the same.
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.dot(h, w.T)
-        h += b
-        np.maximum(h, 0.0, out=h)
-        activations.append(h)
-    logits = np.dot(h, params.weights[-1].T)
-    logits += params.biases[-1]
-    return logits, activations
-
-
 def loss_and_gradients(
     params: ModelParams, x: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean soft-target cross-entropy over a batch, the predicted probabilities,
-    and the gradient w.r.t. every weight and bias as one flat array laid out
-    like ``params.flat``.
+    """Mean soft-target cross-entropy over a non-empty batch, the predicted
+    probabilities, and the gradient w.r.t. every weight and bias as one flat
+    array laid out like ``params.flat``, from the params' one-run stack.
 
     The gradient is written into ``params.flat_grad`` and that buffer is
-    returned (``params.grad_weights`` and ``params.grad_biases`` are its
-    per-layer views), so the next call on the same params overwrites it. The
+    returned, so the next call on the same params overwrites it. The
     probabilities are a new array on every call and are not written again.
-
-    The logit gradient per sample is probs - target; everything else is the
-    chain rule through ReLU affine layers.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(f"expected batch of shape (n, {params.input_dim}), got {x.shape}")
+    if x.shape[0] == 0:
+        raise DimensionError("expected a batch of at least one sample, got 0")
     if targets.shape != (x.shape[0], params.output_dim):
         raise DimensionError(
             f"expected targets of shape ({x.shape[0]}, {params.output_dim}), got {targets.shape}"
         )
-    logits, activations = _forward_batch(params, x)
-    probs = softmax_rows_inplace(logits)
-    n = x.shape[0]
-    # targets * floored_log(probs), row sums, then their mean, in place.
-    terms = np.maximum(probs, PROB_FLOOR)
-    np.log(terms, out=terms)
-    terms *= targets
-    loss = -float(np.add.reduce(np.add.reduce(terms, axis=1))) / n
-
-    delta = probs - targets
-    delta /= n
-    grads_w, grads_b = params.grad_weights, params.grad_biases
-    for layer in range(params.num_layers - 1, -1, -1):
-        np.dot(delta.T, activations[layer], out=grads_w[layer])
-        np.add.reduce(delta, axis=0, out=grads_b[layer])
-        if layer > 0:
-            # ReLU output is positive exactly where its pre-activation was.
-            delta = np.dot(delta, params.weights[layer])
-            delta *= activations[layer] > 0.0
-    return loss, probs, params.flat_grad
+    losses, probs = params._stack.loss_and_gradients(x[None], targets[None])
+    return float(losses[0]), probs[0], params.flat_grad
 
 
 def train_epoch(
@@ -244,22 +208,14 @@ def train_epoch(
     labels = train.labels[order]
     targets = target_table[labels]
     total = 0.0
-    lr = config.learning_rate
-    mu = config.momentum
-    weights, velocity = params.flat, params.flat_velocity
-    step = np.empty_like(weights)
     for batch_no, start in enumerate(range(0, n, config.batch_size)):
         batch = slice(start, start + config.batch_size)
-        loss, probs, grad = loss_and_gradients(params, features[batch], targets[batch])
+        loss, probs, _ = loss_and_gradients(params, features[batch], targets[batch])
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
         if on_batch is not None:
             on_batch(labels[batch], probs)
-        # v = mu * v + g; w -= lr * v, for every layer at once on the flat buffers.
-        velocity *= mu
-        velocity += grad
-        np.multiply(velocity, lr, out=step)
-        weights -= step
+        params._stack.sgd_step(config.learning_rate, config.momentum)
         total += loss * probs.shape[0]
     return total / n
 
@@ -281,8 +237,11 @@ def evaluate(params: ModelParams, ds: LabeledDataset) -> tuple[float, np.ndarray
     """
     if ds.n_features != params.input_dim:
         raise DimensionError(f"expected {params.input_dim} features, got {ds.n_features}")
-    logits, _ = _forward_batch(params, ds.features)
-    probs = softmax_rows_inplace(logits)
+    if ds.num_classes != params.output_dim:
+        raise DimensionError(f"expected {params.output_dim} classes, got {ds.num_classes}")
+    if ds.n_samples == 0:
+        raise DimensionError("cannot evaluate a dataset of 0 samples")
+    probs = softmax_rows_inplace(params._stack.forward(ds.features[None])[0])[0]
     accuracy, confusion = _scores(probs, ds)
     return accuracy, probs, confusion
 
@@ -293,8 +252,7 @@ def extract_features(params: ModelParams, ds: LabeledDataset) -> np.ndarray:
         raise ConfigError("feature extraction needs at least one hidden layer")
     if ds.n_features != params.input_dim:
         raise DimensionError(f"expected {params.input_dim} features, got {ds.n_features}")
-    _, activations = _forward_batch(params, ds.features)
-    return activations[-1]
+    return params._stack.forward(ds.features[None])[1][-1][0]
 
 
 def fit(
@@ -473,16 +431,16 @@ class _ParamStack:
     in run r's ``ModelParams.flat`` layout, with per-layer (R, out, in) weight
     and (R, 1, out) bias views.
 
-    Every product is ``np.matmul`` over the stack, which hands each run's 2-D
-    product to the BLAS routine ``np.dot`` calls for it alone, and every other
-    operation is elementwise or reduces within one run as the per-run code
-    does, so each row follows ``loss_and_gradients`` and ``train_epoch`` bit
-    for bit.
+    ``flat`` is the (R, P) parameter buffer, updated in place. Every product
+    is ``np.matmul`` over the stack, which hands each run's 2-D product to
+    BLAS on its own, and every other operation is elementwise or reduces
+    within one run, so each row gets the bits of a one-run stack, the stack
+    every ``ModelParams`` trains through.
     """
 
-    def __init__(self, runs: list[ModelParams]):
-        self._layout = runs[0]._layout
-        self.flat = np.stack([params.flat for params in runs])
+    def __init__(self, layout: list[tuple[int, int, tuple[int, ...]]], flat: np.ndarray):
+        self._layout = layout
+        self.flat = flat
         self.velocity = np.zeros_like(self.flat)
         self.grad = np.zeros_like(self.flat)
         self.step = np.empty_like(self.flat)
@@ -500,7 +458,7 @@ class _ParamStack:
         return views[:half], views[half:]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Logits and layer inputs of an (R, n, d) batch stack, as ``_forward_batch``."""
+        """Logits and layer inputs (the i-th feeds layer i) of an (R, n, d) batch stack."""
         activations = [x]
         h = x
         for w_t, b in zip(self.weights_t[:-1], self.biases[:-1]):
@@ -516,7 +474,8 @@ class _ParamStack:
         self, x: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each run's mean batch loss, an (R,) array, and the (R, n, C)
-        probabilities, a new array; the gradients go into ``grad``."""
+        probabilities, a new array; the gradients go into ``grad``: per sample
+        probs - target at the logits, then the chain rule through ReLU layers."""
         logits, activations = self.forward(x)
         probs = softmax_rows_inplace(logits)
         n = x.shape[1]
@@ -524,18 +483,20 @@ class _ParamStack:
         np.log(terms, out=terms)
         terms *= targets
         losses = np.add.reduce(np.add.reduce(terms, axis=2), axis=1)
-        losses /= -n  # exactly -(sum) / n, as each run's loss is taken
+        losses /= -n
         delta = probs - targets
         delta /= n
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(delta.transpose(0, 2, 1), activations[layer], out=self.grad_weights[layer])
             np.add.reduce(delta, axis=1, keepdims=True, out=self.grad_biases[layer])
             if layer > 0:
+                # ReLU output is positive exactly where its pre-activation was.
                 delta = np.matmul(delta, self.weights[layer])
                 delta *= activations[layer] > 0.0
         return losses, probs
 
     def sgd_step(self, learning_rate: float, momentum: float) -> None:
+        # v = momentum * v + g; w -= learning_rate * v, for every run and layer
         self.velocity *= momentum
         self.velocity += self.grad
         np.multiply(self.velocity, learning_rate, out=self.step)
@@ -577,7 +538,7 @@ def _fit_stack(
     n, num_classes = train.n_samples, train.num_classes
     sizes = (train.n_features, *config.hidden, num_classes)
     initial = [init_params(sizes, seed) for seed in seeds]
-    stack = _ParamStack([params for _ in strategies for params in initial])
+    stack = _ParamStack(initial[0]._layout, np.stack([p.flat for _ in strategies for p in initial]))
     runs = [_RunState(strategy, v, config) for strategy in strategies for _, v in splits]
     smoothers = [(r, run.smoother) for r, run in enumerate(runs) if run.smoother is not None]
     count = len(runs)

@@ -231,6 +231,21 @@ class TestConfusionTracker:
             assert np.max(np.abs(sums - 1.0)) < 1e-12
             assert np.all(tr.normalized >= 0.0) and np.all(tr.normalized <= 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5, 2.25])
+    def test_counts_must_be_finite_whole_numbers(self, bad):
+        tr = ConfusionTracker(2)
+        counts = np.array([[1.0, 0.0], [bad, 3.0]])
+        with pytest.raises(DomainError, match="finite whole numbers"):
+            tr.accumulate_counts(counts)
+        assert tr.counts.sum() == 0
+
+    def test_whole_float_and_integer_counts_add_alike(self):
+        a, b = ConfusionTracker(2), ConfusionTracker(2)
+        a.accumulate_counts(np.array([[2.0, 1.0], [0.0, 3.0]]))
+        b.accumulate_counts(np.array([[2, 1], [0, 3]], dtype=np.int32))
+        assert a.counts.dtype == b.counts.dtype == np.int64
+        assert np.array_equal(a.counts, b.counts)
+
     def test_out_of_range_ids(self):
         tr = ConfusionTracker(3)
         with pytest.raises(DomainError):

