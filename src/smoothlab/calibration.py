@@ -1,4 +1,8 @@
-"""Expected calibration error and reliability-diagram bin tables."""
+"""Expected calibration error and reliability-diagram bin tables.
+
+``_binned`` is the one confidence binning, over R runs at once: ``ece`` and
+``reliability_bins`` run it at R=1, the trainer's validation pass on a stack.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import write_csv
+from .datasets import _check_count, _whole_numbers, write_csv
 from .errors import DimensionError, DomainError
 
 _ROW_SUM_TOL = 1e-6
@@ -30,7 +34,7 @@ class ReliabilityBins:
 
 def _validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = _whole_numbers(labels, "labels")
     if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
         raise DimensionError(f"probs must be a non-empty 2-D matrix, got shape {p.shape}")
     if y.ndim != 1 or y.shape[0] != p.shape[0]:
@@ -61,6 +65,35 @@ def _bin_index(confidence: np.ndarray, num_bins: int) -> np.ndarray:
     return np.searchsorted(np.arange(1, num_bins) / num_bins, confidence, side="left")
 
 
+def _binned(p: np.ndarray, y: np.ndarray, num_bins: int) -> tuple[np.ndarray, ...]:
+    """From validated (R, n, C) probabilities and (R, n) labels: the (R, n)
+    argmax predictions, each run's (R, num_bins) bin counts, mean confidence
+    and accuracy, and its ECE, an (R,) array; row r is run r binned alone."""
+    count, n, _ = p.shape
+    # The argmax is taken once and the confidence read at it: a row's max is
+    # that entry, whatever order a max reduction takes.
+    predicted = p.argmax(axis=2)
+    confidence = np.take_along_axis(p, predicted[:, :, None], axis=2)[:, :, 0]
+    # Run r's bins sit at offset r * num_bins of one bincount each.
+    idx = (np.arange(count)[:, None] * num_bins + _bin_index(confidence, num_bins)).ravel()
+    size, shape = count * num_bins, (count, num_bins)
+    counts = np.bincount(idx, minlength=size).reshape(shape)
+    conf_sums = np.bincount(idx, weights=confidence.ravel(), minlength=size).reshape(shape)
+    correct_sums = np.bincount(idx, weights=(predicted == y).ravel(), minlength=size).reshape(shape)
+    nonempty = counts > 0
+    mean_conf = np.divide(conf_sums, counts, out=np.zeros(shape), where=nonempty)
+    accuracy = np.divide(correct_sums, counts, out=np.zeros(shape), where=nonempty)
+    gaps = counts / n * np.abs(accuracy - mean_conf)
+    return predicted, counts, mean_conf, accuracy, np.add.reduce(gaps, axis=1)
+
+
+def _binned_run(probs, labels, num_bins) -> tuple[np.ndarray, ...]:
+    """``_binned`` of one checked probability matrix, as a stack of one run."""
+    _check_count("num_bins", num_bins)
+    p, y = _validated(probs, labels)
+    return _binned(p[None], y[None], num_bins)
+
+
 def reliability_bins(probs, labels, num_bins: int) -> ReliabilityBins:
     """Bin samples by confidence (max predicted probability).
 
@@ -72,29 +105,8 @@ def reliability_bins(probs, labels, num_bins: int) -> ReliabilityBins:
 
     Ties in the argmax prediction break toward the lowest class index.
     """
-    if num_bins < 1:
-        raise DomainError(f"num_bins must be >= 1, got {num_bins}")
-    p, y = _validated(probs, labels)
-    # The argmax is taken once and the confidence read at it: a row's max is
-    # that entry, whatever order a max reduction takes.
-    predicted = p.argmax(axis=1)
-    confidence = p[np.arange(p.shape[0]), predicted]
-    correct = predicted == y
-    idx = _bin_index(confidence, num_bins)
-
-    counts = np.bincount(idx, minlength=num_bins)
-    conf_sums = np.bincount(idx, weights=confidence, minlength=num_bins)
-    correct_sums = np.bincount(idx, weights=correct, minlength=num_bins)
-    nonempty = counts > 0
-    mean_conf = np.divide(conf_sums, counts, out=np.zeros(num_bins), where=nonempty)
-    accuracy = np.divide(correct_sums, counts, out=np.zeros(num_bins), where=nonempty)
-    return ReliabilityBins(
-        num_bins=num_bins,
-        counts=counts,
-        mean_confidence=mean_conf,
-        accuracy=accuracy,
-        total_samples=p.shape[0],
-    )
+    predicted, counts, mean_conf, accuracy, _ = _binned_run(probs, labels, num_bins)
+    return ReliabilityBins(num_bins, counts[0], mean_conf[0], accuracy[0], predicted.shape[1])
 
 
 def ece(probs, labels, num_bins: int) -> float:
@@ -103,9 +115,8 @@ def ece(probs, labels, num_bins: int) -> float:
     Each bin contributes |acc(B) - conf(B)| weighted by the fraction of all
     samples that landed in it, so the result lies in [0, 1].
     """
-    bins = reliability_bins(probs, labels, num_bins)
-    weights = bins.counts / bins.total_samples
-    return float(np.add.reduce(weights * np.abs(bins.accuracy - bins.mean_confidence)))
+    *_, eces = _binned_run(probs, labels, num_bins)
+    return float(eces[0])
 
 
 def write_reliability_csv(bins: ReliabilityBins, path) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,25 @@ from .errors import ConfigError, DimensionError, DomainError, ParseError
 _REP_SPACING = 8.0
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array. An integer or bool array converts as is;
+    any other must hold finite whole numbers, or DomainError names ``what``."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "biu":
+        v = v.astype(np.float64)
+        if not (np.isfinite(v) & (v == np.floor(v))).all():
+            raise DomainError(f"{what} must be finite whole numbers")
+    return v.astype(np.int64, copy=False)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is an integer >= 1."""
+    if not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature matrix (n_samples x n_features) with 0-based integer labels."""
@@ -28,7 +48,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _whole_numbers(self.labels, "labels")
         if feats.ndim != 2:
             raise DimensionError(f"features must be 2-D, got shape {feats.shape}")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:

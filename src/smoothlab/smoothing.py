@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import write_csv
+from .datasets import _whole_numbers, write_csv
 from .errors import DimensionError, DomainError
 
 # Probabilities are floored before taking logs so a zero prediction yields a
@@ -126,11 +126,10 @@ class ConfusionTracker:
         c = np.asarray(counts)
         if c.shape != self.counts.shape:
             raise DimensionError(f"expected counts of shape {self.counts.shape}, got {c.shape}")
-        if c.dtype.kind not in "biu" and not (np.isfinite(c) & (c == np.floor(c))).all():
-            raise DomainError("confusion counts must be finite whole numbers")
+        c = _whole_numbers(c, "confusion counts")
         if c.min() < 0:
             raise DomainError("confusion counts must be non-negative")
-        self.counts += c.astype(np.int64)
+        self.counts += c
         return self
 
     def normalize(self) -> "ConfusionTracker":

@@ -6,11 +6,13 @@ target for label y), so the per-batch work is always plain soft-target
 cross-entropy. ``fit`` keeps only the per-epoch state the strategy's kind
 reads: the confusion tracker for cpls, the online-smoothing accumulator for ols.
 
-``_ParamStack`` holds the only forward pass, gradient and SGD step, for R
-runs at once; the per-run functions run it at R=1. ``_fit_stack`` trains every
-strategy's runs of several seeds in lockstep with one batched validation pass
-per epoch, and gives each run the bits ``fit`` gives it alone. Both are held
-to ``reference_epoch`` in the trainer tests and to ``tests/oracles.py``.
+``_ParamStack`` holds the only forward pass, gradient and SGD step, and
+``_stack_scores`` the only validation scoring (over ``calibration``'s binning),
+each for R runs at once; the per-run functions run them at R=1. ``_fit_stack``
+trains every strategy's runs of several seeds in lockstep with one batched
+validation pass per epoch, and gives each run the bits ``fit`` gives it alone.
+Both are held to ``reference_epoch`` in the trainer tests and to
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import _bin_index, _validated, ece
+from .calibration import _binned, _validated, ece
 from .errors import ConfigError, DimensionError, DomainError, NumericError
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, _check_count
 from .smoothing import (
     PROB_FLOOR,
     ConfusionTracker,
@@ -52,17 +54,14 @@ class TrainConfig:
     def __post_init__(self):
         if any(width < 1 for width in self.hidden):
             raise DomainError(f"hidden widths must each be >= 1, got {self.hidden}")
-        if self.epochs < 1:
-            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_count("epochs", self.epochs)
+        _check_count("batch_size", self.batch_size)
         # 0 is allowed so a no-op update step can be exercised in tests.
         if not (0 <= self.learning_rate < math.inf):
             raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise DomainError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.ece_bins < 1:
-            raise DomainError(f"ece_bins must be >= 1, got {self.ece_bins}")
+        _check_count("ece_bins", self.ece_bins)
 
 
 @dataclass(eq=False)
@@ -75,7 +74,8 @@ class ModelParams:
     one-run ``_ParamStack`` over ``flat`` that trains it; ``flat_velocity``
     (the momentum, starting at zero) and ``flat_grad`` (where
     ``loss_and_gradients`` writes each gradient) are its row 0, in the same
-    layout.
+    layout. Each layer needs 2-D weights, one bias per weight row, and the
+    previous layer's outputs as its inputs, or ``DimensionError`` names it.
     """
 
     weights: list[np.ndarray]
@@ -87,6 +87,21 @@ class ModelParams:
     _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0 < len(self.weights) == len(self.biases):
+            counts = f"{len(self.weights)} weight matrices and {len(self.biases)} bias vectors"
+            raise DimensionError(f"need at least one layer and a bias per weight, got {counts}")
+        inputs = None
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            shape, b_shape = np.shape(w), np.shape(b)
+            if len(shape) != 2 or b_shape != shape[:1]:
+                raise DimensionError(
+                    f"layer {layer}: needs 2-D weights and one bias per weight row, "
+                    f"got shapes {shape} and {b_shape}"
+                )
+            if inputs not in (None, shape[1]):
+                message = f"weights take {shape[1]} inputs, but layer {layer - 1} gives {inputs}"
+                raise DimensionError(f"layer {layer}: {message}")
+            inputs = shape[0]
         self._layout = []
         stop = 0
         for shape in [np.shape(a) for a in self.weights + self.biases]:
@@ -132,6 +147,8 @@ class EpochMetrics:
 def init_params(layer_sizes: tuple[int, ...], seed: int) -> ModelParams:
     """He-normal weights (std sqrt(2 / fan_in)), zero biases, zero momentum, for
     layer sizes (d_in, h_1, .., h_k, C): ReLU hidden layers, softmax output."""
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise DomainError(f"need at least input and output sizes, got {sizes}")
@@ -220,13 +237,15 @@ def train_epoch(
     return total / n
 
 
-def _scores(probs: np.ndarray, ds: LabeledDataset) -> tuple[float, np.ndarray]:
-    """Accuracy and confusion counts (true x predicted) of one probability matrix."""
-    predictions = probs.argmax(axis=1)
-    accuracy = np.count_nonzero(predictions == ds.labels) / ds.n_samples
-    c = ds.num_classes
-    confusion = np.bincount(ds.labels * c + predictions, minlength=c * c).reshape(c, c)
-    return accuracy, confusion
+def _counts(predictions: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's accuracy, an (R,) array, and its confusion counts (true x
+    predicted), an (R, C, C) array, from (R, n) predictions and labels of C classes."""
+    count, n = labels.shape
+    accuracies = np.count_nonzero(predictions == labels, axis=1) / n
+    # Run r's counts sit at offset r * C * C of one bincount.
+    cells = ((np.arange(count)[:, None] * c + labels) * c + predictions).ravel()
+    confusions = np.bincount(cells, minlength=count * c * c).reshape(count, c, c)
+    return accuracies, confusions
 
 
 def evaluate(params: ModelParams, ds: LabeledDataset) -> tuple[float, np.ndarray, np.ndarray]:
@@ -241,9 +260,9 @@ def evaluate(params: ModelParams, ds: LabeledDataset) -> tuple[float, np.ndarray
         raise DimensionError(f"expected {params.output_dim} classes, got {ds.num_classes}")
     if ds.n_samples == 0:
         raise DimensionError("cannot evaluate a dataset of 0 samples")
-    probs = softmax_rows_inplace(params._stack.forward(ds.features[None])[0])[0]
-    accuracy, confusion = _scores(probs, ds)
-    return accuracy, probs, confusion
+    probs = softmax_rows_inplace(params._stack.forward(ds.features[None])[0])
+    accuracies, confusions = _counts(probs.argmax(axis=2), ds.labels[None], ds.num_classes)
+    return accuracies[0], probs[0], confusions[0]
 
 
 def extract_features(params: ModelParams, ds: LabeledDataset) -> np.ndarray:
@@ -274,17 +293,20 @@ def fit(
     train.num_classes outputs; its initial parameters are drawn from those
     sizes and the seed.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if train.n_features != val.n_features or train.num_classes != val.num_classes:
         raise DimensionError("train and val splits must share feature count and class count")
     params = init_params((train.n_features, *config.hidden, train.num_classes), seed)
-    run = _RunState(strategy, val, config)
+    run = _RunState(strategy, train.num_classes)
     on_batch = run.smoother.update_batch if run.smoother is not None else None
     for epoch in range(1, config.epochs + 1):
         train_loss = train_epoch(params, train, run.table(epoch), config, seed, epoch, on_batch)
-        val_accuracy, val_probs, val_confusion = evaluate(params, val)
-        record = run.end_epoch(epoch, train_loss, val_accuracy, val_probs, val_confusion)
+        # perfbench/tracing.py's HOOKS pin this one evaluate call per epoch.
+        _, val_probs, _ = evaluate(params, val)
+        try:
+            scores = _stack_scores(val_probs[None], val.labels[None], config.ece_bins)
+        except _RunError as exc:
+            raise exc.error from None
+        record = run.fold(epoch, train_loss, *(score[0] for score in scores))
         if on_epoch is not None:
             on_epoch(epoch, params, record, run.tracker)
     return params, run.metrics
@@ -295,34 +317,15 @@ class _RunState:
     state its strategy's kind reads (the confusion tracker of a cpls run, the
     online-smoothing accumulator of an ols run) and its epoch metrics."""
 
-    def __init__(self, strategy: TargetStrategy, val: LabeledDataset, config: TrainConfig):
-        num_classes = val.num_classes
+    def __init__(self, strategy: TargetStrategy, num_classes: int):
         self.strategy = strategy
-        self.val = val
-        self.ece_bins = config.ece_bins
+        self.num_classes = num_classes
         self.tracker = ConfusionTracker(num_classes) if strategy.kind == "cpls" else None
         self.smoother = OnlineLabelSmoother(num_classes) if strategy.kind == "ols" else None
-        # each validation sample's true-class probability
-        self.val_picks = (np.arange(val.n_samples), val.labels)
         self.metrics: list[EpochMetrics] = []
 
     def table(self, epoch: int) -> np.ndarray:
-        return self.strategy.table(self.val.num_classes, epoch, self.tracker, self.smoother)
-
-    def end_epoch(
-        self,
-        epoch: int,
-        train_loss: float,
-        val_accuracy: float,
-        val_probs: np.ndarray,
-        val_confusion: np.ndarray,
-    ) -> EpochMetrics:
-        """Take the val loss and ECE of the epoch's validation pass, then
-        ``fold`` the epoch."""
-        n = self.val.n_samples
-        val_loss = -float(np.add.reduce(floored_log(val_probs[self.val_picks]))) / n
-        val_ece = ece(val_probs, self.val.labels, self.ece_bins)
-        return self.fold(epoch, train_loss, val_loss, val_accuracy, val_ece, val_confusion)
+        return self.strategy.table(self.num_classes, epoch, self.tracker, self.smoother)
 
     def fold(
         self,
@@ -384,8 +387,8 @@ def _stack_scores(
 ) -> tuple[list[float], list[np.float64], list[float], np.ndarray]:
     """Each run's val loss, accuracy, ECE and confusion counts (true x
     predicted) from an (R, n, C) stack of validation probabilities and its (R, n)
-    labels, each the bits ``fit`` takes for the run alone (``_scores``, the
-    floored-log loss and the public ``ece``), in one pass over the stack.
+    labels: ``calibration``'s binning gives the argmax and ECE, and its argmax
+    feeds the ``_counts`` of ``evaluate``. At R=1 this is ``fit``'s pass.
 
     The probabilities are checked as the public ``ece`` checks them, all runs
     at once; when that fails, ``ece`` is called run by run, and the first run
@@ -401,28 +404,11 @@ def _stack_scores(
             except (DimensionError, DomainError) as exc:
                 raise _RunError(index, exc) from exc
         raise
-    # As in reliability_bins: the argmax once, the confidence read at it.
-    predictions = probs.argmax(axis=2)
-    confidence = np.take_along_axis(probs, predictions[:, :, None], axis=2)[:, :, 0]
+    predictions, *_, eces = _binned(probs, labels, num_bins)
     picked = np.take_along_axis(probs, labels[:, :, None], axis=2)[:, :, 0]
     val_losses = -np.add.reduce(floored_log(picked), axis=1) / n
-    correct = predictions == labels
-    accuracies = np.count_nonzero(correct, axis=1) / n
-    # Run r's counts and bins sit at offset r of one bincount each.
-    runs = np.arange(count)[:, None]
-    cells = ((runs * c + labels) * c + predictions).ravel()
-    confusions = np.bincount(cells, minlength=count * c * c).reshape(count, c, c)
-    bins = (runs * num_bins + _bin_index(confidence, num_bins)).ravel()
-    size = count * num_bins
-    counts = np.bincount(bins, minlength=size)
-    conf_sums = np.bincount(bins, weights=confidence.ravel(), minlength=size)
-    correct_sums = np.bincount(bins, weights=correct.ravel(), minlength=size)
-    nonempty = counts > 0
-    mean_conf = np.divide(conf_sums, counts, out=np.zeros(size), where=nonempty)
-    accuracy = np.divide(correct_sums, counts, out=np.zeros(size), where=nonempty)
-    gaps = counts / n * np.abs(accuracy - mean_conf)
-    eces = np.add.reduce(gaps.reshape(count, num_bins), axis=1)
-    # the accuracy as _scores types it, a numpy float
+    accuracies, confusions = _counts(predictions, labels, c)
+    # the accuracy as evaluate types it, a numpy float
     return val_losses.tolist(), list(accuracies), eces.tolist(), confusions
 
 
@@ -539,7 +525,7 @@ def _fit_stack(
     sizes = (train.n_features, *config.hidden, num_classes)
     initial = [init_params(sizes, seed) for seed in seeds]
     stack = _ParamStack(initial[0]._layout, np.stack([p.flat for _ in strategies for p in initial]))
-    runs = [_RunState(strategy, v, config) for strategy in strategies for _, v in splits]
+    runs = [_RunState(strategy, num_classes) for strategy in strategies for _ in splits]
     smoothers = [(r, run.smoother) for r, run in enumerate(runs) if run.smoother is not None]
     count = len(runs)
     # the order in which a non-finite loss names runs, and each run's seed row

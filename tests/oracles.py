@@ -15,6 +15,7 @@ package to them bit for bit.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -198,6 +199,15 @@ def hybrid_loss(p, y: int, tracker: ConfusionTracker, beta: float) -> float:
     return beta * hard_ce(p, y) + (1.0 - beta) * cpls_ce(p, tracker, y)
 
 
+def val_loss(probs, labels) -> float:
+    """The validation loss of one run: the mean hard cross-entropy of its
+    (n, C) probabilities, each sample's floored-log true-class probability
+    summed in one reduction and divided by n."""
+    n = len(labels)
+    val_picks = (np.arange(n), labels)
+    return -float(np.add.reduce(_floored_log(probs[val_picks]))) / n
+
+
 # ------------------------------------------- single-sample accumulator steps
 
 
@@ -257,9 +267,15 @@ def bin_index(confidence, num_bins: int) -> np.ndarray:
 
 def validated(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     """The probability-matrix checks of ``reliability_bins``, each finding its
-    offending rows over the whole matrix."""
+    offending rows over the whole matrix. Labels of an integer or bool dtype
+    convert as numpy converts them; others must each be finite and whole."""
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    raw = np.asarray(labels)
+    if raw.dtype.kind not in "biu":
+        values = raw.astype(np.float64).ravel().tolist()
+        if not all(math.isfinite(v) and v == int(v) for v in values):
+            raise DomainError("labels must be finite whole numbers")
+    y = raw.astype(np.int64)
     if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
         raise DimensionError(f"probs must be a non-empty 2-D matrix, got shape {p.shape}")
     if y.ndim != 1 or y.shape[0] != p.shape[0]:

@@ -124,6 +124,25 @@ class TestEce:
         with pytest.raises(DomainError, match="row 1 of probs"):
             reliability_bins(probs, np.zeros(3, dtype=int), 10)
 
+    @pytest.mark.parametrize("num_bins", [2.5, 10.0, "10"])
+    def test_non_integer_bin_count_rejected(self, num_bins):
+        probs, labels = probs_with_confidence([0.9, 0.6], [1, 0])
+        message = f"^num_bins must be an integer, got {num_bins!r}$"
+        with pytest.raises(DomainError, match=message):
+            ece(probs, labels, num_bins)
+        with pytest.raises(DomainError, match=message):
+            reliability_bins(probs, labels, num_bins)
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [0.0, np.nan], [1.0, -np.inf]])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels):
+        probs, _ = probs_with_confidence([0.9, 0.6], [1, 0])
+        with pytest.raises(DomainError, match="^labels must be finite whole numbers$"):
+            ece(probs, labels, 10)
+
+    def test_whole_float_labels_score_as_integers(self):
+        probs, labels = probs_with_confidence([0.9, 0.8, 0.6, 0.55], [1, 0, 1, 0])
+        assert ece(probs, labels.astype(float), 10) == ece(probs, labels, 10)
+
     def test_perfectly_calibrated_degenerate(self):
         probs = np.tile([1.0, 0.0], (8, 1))
         assert ece(probs, np.zeros(8, dtype=int), 10) == 0.0
@@ -261,11 +280,18 @@ class TestAgainstStraightforwardForms:
         faults = st.tuples(row, col, st.sampled_from(self.FAULTS))
         nudges = st.tuples(row, st.sampled_from([1e-7, -1e-7, 1e-5]))
         bad_labels = st.tuples(row, st.sampled_from([-1, c, c + 3]))
+        # labels that are not integers: whole ones pass, the rest are rejected
+        odd_labels = st.tuples(row, st.sampled_from([0.0, 1.0, 0.5, 1.7, -0.5, np.nan, np.inf]))
         for i, j, value in data.draw(st.lists(faults, max_size=3)):
             probs[i, j] = value
         for i, nudge in data.draw(st.lists(nudges, max_size=2)):
             probs[i, 0] += nudge
         for i, label in data.draw(st.lists(bad_labels, max_size=1)):
+            labels[i] = label
+        odd = data.draw(st.lists(odd_labels, max_size=2))
+        if odd:
+            labels = labels.astype(np.float64)
+        for i, label in odd:
             labels[i] = label
 
         def outcome(check):

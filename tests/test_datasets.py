@@ -90,6 +90,17 @@ class TestLabeledDataset:
         with pytest.raises(DomainError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), 1)
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [np.inf, 1.0], [0, 1e-9]])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels):
+        with pytest.raises(DomainError, match="^labels must be finite whole numbers$"):
+            LabeledDataset(np.zeros((2, 2)), labels, 2)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], np.array([0, 1], dtype=np.uint8), [False, True]])
+    def test_whole_labels_of_any_dtype_accepted(self, labels):
+        ds = LabeledDataset(np.zeros((2, 2)), labels, 2)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1]
+
     def test_properties(self):
         ds = LabeledDataset(np.zeros((5, 3)), np.array([0, 1, 0, 1, 0]), 2)
         assert ds.n_samples == 5

@@ -20,6 +20,7 @@ from smoothlab import (
     SplitSpec,
     TargetStrategy,
     TrainConfig,
+    ece,
     evaluate,
     extract_features,
     fit,
@@ -27,13 +28,15 @@ from smoothlab import (
     init_params,
     load_csv,
     loss_and_gradients,
+    reliability_bins,
     save_csv,
     standardize,
     stratified_split,
     train_epoch,
 )
 
-from smoothlab.trainer import _fit_stack, _RunError, _RunState, _scores, _stack_scores
+from smoothlab.calibration import _binned
+from smoothlab.trainer import _fit_stack, _RunError, _stack_scores
 
 from oracles import (
     accumulate,
@@ -46,6 +49,7 @@ from oracles import (
     smoother_target,
     soft_ce,
     softmax,
+    val_loss,
     vanilla_ls_target,
 )
 
@@ -113,6 +117,50 @@ class TestConfigs:
     def test_non_finite_learning_rate_rejected(self, lr):
         with pytest.raises(DomainError, match="learning_rate"):
             make_config(lr=lr)
+
+    @pytest.mark.parametrize(
+        "name, value", [("epochs", 3.0), ("batch_size", 8.0), ("ece_bins", 10.0), ("ece_bins", "10")]
+    )
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+            make_config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = make_config(epochs=np.int64(2), batch_size=np.int32(4), ece_bins=np.uint8(5))
+        assert (config.epochs, config.batch_size, config.ece_bins) == (2, 4, 5)
+
+    def test_negative_seed_rejected_as_fit_rejects_it(self):
+        with pytest.raises(DomainError, match="^seed must be a non-negative integer, got -1$"):
+            init_params((2, 3), -1)
+
+
+def w(rows, cols):
+    return np.ones((rows, cols))
+
+
+class TestModelParamsLayers:
+    @pytest.mark.parametrize(
+        "weights, biases, message",
+        [
+            ([w(3, 2), w(4, 3)], [np.zeros(3)], "got 2 weight matrices and 1 bias vectors$"),
+            ([], [], "^need at least one layer .*, got 0 weight matrices and 0 bias vectors$"),
+            ([np.ones(3)], [np.zeros(3)], r"^layer 0: needs 2-D .*, got shapes \(3,\) and \(3,\)$"),
+            ([w(3, 2)], [np.zeros(1)], r"^layer 0: needs .*, got shapes \(3, 2\) and \(1,\)$"),
+            ([w(3, 2)], [np.zeros((1, 3))], r"^layer 0: needs .*, got shapes \(3, 2\) and \(1, 3\)$"),
+            (
+                [w(3, 2), w(2, 4)],
+                [np.zeros(3), np.zeros(2)],
+                "^layer 1: weights take 4 inputs, but layer 0 gives 3$",
+            ),
+        ],
+    )
+    def test_malformed_layers_rejected(self, weights, biases, message):
+        with pytest.raises(DimensionError, match=message):
+            ModelParams(weights, biases)
+
+    def test_chained_layers_accepted(self):
+        params = ModelParams([w(3, 2), w(4, 3)], [np.zeros(3), np.zeros(4)])
+        assert (params.num_layers, params.input_dim, params.output_dim) == (2, 2, 4)
 
 
 class TestInit:
@@ -687,6 +735,19 @@ class TestFit:
         with pytest.raises(DomainError, match="seed"):
             fit(train, val, make_config(epochs=1), HARD, -1)
 
+    def test_failing_validation_pass_raises_the_public_error(self, monkeypatch):
+        real = smoothlab.trainer.evaluate
+
+        def poisoned(params, ds):
+            accuracy, probs, confusion = real(params, ds)
+            probs[2, 0] = np.nan
+            return accuracy, probs, confusion
+
+        monkeypatch.setattr(smoothlab.trainer, "evaluate", poisoned)
+        train, val, _ = split_blob()
+        with pytest.raises(DomainError, match="^row 2 of probs has a non-finite entry$"):
+            fit(train, val, make_config(epochs=1), HARD, 0)
+
     def test_shape_validation(self):
         train, _, _ = split_blob()
         _, wider_val, _ = split_blob(dim=5)
@@ -852,27 +913,42 @@ def probability_stacks(draw):
 
 
 class TestStackScores:
-    """The stacked validation pass gives each run the bits of the per-run one."""
+    """The stacked validation pass gives each run the bits of that run scored
+    alone: its loss by the oracle, its ECE and bins by the public functions."""
 
     @settings(max_examples=100, deadline=None)
     @given(probability_stacks())
     def test_each_run_matches_the_per_run_pass(self, stack):
         probs, labels, num_bins = stack
-        config = make_config(ece_bins=num_bins)
+        n, c = probs.shape[1:]
         val_losses, accuracies, eces, confusions = _stack_scores(probs, labels, num_bins)
         for r in range(probs.shape[0]):
-            val = LabeledDataset(np.zeros((labels.shape[1], 1)), labels[r], probs.shape[2])
-            accuracy, confusion = _scores(probs[r], val)
-            record = _RunState(HARD, val, config).end_epoch(1, 0.0, accuracy, probs[r], confusion)
+            confusion = confusion_counts(labels[r], probs[r].argmax(axis=1), c)
             for got, want in [
-                (accuracies[r], accuracy),
-                (val_losses[r], record.val_loss),
-                (eces[r], record.val_ece),
+                (val_losses[r], val_loss(probs[r], labels[r])),
+                (accuracies[r], np.trace(confusion) / n),
+                (eces[r], ece(probs[r], labels[r], num_bins)),
             ]:
                 assert type(got) is type(want)
                 assert repr(got) == repr(want)  # the bits
             assert confusions[r].dtype == confusion.dtype
             assert np.array_equal(confusions[r], confusion)
+
+    @settings(max_examples=100, deadline=None)
+    @given(probability_stacks())
+    def test_each_run_bins_as_reliability_bins_bins_it_alone(self, stack):
+        probs, labels, num_bins = stack
+        predicted, counts, mean_conf, accuracy, _ = _binned(probs, labels, num_bins)
+        for r in range(probs.shape[0]):
+            alone = reliability_bins(probs[r], labels[r], num_bins)
+            assert np.array_equal(predicted[r], probs[r].argmax(axis=1))
+            for got, want in [
+                (counts[r], alone.counts),
+                (mean_conf[r], alone.mean_confidence),
+                (accuracy[r], alone.accuracy),
+            ]:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()  # the bits
 
     @pytest.mark.parametrize("run, row", [(0, 0), (2, 3), (1, 4)])
     def test_non_finite_entry_names_its_run_and_row(self, run, row):
