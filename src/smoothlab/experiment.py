@@ -5,9 +5,10 @@ consolidation. The config format is flat ``section.key=value`` text."""
 from __future__ import annotations
 
 import os
+import shutil
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -369,33 +370,21 @@ def _emit_run(
     return record
 
 
-# The file a compare keeps in its output directory until its table is written.
-_UNFINISHED = "comparison.csv.unfinished"
-
-
-def _empty_run_dir(
-    cfg: ExperimentConfig, strategy: TargetStrategy, seed: int, command: str
-) -> Path:
-    """The run directory of (strategy, seed); one that holds a file is refused."""
-    run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
-    if run_dir.is_dir() and any(run_dir.iterdir()):
-        raise ConfigError(f"run directory {run_dir} is not empty; {command} into a new one")
-    return run_dir
-
-
 def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> RunRecord:
     """Standalone single run: prepare splits for the seed, then train and emit.
 
     A run directory that already holds a file, or an output directory that
-    holds a compare's table or the mark of a compare that never wrote it, is
-    refused before anything is written, so no run's artifacts sit beside those
-    of an earlier one and no compare's report lists a run it did not make.
+    holds a compare's table, is refused before anything is written, so no
+    run's artifacts sit beside those of an earlier one and no compare's report
+    lists a run it did not make.
     """
-    if (cfg.out_dir / "comparison.csv").exists() or (cfg.out_dir / _UNFINISHED).exists():
+    if (cfg.out_dir / "comparison.csv").exists():
         raise ConfigError(
             f"output directory {cfg.out_dir} holds a compare's runs; train into a new one"
         )
-    run_dir = _empty_run_dir(cfg, strategy, seed, "train")
+    run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
+    if run_dir.is_dir() and any(run_dir.iterdir()):
+        raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
     splits = prepare_splits(cfg, seed)
     return run_single(splits, cfg, strategy, seed, run_dir)
 
@@ -472,9 +461,6 @@ def _run_chunk(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[list[RunRe
     records: list[list[RunRecord]] = []
     for stack in _chunks(seeds, -(-len(seeds) // cap)):
         splits = [prepare_splits(cfg, seed) for seed in stack]
-        # before the first run; run_compare turns the mark into the table
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        (cfg.out_dir / _UNFINISHED).touch()
         try:
             records += _train_stack(splits, cfg, stack)
         except _RunError as exc:
@@ -553,14 +539,13 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
 
     For a given seed, every strategy trains on bit-identical splits and from
     bit-identical initial parameters (``fit`` draws them from the layer sizes
-    and the seed alone); only the loss targets differ. An output directory that
-    already holds a comparison table or a run summary, or a run directory of
-    this compare that holds any file, is refused before anything is written,
-    so no report mixes runs of two invocations. From before the first run
-    until the table is written, the output directory holds the mark
-    ``_UNFINISHED``, which ``run_training`` refuses as it refuses the table;
-    the table is written into the mark, which is then renamed, so a finished
-    tree holds no mark.
+    and the seed alone); only the loss targets differ. An output directory
+    that already exists is refused before anything is written. The tree is
+    built in a hidden sibling of it and renamed to it once the table is
+    written, so the output directory appears whole or not at all and no
+    report mixes runs of two invocations; a compare that fails or is
+    interrupted removes the sibling. The returned paths name files under the
+    output directory.
 
     The seeds run in parallel worker processes where more than one CPU is
     usable (see ``_run_seeds``); every output byte is the same either way. A
@@ -569,43 +554,49 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     """
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least 2 strategies")
-    out = cfg.out_dir
-    if (out / "comparison.csv").exists() or any(out.glob("*/summary.txt")):
-        raise ConfigError(f"output directory {out} already holds runs; compare into a new one")
-    for seed in cfg.seeds:
-        for strategy in cfg.strategies:
-            _empty_run_dir(cfg, strategy, seed, "compare")
-    per_seed = _run_seeds(cfg)
+    out = cfg.out_dir.resolve()
+    if out.exists():
+        raise ConfigError(f"output directory {cfg.out_dir} already exists; compare into a new one")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.parent / f".{out.name}.{os.urandom(4).hex()}"
+    tmp.mkdir()
+    try:
+        per_seed = _run_seeds(replace(cfg, out_dir=tmp))
+        by_strategy = list(zip(*per_seed))
+        # The seed column holds a seed or the name of a summary statistic.
+        rows = [
+            (r.strategy, r.seed, r.test_accuracy, r.test_ece * 100)
+            for runs in by_strategy
+            for r in runs
+        ]
+        for runs in by_strategy:
+            accs = [r.test_accuracy for r in runs]
+            eces = [r.test_ece * 100 for r in runs]
+            for label, stat in (("median", statistics.median), ("mean", statistics.mean)):
+                rows.append((runs[0].strategy, label, stat(accs), stat(eces)))
+        header = ("strategy", "seed", "test_accuracy", "test_ece_x100")
+        write_csv(tmp / "comparison.csv", ("%s", "%s", "%.6f", "%.6f"), rows, header)
+        os.rename(tmp, out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     records = [record for seed_records in per_seed for record in seed_records]
-    by_strategy = list(zip(*per_seed))
-
-    # The seed column holds a seed or the name of a summary statistic.
-    rows = [
-        (r.strategy, r.seed, r.test_accuracy, r.test_ece * 100)
-        for runs in by_strategy
-        for r in runs
-    ]
-    for runs in by_strategy:
-        accs = [r.test_accuracy for r in runs]
-        eces = [r.test_ece * 100 for r in runs]
-        for label, stat in (("median", statistics.median), ("mean", statistics.mean)):
-            rows.append((runs[0].strategy, label, stat(accs), stat(eces)))
-    table_path = out / "comparison.csv"
-    header = ("strategy", "seed", "test_accuracy", "test_ece_x100")
-    mark = out / _UNFINISHED
-    write_csv(mark, ("%s", "%s", "%.6f", "%.6f"), rows, header)
-    os.replace(mark, table_path)
-    return table_path, records
+    for record in records:
+        record.artifacts = {
+            name: cfg.out_dir / path.relative_to(tmp) for name, path in record.artifacts.items()
+        }
+    return cfg.out_dir / "comparison.csv", records
 
 
 def run_report(run_dir) -> str:
-    """Consolidate summary.txt files under a directory into one table.
+    """Consolidate the summary.txt of each run directory directly under a
+    directory (the layout ``train`` and ``compare`` write) into one table.
 
     Pure presentation: nothing is recomputed, so repeated invocations emit
     identical bytes. Returns the rendered table; also writes report.csv.
     """
     run_dir = Path(run_dir)
-    summaries = sorted(run_dir.rglob("summary.txt"))
+    summaries = sorted(run_dir.glob("*/summary.txt"))
     if not summaries:
         raise ConfigError(f"no runs found under {run_dir}")
     rows = []

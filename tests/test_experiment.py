@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from smoothlab import (
 )
 from smoothlab.cli import main
 from smoothlab.datasets import write_csv
-from smoothlab.experiment import _KEYS, _UNFINISHED, _chunks, config_from_values, parse_kv_text
+from smoothlab.experiment import _KEYS, _chunks, config_from_values, parse_kv_text
 from smoothlab.smoothing import _KIND_FIELDS, STRATEGY_KINDS
 
 FAST_CONFIG = """
@@ -473,7 +474,7 @@ class TestCompare:
         assert out_dir / "comparison.csv" in before
         capsys.readouterr()
         assert main(["compare", "--config", str(cfg_path), "--seed", "7"]) == 1
-        assert f"output directory {out_dir} already holds runs" in capsys.readouterr().err
+        assert f"output directory {out_dir} already exists" in capsys.readouterr().err
         after = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
         assert after == before
 
@@ -485,27 +486,24 @@ class TestCompare:
             run_compare(cfg)
         assert sorted(cfg.out_dir.rglob("*")) == before
 
-    def test_leftover_run_dir_without_summary_refused_and_left_unchanged(self, tmp_path, capsys):
-        # an interrupted compare can leave a run dir with artifacts but no summary
-        run_dir = tmp_path / "runs" / "cpls_seed1"
-        run_dir.mkdir(parents=True)
-        (run_dir / "val_confusion.csv").write_text("epoch,true_class,p0\n9,0,1.000000\n")
-        cfg_path = write_config(tmp_path, train_epochs=2)
-        assert main(["compare", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert f"run directory {run_dir} is not empty; compare into a new one" in err
-        files = sorted(p.relative_to(tmp_path) for p in (tmp_path / "runs").rglob("*"))
-        leftover = ["runs/cpls_seed1", "runs/cpls_seed1/val_confusion.csv"]
-        assert [str(p) for p in files] == leftover
-        assert (run_dir / "val_confusion.csv").read_text().endswith("\n9,0,1.000000\n")
-        # an empty leftover dir, or one of a run this compare does not make, is no conflict
-        (run_dir / "val_confusion.csv").unlink()
-        (tmp_path / "runs" / "cpls_seed9").mkdir()
-        (tmp_path / "runs" / "cpls_seed9" / "val_confusion.csv").write_text("x\n")
-        assert main(["compare", "--config", str(cfg_path)]) == 0
-        rows = (run_dir / "val_confusion.csv").read_text().splitlines()[1:]
-        assert [row.split(",", 1)[0] for row in rows] == ["1"] * 4 + ["2"] * 4
-        assert (tmp_path / "runs" / "cpls_seed9" / "val_confusion.csv").read_text() == "x\n"
+    @pytest.mark.parametrize("kind", ["empty", "leftover", "cwd"])
+    def test_existing_out_dir_refused_and_left_unchanged(self, tmp_path, capsys, monkeypatch, kind):
+        # an empty dir, a run dir without a summary, or --out . (not renamed over)
+        out_dir = tmp_path / "runs"
+        out_dir.mkdir()
+        if kind == "leftover":
+            (out_dir / "cpls_seed1").mkdir()
+            (out_dir / "cpls_seed1" / "val_confusion.csv").write_text("epoch,true_class,p0\n")
+        cfg_path = write_config(tmp_path)
+        out_arg = str(out_dir)
+        if kind == "cwd":
+            monkeypatch.chdir(out_dir)
+            out_arg = "."
+        before = sorted((p, p.is_file() and p.read_bytes()) for p in tmp_path.rglob("*"))
+        assert main(["compare", "--config", str(cfg_path), "--out", out_arg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: output directory {out_arg} already exists; compare into a new one"]
+        assert sorted((p, p.is_file() and p.read_bytes()) for p in tmp_path.rglob("*")) == before
 
     def test_order_does_not_change_values(self, tmp_path):
         cfg_a = parse_config(write_config(tmp_path, strategies="hard,cpls"))
@@ -536,6 +534,7 @@ class TestCompare:
         monkeypatch.setattr(experiment, "run_single", boom)
         with pytest.raises(RuntimeError, match=r"strategy=hard seed=1"):
             experiment.run_compare(cfg)
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 class TestStacks:
@@ -631,6 +630,8 @@ class TestStacks:
         cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
         with pytest.raises(RuntimeError, match=r"^run failed for strategy=cpls seed=1: disk full$"):
             run_compare(cfg)
+        # the hard runs and cpls seed 3 were written, into a sibling now gone
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 class TestSeedWorkers:
@@ -673,6 +674,7 @@ class TestSeedWorkers:
             run_compare(cfg)
         assert multiprocessing.active_children() == []
         assert dict(os.environ) == environ
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_worker_running_an_unguarded_main_refuses_before_making_a_pool(
         self, tmp_path, monkeypatch
@@ -867,6 +869,20 @@ class TestReport:
         assert first_text == second_text
         assert first_csv == second_csv
 
+    def test_reads_one_level_so_a_parent_of_two_compares_has_no_runs(self, tmp_path, capsys):
+        # report of the parent would list both compares' runs as one table
+        cfg_path = write_config(tmp_path)
+        parent = tmp_path / "compares"
+        for name in ("a", "b"):
+            assert main(["compare", "--config", str(cfg_path), "--out", str(parent / name)]) == 0
+        capsys.readouterr()
+        with pytest.raises(ConfigError, match=f"^no runs found under {re.escape(str(parent))}$"):
+            run_report(parent)
+        assert not (parent / "report.csv").exists()
+        for name in ("a", "b"):
+            rows = run_report(parent / name).splitlines()[2:]
+            assert [row.split()[:2] for row in rows] == [["cpls", "1"], ["hard", "1"]]
+
     def test_corrupt_summary_errors(self, tmp_path):
         run_dir = tmp_path / "broken_run"
         run_dir.mkdir()
@@ -916,11 +932,9 @@ class TestCli:
         assert {p: p.read_bytes() for p in mix.rglob("*") if p.is_file()} == before
         assert not (mix / "hard_seed7").exists()
 
-    def test_train_into_a_stopped_compare_refused_and_left_unchanged(
+    def test_stopped_compare_leaves_no_out_dir_and_a_rerun_succeeds(
         self, tmp_path, capsys, monkeypatch
     ):
-        # a compare stopped before its table was written: report would list
-        # the stray run among the compare's
         import smoothlab.experiment as experiment
 
         real_run_seeds = experiment._run_seeds
@@ -935,20 +949,20 @@ class TestCli:
         with pytest.raises(KeyboardInterrupt):
             main(["compare", "--config", str(cfg_path), "--out", str(cut)])
         monkeypatch.undo()
-        assert not (cut / "comparison.csv").exists()
-        capsys.readouterr()
-        before = {p: p.read_bytes() for p in cut.rglob("*") if p.is_file()}
-        assert main(["train", "--config", str(cfg_path), "--out", str(cut), "--seed", "7"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and str(cut) in err[0]
-        assert {p: p.read_bytes() for p in cut.rglob("*") if p.is_file()} == before
-        assert not (cut / "hard_seed7").exists()
-
-    def test_finished_compare_leaves_no_mark(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        assert main(["compare", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "runs" / "comparison.csv").is_file()
-        assert not (tmp_path / "runs" / _UNFINISHED).exists()
+        # neither the output directory nor the hidden sibling it was built in
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+        cfg = parse_config(cfg_path, {"out": str(cut)})
+        table_path, records = run_compare(cfg)
+        assert table_path == cut / "comparison.csv" and table_path.is_file()
+        # each run's summary, metrics, reliability, test confusion and features,
+        # and each cpls run's val_confusion
+        paths = [path for record in records for path in record.artifacts.values()]
+        assert len(paths) == 4 * 5 + 2
+        assert all(path.parent.parent == cut and path.is_file() for path in paths)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cut", "exp.cfg"]
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert stat.S_IMODE(cut.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
     def test_compare_and_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

@@ -7,7 +7,8 @@ in ``golden/tiny_compare.cfg`` and says why in its change notes.
 
 The config has two seeds, so the digests are checked with the seeds run in
 this process and on two worker processes, from the ``python -m smoothlab``
-command line, and from a program read on stdin.
+command line, from a program read on stdin, and on a rerun into the output
+directory of a compare that was interrupted.
 """
 
 import hashlib
@@ -52,6 +53,29 @@ def test_digests_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
     out = tmp_path / "out"
     assert main(["compare", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert_matches_golden(out)
+
+
+def test_rerun_after_an_interrupted_compare_matches_golden_digests(tmp_path, capsys, monkeypatch):
+    # interrupted in-process after two of its eight runs were written
+    real_emit, emitted = experiment._emit_run, []
+
+    def emit(*args):
+        if len(emitted) == 2:
+            raise KeyboardInterrupt
+        emitted.append(real_emit(*args))
+        return emitted[-1]
+
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(experiment, "_emit_run", emit)
+    out = tmp_path / "out"
+    argv = ["compare", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv) == 0
     capsys.readouterr()
     assert_matches_golden(out)
 
