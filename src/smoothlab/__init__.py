@@ -52,7 +52,6 @@ from .trainer import (
     fit,
     init_params,
     loss_and_gradients,
-    train_epoch,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .errors import SmoothlabError
-from .experiment import parse_config, run_compare, run_generate, run_report, run_training
+from .experiment import _report, parse_config, run_compare, run_generate, run_report, run_training
 from .smoothing import STRATEGY_KINDS
 
 
@@ -67,7 +67,8 @@ def main(argv=None) -> int:
             cfg = _load_config(args)
             table_path, _ = run_compare(cfg)
             print(f"comparison table: {table_path}")
-            print(run_report(cfg.out_dir), end="")
+            # run_compare wrote report.csv before the tree became --out
+            print(_report(cfg.out_dir)[0], end="")
         elif args.command == "report":
             print(run_report(args.run_dir), end="")
     except (SmoothlabError, OSError, RuntimeError) as exc:

@@ -298,18 +298,12 @@ def run_single(
     seed: int,
     run_dir: Path,
 ) -> RunRecord:
-    """Train one (strategy, seed) pair on prepared splits and emit its artifacts."""
+    """Train one (strategy, seed) pair on prepared splits and emit its
+    artifacts, from the triple ``fit`` returns."""
     train, val, test = splits
-    # A cpls run's tracker table of each epoch; normalize() binds a new array
-    # every epoch, so the list holds every table, not the last one E times.
-    val_confusion: list = []
-
-    def collect_confusion(epoch, params, record, tracker):
-        if tracker is not None:
-            val_confusion.append(tracker.normalized)
-
-    params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=collect_confusion)
-    return _emit_run(test, cfg, strategy, seed, run_dir, params, metrics, val_confusion)
+    return _emit_run(
+        test, cfg, strategy, seed, run_dir, *fit(train, val, cfg.train, strategy, seed)
+    )
 
 
 def _emit_run(
@@ -541,11 +535,11 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     bit-identical initial parameters (``fit`` draws them from the layer sizes
     and the seed alone); only the loss targets differ. An output directory
     that already exists is refused before anything is written. The tree is
-    built in a hidden sibling of it and renamed to it once the table is
-    written, so the output directory appears whole or not at all and no
-    report mixes runs of two invocations; a compare that fails or is
-    interrupted removes the sibling. The returned paths name files under the
-    output directory.
+    built in a hidden sibling of it and renamed to it once the table and
+    ``report.csv`` are written, so the output directory appears whole or not
+    at all, no report mixes runs of two invocations, and nothing writes into
+    it afterwards; a compare that fails or is interrupted removes the
+    sibling. The returned paths name files under the output directory.
 
     The seeds run in parallel worker processes where more than one CPU is
     usable (see ``_run_seeds``); every output byte is the same either way. A
@@ -576,6 +570,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
                 rows.append((runs[0].strategy, label, stat(accs), stat(eces)))
         header = ("strategy", "seed", "test_accuracy", "test_ece_x100")
         write_csv(tmp / "comparison.csv", ("%s", "%s", "%.6f", "%.6f"), rows, header)
+        run_report(tmp)
         os.rename(tmp, out)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -588,14 +583,10 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     return cfg.out_dir / "comparison.csv", records
 
 
-def run_report(run_dir) -> str:
-    """Consolidate the summary.txt of each run directory directly under a
-    directory (the layout ``train`` and ``compare`` write) into one table.
-
-    Pure presentation: nothing is recomputed, so repeated invocations emit
-    identical bytes. Returns the rendered table; also writes report.csv.
-    """
-    run_dir = Path(run_dir)
+def _report(run_dir: Path) -> tuple[str, list[tuple[str, int, str, str]]]:
+    """The table of the runs whose summary.txt sits directly under
+    ``run_dir`` (the layout ``train`` and ``compare`` write), rendered, and
+    the rows of its report.csv; writes nothing."""
     summaries = sorted(run_dir.glob("*/summary.txt"))
     if not summaries:
         raise ConfigError(f"no runs found under {run_dir}")
@@ -620,12 +611,18 @@ def run_report(run_dir) -> str:
     lines = [header, "-" * len(header)]
     for strategy, seed, acc, ece_value, metrics_path in rows:
         lines.append(f"{strategy:<10} {seed:>6} {acc:>14} {ece_value:>10}  {metrics_path}")
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", [row[:4] for row in rows]
 
-    write_csv(
-        run_dir / "report.csv",
-        ("%s", "%d", "%s", "%s"),
-        (row[:4] for row in rows),
-        ("strategy", "seed", "test_accuracy", "test_ece"),
-    )
+
+def run_report(run_dir) -> str:
+    """Consolidate the summary.txt of each run directory directly under a
+    directory (the layout ``train`` and ``compare`` write) into one table.
+
+    Pure presentation: nothing is recomputed, so repeated invocations emit
+    identical bytes. Returns the rendered table; also writes report.csv.
+    """
+    run_dir = Path(run_dir)
+    text, rows = _report(run_dir)
+    header = ("strategy", "seed", "test_accuracy", "test_ece")
+    write_csv(run_dir / "report.csv", ("%s", "%d", "%s", "%s"), rows, header)
     return text

@@ -280,15 +280,15 @@ def fit(
     config: TrainConfig,
     strategy: TargetStrategy,
     seed: int,
-    on_epoch: Callable[[int, ModelParams, EpochMetrics, ConfusionTracker | None], None] | None = None,
-) -> tuple[ModelParams, list[EpochMetrics]]:
+) -> tuple[ModelParams, list[EpochMetrics], list[np.ndarray]]:
     """Run the full warmup-then-hybrid training schedule of one strategy.
 
     Every epoch ends with a validation pass. A cpls run folds its confusion
     counts into a fresh tracker matrix, so the hybrid phase always works from
     the latest one; an ols run folds the epoch's correct training predictions
-    into the next epoch's targets. ``on_epoch`` gets the tracker of a cpls run
-    and None otherwise.
+    into the next epoch's targets. Returns the parameters, the metrics of each
+    epoch and, for cpls, the tracker's table after each epoch (empty for every
+    other kind): the per-run triple of ``_fit_stack``.
     The network maps train.n_features inputs through ``config.hidden`` to
     train.num_classes outputs; its initial parameters are drawn from those
     sizes and the seed.
@@ -306,16 +306,15 @@ def fit(
             scores = _stack_scores(val_probs[None], val.labels[None], config.ece_bins)
         except _RunError as exc:
             raise exc.error from None
-        record = run.fold(epoch, train_loss, *(score[0] for score in scores))
-        if on_epoch is not None:
-            on_epoch(epoch, params, record, run.tracker)
-    return params, run.metrics
+        run.fold(epoch, train_loss, *(score[0] for score in scores))
+    return params, run.metrics, run.tables
 
 
 class _RunState:
     """What one run keeps from epoch to epoch besides its parameters: the
     state its strategy's kind reads (the confusion tracker of a cpls run, the
-    online-smoothing accumulator of an ols run) and its epoch metrics."""
+    online-smoothing accumulator of an ols run), its epoch metrics and, for
+    cpls, the tracker's table after each epoch."""
 
     def __init__(self, strategy: TargetStrategy, num_classes: int):
         self.strategy = strategy
@@ -323,6 +322,7 @@ class _RunState:
         self.tracker = ConfusionTracker(num_classes) if strategy.kind == "cpls" else None
         self.smoother = OnlineLabelSmoother(num_classes) if strategy.kind == "ols" else None
         self.metrics: list[EpochMetrics] = []
+        self.tables: list[np.ndarray] = []
 
     def table(self, epoch: int) -> np.ndarray:
         return self.strategy.table(self.num_classes, epoch, self.tracker, self.smoother)
@@ -335,19 +335,19 @@ class _RunState:
         val_accuracy: float,
         val_ece: float,
         val_confusion: np.ndarray,
-    ) -> EpochMetrics:
+    ) -> None:
         """Record the epoch's metrics, then fold its validation counts (cpls)
         or its training batches (ols) into the next epoch's table. A cpls
-        tracker binds a new ``normalized`` array every epoch."""
+        tracker binds a new ``normalized`` array every epoch, so ``tables``
+        keeps each one without a copy."""
         phase = self.strategy.phase(epoch)
-        record = EpochMetrics(epoch, phase, train_loss, val_loss, val_accuracy, val_ece)
-        self.metrics.append(record)
+        self.metrics.append(EpochMetrics(epoch, phase, train_loss, val_loss, val_accuracy, val_ece))
         if self.tracker is not None:
             self.tracker.accumulate_counts(val_confusion)
             self.tracker.normalize()
+            self.tables.append(self.tracker.normalized)
         if self.smoother is not None:
             self.smoother.advance_epoch()
-        return record
 
 
 # The most working-set bytes one stack of runs may hold (see _stack_cap), about
@@ -512,10 +512,11 @@ def _fit_stack(
     shuffled training split, drawn once per epoch. An ols smoother is fed a
     copy of its run's slice of the step's probabilities, and the validation
     pass is one stacked forward and one ``_stack_scores`` per epoch. Returns,
-    per run, its parameters, its metrics and, for cpls, the tracker's table
-    after each epoch. A non-finite loss raises ``_RunError`` naming, of the
-    runs it shows in at that step, the one of the first strategy and then the
-    lowest seed; an error in one run's validation pass names that run.
+    per run, the triple ``fit`` returns: its parameters, its metrics and, for
+    cpls, the tracker's table after each epoch. A non-finite loss raises
+    ``_RunError`` naming, of the runs it shows in at that step, the one of the
+    first strategy and then the lowest seed; an error in one run's validation
+    pass names that run.
     """
     train, val = splits[0]
     shapes = (train.features.shape, val.features.shape)
@@ -540,7 +541,6 @@ def _fit_stack(
     offsets = np.arange(count)[:, None] * num_classes
     val_features = np.stack([v.features for _, v in splits])[rows]
     val_labels = np.stack([v.labels for _, v in splits])[rows]
-    tables_seen: list[list[np.ndarray]] = [[] for _ in runs]
 
     for epoch in range(1, config.epochs + 1):
         for row, ((t, _), seed) in enumerate(zip(splits, seeds)):
@@ -568,11 +568,6 @@ def _fit_stack(
 
         val_probs = softmax_rows_inplace(stack.forward(val_features)[0])
         scores = _stack_scores(val_probs, val_labels, config.ece_bins)
-        for index, (run, train_loss, *score) in enumerate(zip(runs, train_losses, *scores)):
+        for run, train_loss, *score in zip(runs, train_losses, *scores):
             run.fold(epoch, train_loss, *score)
-            if run.tracker is not None:
-                tables_seen[index].append(run.tracker.normalized)
-    return [
-        (stack.params_of(index), run.metrics, tables_seen[index])
-        for index, run in enumerate(runs)
-    ]
+    return [(stack.params_of(index), run.metrics, run.tables) for index, run in enumerate(runs)]

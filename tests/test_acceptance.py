@@ -75,17 +75,15 @@ def test_criterion_1_loss_oracles():
 # ---------------------------------------------------------------- criterion 2
 
 def _trajectory(train, val, strategy, seed, epochs=4):
+    """The weights and biases after each epoch k: those of ``fit`` for k epochs,
+    which trains the first k epochs of a longer fit (see the trainer tests)."""
     snapshots = []
-
-    def grab(epoch, params, record, tracker):
-        snapshots.append(
-            [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
+    for k in range(1, epochs + 1):
+        cfg = TrainConfig(
+            hidden=(6,), epochs=k, batch_size=8, learning_rate=0.05, momentum=0.9, ece_bins=10
         )
-
-    cfg = TrainConfig(
-        hidden=(6,), epochs=epochs, batch_size=8, learning_rate=0.05, momentum=0.9, ece_bins=10
-    )
-    fit(train, val, cfg, strategy, seed, on_epoch=grab)
+        params = fit(train, val, cfg, strategy, seed)[0]
+        snapshots.append(params.weights + params.biases)
     return snapshots
 
 
@@ -265,18 +263,13 @@ def headline_runs():
     for seed in range(1, 11):
         train, val, test = prepare_splits(cfg, seed)
         for name, strategy in strategies.items():
-            snapshot = {}
-
-            def grab(epoch, params, record, tracker, snapshot=snapshot, strategy=strategy):
-                if strategy.kind == "cpls" and epoch == strategy.warmup_epochs:
-                    snapshot["row0"] = tracker.normalized[0].copy()
-
-            params, metrics = fit(train, val, cfg.train, strategy, seed, on_epoch=grab)
+            params, metrics, tables = fit(train, val, cfg.train, strategy, seed)
             accuracy, probs, _ = evaluate(params, test)
             results[name]["acc"].append(accuracy)
             results[name]["ece"].append(ece(probs, test.labels, cfg.train.ece_bins))
             if strategy.kind == "cpls":
-                warmup_rows.append(snapshot["row0"])
+                # row 0 of the tracker's table at the end of the last warmup epoch
+                warmup_rows.append(tables[strategy.warmup_epochs - 1][0])
     results["elapsed"] = time.monotonic() - started
     results["warmup_rows"] = warmup_rows
     return results

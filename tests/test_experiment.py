@@ -390,19 +390,17 @@ class TestTrainCommand:
     def test_val_confusion_holds_each_epochs_table_in_the_snapshot_format(
         self, tmp_path, monkeypatch
     ):
-        # Record a copy of the table fit hands to on_epoch in every epoch; each
-        # epoch's block of val_confusion.csv, with its "epoch,true_class,"
-        # prefix removed, is that table written as one C-column snapshot.
+        # Record the table history fit returns; each epoch's block of
+        # val_confusion.csv, with its "epoch,true_class," prefix removed, is
+        # that epoch's table written as one C-column snapshot.
         import smoothlab.experiment as experiment
 
         handed = []
 
-        def recording_fit(*args, on_epoch):
-            def record(epoch, params, metrics, tracker):
-                handed.append(tracker.normalized.copy())
-                on_epoch(epoch, params, metrics, tracker)
-
-            return fit(*args, on_epoch=record)
+        def recording_fit(*args):
+            params, metrics, tables = fit(*args)
+            handed.extend(table.copy() for table in tables)
+            return params, metrics, tables
 
         fit = experiment.fit
         monkeypatch.setattr(experiment, "fit", recording_fit)
@@ -931,6 +929,38 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and str(mix) in err[0]
         assert {p: p.read_bytes() for p in mix.rglob("*") if p.is_file()} == before
         assert not (mix / "hard_seed7").exists()
+
+    def test_compare_command_writes_nothing_under_out_after_the_publish(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The command once wrote report.csv after the rename: its tree then
+        # differed from run_compare's, and a stop before that write left a
+        # tree without report.csv that a rerun refused.
+        import smoothlab.cli as cli
+
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        library = tmp_path / "library"
+        run_compare(parse_config(cfg_path, {"out": str(library)}))
+        real_run_compare = cli.run_compare
+
+        def then_age_every_entry(cfg):
+            result = real_run_compare(cfg)
+            for path in [cfg.out_dir, *cfg.out_dir.rglob("*")]:
+                os.utime(path, ns=(0, 0))
+            return result
+
+        monkeypatch.setattr(cli, "run_compare", then_age_every_entry)
+        command = tmp_path / "command"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(command)]) == 0
+        assert "cpls" in capsys.readouterr().out
+        entries = [command, *command.rglob("*")]
+        assert [path for path in entries if path.stat().st_mtime_ns != 0] == []
+
+        def files(out):
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        assert files(command) == files(library)
+        assert Path("report.csv") in files(library)
 
     def test_stopped_compare_leaves_no_out_dir_and_a_rerun_succeeds(
         self, tmp_path, capsys, monkeypatch

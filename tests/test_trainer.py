@@ -32,11 +32,10 @@ from smoothlab import (
     save_csv,
     standardize,
     stratified_split,
-    train_epoch,
 )
 
 from smoothlab.calibration import _binned
-from smoothlab.trainer import _fit_stack, _RunError, _stack_scores
+from smoothlab.trainer import _fit_stack, _RunError, _stack_scores, train_epoch
 
 from oracles import (
     accumulate,
@@ -613,17 +612,17 @@ def cpls(beta, warmup_epochs):
 class TestFit:
     def test_hard_never_enters_hybrid(self):
         train, val, _ = split_blob()
-        _, metrics = fit(train, val, make_config(epochs=4), HARD, 0)
+        _, metrics, _ = fit(train, val, make_config(epochs=4), HARD, 0)
         assert all(m.phase == "warmup" for m in metrics)
 
     def test_cpls_phases(self):
         train, val, _ = split_blob()
-        _, metrics = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
+        _, metrics, _ = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
         assert [m.phase for m in metrics] == ["warmup", "warmup", "hybrid", "hybrid", "hybrid"]
 
     def test_metrics_are_sane(self):
         train, val, _ = split_blob()
-        _, metrics = fit(train, val, make_config(epochs=4), HARD, 0)
+        _, metrics, _ = fit(train, val, make_config(epochs=4), HARD, 0)
         for m in metrics:
             assert isinstance(m, EpochMetrics)
             assert 0.0 <= m.val_accuracy <= 1.0
@@ -634,20 +633,41 @@ class TestFit:
     def test_deterministic_end_to_end(self):
         train, val, _ = split_blob(seed=1)
         cfg = make_config(epochs=4)
-        pa, ma = fit(train, val, cfg, cpls(0.5, 1), 3)
-        pb, mb = fit(train, val, cfg, cpls(0.5, 1), 3)
+        pa, ma, _ = fit(train, val, cfg, cpls(0.5, 1), 3)
+        pb, mb, _ = fit(train, val, cfg, cpls(0.5, 1), 3)
         assert ma == mb
         for x, y in zip(pa.weights, pb.weights):
             assert np.array_equal(x, y)
 
     def trajectories(self, train, val, strategy, seed):
+        """The weights and biases after each of 4 epochs: those of ``fit`` for
+        that many epochs (see test_a_shorter_fit_is_a_prefix_of_a_longer_one)."""
         snapshots = []
-
-        def grab(epoch, params, record, tracker):
-            snapshots.append([w.copy() for w in params.weights] + [b.copy() for b in params.biases])
-
-        fit(train, val, make_config(epochs=4), strategy, seed, on_epoch=grab)
+        for epochs in range(1, 5):
+            params = fit(train, val, make_config(epochs=epochs), strategy, seed)[0]
+            snapshots.append(params.weights + params.biases)
         return snapshots
+
+    @pytest.mark.parametrize("strategy", [HARD, cpls(0.5, 2)], ids=lambda s: s.kind)
+    def test_a_shorter_fit_is_a_prefix_of_a_longer_one(self, monkeypatch, strategy):
+        # fit(epochs=k) gives the parameters and metrics of the first k epochs
+        # of fit(epochs=E), read as each epoch's validation pass sees them
+        real, seen = smoothlab.trainer.evaluate, []
+
+        def recording(params, ds):
+            seen.append(params.flat.copy())
+            return real(params, ds)
+
+        train, val, _ = split_blob(seed=2, overlap=((0, 1),))
+        monkeypatch.setattr(smoothlab.trainer, "evaluate", recording)
+        _, metrics, tables = fit(train, val, make_config(epochs=4), strategy, 5)
+        monkeypatch.undo()
+        assert len(seen) == 4
+        for epochs in range(1, 5):
+            params, head, head_tables = fit(train, val, make_config(epochs=epochs), strategy, 5)
+            assert params.flat.tobytes() == seen[epochs - 1].tobytes()
+            assert head == metrics[:epochs]
+            assert [t.tobytes() for t in head_tables] == [t.tobytes() for t in tables[:epochs]]
 
     def test_warmup_covering_all_epochs_reproduces_hard(self):
         train, val, _ = split_blob(seed=2, overlap=((0, 1),))
@@ -683,15 +703,13 @@ class TestFit:
 
         monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", CountingTracker)
         train, val, _ = split_blob(seed=4, overlap=((0, 1),))
-        handed = []
-        fit(
-            train, val, make_config(epochs=5), cpls(0.5, 2), 0,
-            on_epoch=lambda epoch, params, record, tracker: handed.append(tracker),
-        )
-        assert len(normalized_by) == 5
-        tracker = handed[-1]
-        assert all(t is tracker for t in normalized_by + handed)
-        assert np.max(np.abs(tracker.normalized.sum(axis=1) - 1.0)) < 1e-12
+        _, _, tables = fit(train, val, make_config(epochs=5), cpls(0.5, 2), 0)
+        assert len(normalized_by) == len(tables) == 5
+        tracker = normalized_by[-1]
+        assert all(t is tracker for t in normalized_by)
+        assert tables[-1] is tracker.normalized
+        for table in tables:
+            assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize(
         "strategy",
@@ -704,13 +722,15 @@ class TestFit:
         ids=lambda s: s.kind,
     )
     def test_only_the_state_its_kind_reads_is_kept(self, monkeypatch, strategy):
-        # a tracker is built and refreshed for cpls alone, a smoother for ols alone
-        normalized, smoothers, handed = [], [], []
+        # a tracker is built and refreshed for cpls alone, a smoother for ols
+        # alone, and only a cpls run returns a table history
+        normalized, smoothers = [], []
 
         class CountingTracker(ConfusionTracker):
             def normalize(self):
-                normalized.append(self)
-                return super().normalize()
+                result = super().normalize()
+                normalized.append(self.normalized)
+                return result
 
         class CountingSmoother(OnlineLabelSmoother):
             def __init__(self, num_classes):
@@ -720,15 +740,13 @@ class TestFit:
         monkeypatch.setattr(smoothlab.trainer, "ConfusionTracker", CountingTracker)
         monkeypatch.setattr(smoothlab.trainer, "OnlineLabelSmoother", CountingSmoother)
         train, val, _ = split_blob(seed=4, overlap=((0, 1),))
-        fit(
-            train, val, make_config(epochs=3), strategy, 0,
-            on_epoch=lambda epoch, params, record, tracker: handed.append(tracker),
-        )
+        _, _, tables = fit(train, val, make_config(epochs=3), strategy, 0)
         assert len(normalized) == (3 if strategy.kind == "cpls" else 0)
         assert len(smoothers) == (1 if strategy.kind == "ols" else 0)
-        assert len(handed) == 3
-        if strategy.kind != "cpls":
-            assert handed == [None] * 3
+        # each epoch's own table: one distinct array per epoch, none copied
+        assert len(tables) == len(normalized)
+        assert all(table is bound for table, bound in zip(tables, normalized))
+        assert len({id(table) for table in tables}) == len(tables)
 
     def test_negative_seed_rejected(self):
         train, val, _ = split_blob()
@@ -757,7 +775,7 @@ class TestFit:
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 2)])
     def test_network_ends_come_from_the_data(self, hidden):
         train, val, _ = split_blob(classes=5, dim=7)
-        params, _ = fit(train, val, make_config(epochs=1, hidden=hidden), HARD, 0)
+        params, _, _ = fit(train, val, make_config(epochs=1, hidden=hidden), HARD, 0)
         sizes = (7, *hidden, 5)
         assert [w.shape for w in params.weights] == list(zip(sizes[1:], sizes[:-1]))
 
@@ -770,18 +788,6 @@ KINDS = [
 ]
 
 
-def fit_alone(train, val, config, strategy, seed):
-    """``fit``'s parameters and metrics, and the cpls tracker's table after each epoch."""
-    tables = []
-
-    def grab(epoch, params, record, tracker):
-        if tracker is not None:
-            tables.append(tracker.normalized)
-
-    params, metrics = fit(train, val, config, strategy, seed, on_epoch=grab)
-    return params, metrics, tables
-
-
 def assert_stack_matches_fit(splits, config, strategies, seeds):
     """Run k * S + s of ``_fit_stack``, for S seeds, is ``strategies[k]`` on
     ``splits[s]`` with ``seeds[s]``; each must match ``fit`` of that run alone."""
@@ -789,7 +795,7 @@ def assert_stack_matches_fit(splits, config, strategies, seeds):
     runs = [(kind, split, seed) for kind in strategies for split, seed in zip(splits, seeds)]
     assert len(stacked) == len(runs)
     for (strategy, (train, val), seed), got in zip(runs, stacked):
-        want = fit_alone(train, val, config, strategy, seed)
+        want = fit(train, val, config, strategy, seed)
         assert got[0].flat.tobytes() == want[0].flat.tobytes()
         assert [w.shape for w in got[0].weights] == [w.shape for w in want[0].weights]
         assert got[1] == want[1]
