@@ -402,27 +402,33 @@ def _chunks(items, count: int) -> list:
     return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _train_stack(
-    splits: list[tuple[LabeledDataset, LabeledDataset, LabeledDataset]],
-    cfg: ExperimentConfig,
-    seeds: list[int],
-) -> list[list[RunRecord]]:
-    """Every strategy's runs of ``seeds`` (each seed on its splits): per seed,
-    its records in config order.
-
-    The runs form one stack, strategy by strategy in config order and seed by
-    seed within each; they train in lockstep (``_fit_stack``) and are then
-    emitted in that order. A stack of one seed trains each strategy alone
-    (``run_single``). An error that one run owns is raised as ``_RunError``
-    with the run's place in the stack.
-    """
+def _run_stack(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[RunRecord]:
+    """Every strategy's run of ``seeds`` on their prepared splits, strategy by
+    strategy in config order and seed by seed within each: trained in lockstep
+    (``_fit_stack``), or each alone (``run_single``) for one seed, then
+    emitted in that order. A failure names the strategy and the seed of the
+    run that owns it, or every strategy and seed of the stack when no single
+    run does; a failure to prepare the splits is raised as it is."""
+    splits = [prepare_splits(cfg, seed) for seed in seeds]
     runs = [
         (strategy, split, seed) for strategy in cfg.strategies for split, seed in zip(splits, seeds)
     ]
+
+    def failed(strategy: TargetStrategy, seed: int, error: Exception) -> RuntimeError:
+        return RuntimeError(f"run failed for strategy={strategy.kind} seed={seed}: {error}")
+
     fitted = None
     if len(seeds) > 1:
-        pairs = [(train, val) for train, val, _ in splits]
-        fitted = _fit_stack(pairs, cfg.train, cfg.strategies, seeds)
+        try:
+            fitted = _fit_stack([(t, v) for t, v, _ in splits], cfg.train, cfg.strategies, seeds)
+        except _RunError as exc:
+            strategy, _, seed = runs[exc.index]
+            raise failed(strategy, seed, exc.error) from exc.error
+        except Exception as exc:
+            kinds = ",".join(strategy.kind for strategy in cfg.strategies)
+            raise RuntimeError(
+                f"run failed for strategies={kinds} seeds={','.join(map(str, seeds))}: {exc}"
+            ) from exc
     records = []
     for index, (strategy, split, seed) in enumerate(runs):
         run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
@@ -432,57 +438,34 @@ def _train_stack(
             else:
                 records.append(_emit_run(split[2], cfg, strategy, seed, run_dir, *fitted[index]))
         except Exception as exc:
-            raise _RunError(index, exc) from exc
-    return [records[place :: len(seeds)] for place in range(len(seeds))]
+            raise failed(strategy, seed, exc) from exc
+    return records
 
 
-def _run_chunk(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[list[RunRecord]]:
-    """Every strategy's run for each seed of a chunk: per seed, its records in
-    config order.
-
-    The chunk is cut into stacks of at most ``_stack_cap`` runs, that is of
-    that many seeds over the number of strategies (at least one), as evenly
-    as chunks are cut from the seeds, and only one stack's splits are held at
-    a time. Every strategy's runs of a stack's seeds train in lockstep
-    together (``_train_stack``). A failure names the strategy and the seed of
-    the run that owns it, or every strategy and every seed of its stack when
-    no single run does.
-    """
+def _stacks(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
+    """The seeds in the stacks a compare runs, in config order: one chunk
+    per worker (see ``_chunks``), each cut into as few stacks as hold at most
+    ``_stack_cap`` runs, that is that many over the number of strategies in
+    seeds (at least one), whose sizes differ by at most one."""
     data = cfg.data
     width = data.dimension if isinstance(data, BlobSpec) else data.n_features
     runs = _stack_cap((width, *cfg.train.hidden, data.num_classes), cfg.train.batch_size)
     cap = max(1, runs // len(cfg.strategies))  # in seeds, each one run per strategy
-    records: list[list[RunRecord]] = []
-    for stack in _chunks(seeds, -(-len(seeds) // cap)):
-        splits = [prepare_splits(cfg, seed) for seed in stack]
-        try:
-            records += _train_stack(splits, cfg, stack)
-        except _RunError as exc:
-            strategy = cfg.strategies[exc.index // len(stack)]
-            seed = stack[exc.index % len(stack)]
-            raise RuntimeError(
-                f"run failed for strategy={strategy.kind} seed={seed}: {exc.error}"
-            ) from exc.error
-        except Exception as exc:
-            kinds = ",".join(strategy.kind for strategy in cfg.strategies)
-            raise RuntimeError(
-                f"run failed for strategies={kinds} seeds={','.join(map(str, stack))}: {exc}"
-            ) from exc
-    return records
+    chunks = _chunks(cfg.seeds, workers)
+    return [stack for chunk in chunks for stack in _chunks(chunk, -(-len(chunk) // cap))]
 
 
-def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
-    """Every seed's records (see ``_run_chunk``), in config order.
+def _run_seeds(cfg: ExperimentConfig) -> list[RunRecord]:
+    """Every stack's records (see ``_run_stack``), in the order of ``_stacks``.
 
     The seeds are independent, so they run on one worker process per usable
-    CPU, up to one per seed, each worker taking one contiguous chunk of them
-    (see ``_chunks``). They run in this process, as one chunk, when there is a
-    single worker, or when the main module's __file__ names no file that a
-    worker could run.
+    CPU, up to one per seed, each stack as one task. The stacks run in this
+    process, as one worker's chunk, when there is a single worker, or when the
+    main module's __file__ names no file that a worker could run.
     Workers are spawned, not forked, so none inherits this process's BLAS
     thread pool; each starts with ``cpus // workers`` BLAS threads, so the
     workers' threads together use each CPU once.
-    The first failure in config order is raised, and the chunks already
+    The first failure in config order is raised, and the stacks already
     running finish before this returns.
     """
     cpus = _usable_cpus()
@@ -490,8 +473,11 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
     # A spawned worker first runs the main module from its file; a program read
     # from stdin (``python - < script.py``) has a __file__ that names no file.
     main_file = getattr(sys.modules["__main__"], "__file__", None)
-    if workers == 1 or (main_file is not None and not os.path.isfile(main_file)):
-        return _run_chunk(cfg, cfg.seeds)
+    if main_file is not None and not os.path.isfile(main_file):
+        workers = 1
+    stacks = _stacks(cfg, workers)
+    if workers == 1:
+        return [record for stack in stacks for record in _run_stack(cfg, stack)]
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -513,15 +499,14 @@ def _run_seeds(cfg: ExperimentConfig) -> list[list[RunRecord]]:
         saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers))))
         try:
-            chunks = _chunks(cfg.seeds, workers)
-            futures = [pool.submit(_run_chunk, cfg, chunk) for chunk in chunks]
+            futures = [pool.submit(_run_stack, cfg, stack) for stack in stacks]
         finally:
             for name, value in saved.items():
                 if value is None:
                     os.environ.pop(name, None)
                 else:
                     os.environ[name] = value
-        return [records for future in futures for records in future.result()]
+        return [record for future in futures for record in future.result()]
     except BrokenProcessPool as exc:
         raise RuntimeError(f"a compare worker process died ({exc}); {guard}") from exc
     finally:
@@ -539,7 +524,8 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     ``report.csv`` are written, so the output directory appears whole or not
     at all, no report mixes runs of two invocations, and nothing writes into
     it afterwards; a compare that fails or is interrupted removes the
-    sibling. The returned paths name files under the output directory.
+    sibling. The records are returned in the order of the table's rows, and
+    their paths name files under the output directory.
 
     The seeds run in parallel worker processes where more than one CPU is
     usable (see ``_run_seeds``); every output byte is the same either way. A
@@ -555,14 +541,11 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     tmp = out.parent / f".{out.name}.{os.urandom(4).hex()}"
     tmp.mkdir()
     try:
-        per_seed = _run_seeds(replace(cfg, out_dir=tmp))
-        by_strategy = list(zip(*per_seed))
+        stacked = _run_seeds(replace(cfg, out_dir=tmp))
+        by_strategy = [[r for r in stacked if r.strategy == s.kind] for s in cfg.strategies]
+        records = [record for runs in by_strategy for record in runs]
         # The seed column holds a seed or the name of a summary statistic.
-        rows = [
-            (r.strategy, r.seed, r.test_accuracy, r.test_ece * 100)
-            for runs in by_strategy
-            for r in runs
-        ]
+        rows = [(r.strategy, r.seed, r.test_accuracy, r.test_ece * 100) for r in records]
         for runs in by_strategy:
             accs = [r.test_accuracy for r in runs]
             eces = [r.test_ece * 100 for r in runs]
@@ -575,7 +558,6 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    records = [record for seed_records in per_seed for record in seed_records]
     for record in records:
         record.artifacts = {
             name: cfg.out_dir / path.relative_to(tmp) for name, path in record.artifacts.items()

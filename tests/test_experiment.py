@@ -30,7 +30,7 @@ from smoothlab import (
 )
 from smoothlab.cli import main
 from smoothlab.datasets import write_csv
-from smoothlab.experiment import _KEYS, _chunks, config_from_values, parse_kv_text
+from smoothlab.experiment import _KEYS, _chunks, _stacks, config_from_values, parse_kv_text
 from smoothlab.smoothing import _KIND_FIELDS, STRATEGY_KINDS
 
 FAST_CONFIG = """
@@ -553,6 +553,57 @@ class TestStacks:
         sizes = [len(chunk) for chunk in chunks]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 10**6), unique=True, min_size=1, max_size=40),
+        kinds=st.integers(2, len(STRATEGY_KINDS)),
+        cap=st.integers(1, 100),
+        data=st.data(),
+    )
+    def test_plan_cuts_each_workers_chunk_into_even_stacks_within_the_cap(
+        self, seeds, kinds, cap, data
+    ):
+        import smoothlab.experiment as experiment
+
+        workers = data.draw(st.integers(1, len(seeds)))
+        cfg = config_from_values(
+            {"seeds": ",".join(map(str, seeds)), "strategies": ",".join(STRATEGY_KINDS[:kinds])}
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "_stack_cap", lambda sizes, batch_size: cap)
+            stacks = _stacks(cfg, workers)
+        most = max(1, cap // kinds)  # seeds, each one run per strategy
+        assert [seed for stack in stacks for seed in stack] == seeds
+        assert all(1 <= len(stack) <= most for stack in stacks)
+        # the stacks of each worker's chunk: as few as the cap allows, even sizes
+        rest = iter(stacks)
+        for chunk in _chunks(tuple(seeds), workers):
+            mine = [next(rest) for _ in range(-(-len(chunk) // most))]
+            assert tuple(seed for stack in mine for seed in stack) == chunk
+            sizes = [len(stack) for stack in mine]
+            assert max(sizes) - min(sizes) <= 1
+        assert next(rest, None) is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plans_of_the_benchmark_workloads(self, workers):
+        default = config_from_values({})
+        wide = config_from_values(
+            {
+                "data.classes": "32",
+                "data.per_class": "400",
+                "data.dimension": "32",
+                "model.hidden": "128,128",
+                "train.batch_size": "128",
+                "ols.warmup": "2",
+                "cpls.warmup": "2",
+                "train.epochs": "4",
+                "seeds": "1,2",
+            }
+        )
+        halves = [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)]
+        assert _stacks(default, workers) == ([tuple(range(1, 11))] if workers == 1 else halves)
+        assert _stacks(wide, workers) == [(1,), (2,)]
+
     def test_non_finite_loss_names_the_lowest_failing_seed(self, tmp_path, monkeypatch):
         import smoothlab.experiment as experiment
         import smoothlab.trainer as trainer
@@ -636,22 +687,51 @@ class TestSeedWorkers:
     """Compares whose seeds run on worker processes."""
 
     def test_uneven_chunks_give_the_bytes_of_one_process(self, tmp_path, monkeypatch):
-        # seeds 3,1 stack on one worker and 2 runs alone on the other
+        # seeds 3,1 stack on one worker and 2 runs alone on the other; at one
+        # seed per stack, three tasks run on the two workers
         import smoothlab.experiment as experiment
 
+        cfg_path = write_config(
+            tmp_path, "strategies = hard,ols,cpls", train_epochs=2, seeds="3,1,2"
+        )
         trees = []
-        for cpus in (1, 2):
+        for cpus, one_seed_stacks in ((1, False), (2, False), (2, True)):
             monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"cpus{cpus}"
-            cfg_path = write_config(
-                tmp_path, "strategies = hard,ols,cpls", train_epochs=2, seeds="3,1,2"
-            )
+            if one_seed_stacks:
+                monkeypatch.setattr(experiment, "_stack_cap", lambda sizes, batch_size: 1)
+                assert _stacks(parse_config(cfg_path), cpus) == [(3,), (1,), (2,)]
+            out = tmp_path / f"cpus{cpus}{'-one-seed-stacks' * one_seed_stacks}"
             assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
             files = [p for p in out.rglob("*") if p.is_file()]
             trees.append({p.relative_to(out): p.read_bytes() for p in files})
-        assert trees[0] == trees[1]
+        assert trees[0] == trees[1] == trees[2]
         rows = trees[0][Path("comparison.csv")].decode().splitlines()[1:10]
         assert [row.split(",")[1] for row in rows] == ["3", "1", "2"] * 3
+
+    def test_failure_in_the_last_stack_on_a_worker_names_its_run_and_leaves_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiment, "_stack_cap", lambda sizes, batch_size: 1)
+        # At this rate seed 3's validation probabilities overflow; seeds 1
+        # and 2 train to the end.
+        cfg_path = write_config(
+            tmp_path,
+            "strategies = hard,ols,cpls",
+            "train.learning_rate = 6e19",
+            train_epochs=2,
+            seeds="1,2,3",
+        )
+        cfg = parse_config(cfg_path)
+        assert _stacks(cfg, 2) == [(1,), (2,), (3,)]
+        with pytest.raises(RuntimeError, match=r"^run failed for strategy=hard seed=3: "):
+            run_compare(cfg)
+        assert multiprocessing.active_children() == []
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_failure_in_a_worker_names_the_first_run_and_leaves_nothing(
         self, tmp_path, monkeypatch
