@@ -30,12 +30,19 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     return v.astype(np.int64, copy=False)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise DomainError unless ``value`` is an integer >= 1."""
+def _plain_number(text: str, parse):
+    """``parse(text)``, refusing the ``_`` and non-ASCII digits int() and float() accept."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return parse(text)
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise DomainError unless ``value`` is an integer >= ``least``."""
     if not isinstance(value, Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +384,7 @@ def load_csv(path) -> LabeledDataset:
             raise ParseError(f"{path}: row {row_no}: expected {d + 1} fields, got {len(cells)}")
         for j in range(d):
             try:
-                value = float(cells[j])
+                value = _plain_number(cells[j], float)
             except ValueError:
                 raise ParseError(
                     f"{path}: row {row_no}: non-numeric feature value {cells[j]!r}"
@@ -386,7 +393,7 @@ def load_csv(path) -> LabeledDataset:
                 raise ParseError(f"{path}: row {row_no}: non-finite feature value {cells[j]!r}")
             features[i, j] = value
         try:
-            label = int(cells[-1])
+            label = _plain_number(cells[-1], int)
         except ValueError:
             raise ParseError(f"{path}: row {row_no}: non-integer label {cells[-1]!r}") from None
         if label < 0:

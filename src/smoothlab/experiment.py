@@ -17,6 +17,7 @@ from .datasets import (
     BlobSpec,
     LabeledDataset,
     SplitSpec,
+    _plain_number,
     generate_confusable_blobs,
     load_csv,
     save_csv,
@@ -87,14 +88,14 @@ def _parse_text(raw: str, key: str) -> str:
 
 def _parse_int(raw: str, key: str) -> int:
     try:
-        return int(raw)
+        return _plain_number(raw, int)
     except ValueError:
         raise ConfigError(f"config key {key}: expected an integer, got {raw!r}") from None
 
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        return _plain_number(raw, float)
     except ValueError:
         raise ConfigError(f"config key {key}: expected a number, got {raw!r}") from None
 

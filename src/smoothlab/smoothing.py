@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _whole_numbers, write_csv
+from .datasets import _check_count, _whole_numbers, write_csv
 from .errors import DimensionError, DomainError
 
 # Probabilities are floored before taking logs so a zero prediction yields a
@@ -62,8 +62,8 @@ class TargetStrategy:
             raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.beta is not None and not (0.0 < self.beta < 1.0):
             raise DomainError(f"beta must be in (0, 1), got {self.beta}")
-        if self.warmup_epochs is not None and self.warmup_epochs < 0:
-            raise DomainError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if self.warmup_epochs is not None:
+            _check_count("warmup_epochs", self.warmup_epochs, least=0)
 
     def phase(self, epoch: int) -> str:
         """"hybrid" once a warmup strategy has passed its threshold, else "warmup"."""
@@ -141,11 +141,10 @@ class ConfusionTracker:
 class OnlineLabelSmoother:
     """Baseline that accumulates the model's correct predictions per class.
 
-    ``update_batch`` records an epoch's batches; ``advance_epoch()`` adds every
-    probability vector whose argmax equals its label to that class's
-    accumulator and turns the per-class means into the target table used
-    throughout the next epoch; classes with no correct predictions keep their
-    identity row.
+    ``update_batch`` adds every probability vector whose argmax equals its
+    label to that class's accumulator; ``advance_epoch()`` turns the per-class
+    means into the target table used throughout the next epoch and resets the
+    accumulators. Classes with no correct predictions keep their identity row.
     """
 
     def __init__(self, num_classes: int):
@@ -155,23 +154,17 @@ class OnlineLabelSmoother:
         self.targets = np.eye(num_classes)
         self._sums = np.zeros((num_classes, num_classes))
         self._counts = np.zeros(num_classes, dtype=np.int64)
-        self._batches: list[tuple[np.ndarray, np.ndarray]] = []
 
     def update_batch(self, labels: np.ndarray, probs: np.ndarray) -> None:
-        """Record one batch for ``advance_epoch`` to fold in. The arrays are
-        kept, not copied, so the caller must not write into them afterwards."""
-        self._batches.append((labels, probs))
+        """Fold (n,) labels and their (n, C) probabilities into the epoch's
+        accumulators; neither array is kept."""
+        correct = np.argmax(probs, axis=1) == labels
+        # add.at adds the rows in index order, so the sums of one call over an
+        # epoch are those of one call per batch.
+        np.add.at(self._sums, labels[correct], probs[correct])
+        self._counts += np.bincount(labels[correct], minlength=self.num_classes)
 
     def advance_epoch(self) -> None:
-        if self._batches:
-            labels = np.concatenate([labels for labels, _ in self._batches])
-            probs = np.concatenate([probs for _, probs in self._batches])
-            self._batches = []
-            correct = np.argmax(probs, axis=1) == labels
-            # add.at adds the rows in index order, so the sums are those of
-            # folding the batches in one at a time.
-            np.add.at(self._sums, labels[correct], probs[correct])
-            self._counts += np.bincount(labels[correct], minlength=self.num_classes)
         self.targets = _row_means(self._sums, self._counts)
         self._sums = np.zeros_like(self._sums)
         self._counts = np.zeros_like(self._counts)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -179,8 +178,7 @@ def loss_and_gradients(
     array laid out like ``params.flat``, from the params' one-run stack.
 
     The gradient is written into ``params.flat_grad`` and that buffer is
-    returned, so the next call on the same params overwrites it. The
-    probabilities are a new array on every call and are not written again.
+    returned, so the next call on the same params overwrites it.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -203,15 +201,13 @@ def train_epoch(
     config: TrainConfig,
     seed: int,
     epoch: int,
-    on_batch: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> float:
-    """One pass of shuffled mini-batch SGD with momentum; returns the mean loss.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One pass of shuffled mini-batch SGD with momentum. Returns the mean
+    loss, the epoch's (n,) shuffled labels and the (n, C) probabilities each
+    sample got in its step's forward pass, both in the epoch's order.
 
     The shuffle is a pure function of (seed, epoch). ``target_table``
     row y is the soft target applied to every sample labeled y this epoch.
-    ``on_batch(labels, probs)`` is invoked after each forward pass; every call
-    gets a new ``probs`` array and a slice of the epoch's labels, and neither
-    is written again, so the callback may keep them without copying.
     """
     target_table = np.asarray(target_table, dtype=np.float64)
     if target_table.shape != (train.num_classes, train.num_classes):
@@ -224,17 +220,17 @@ def train_epoch(
     features = train.features[order]
     labels = train.labels[order]
     targets = target_table[labels]
+    epoch_probs = np.empty((n, train.num_classes))
     total = 0.0
     for batch_no, start in enumerate(range(0, n, config.batch_size)):
         batch = slice(start, start + config.batch_size)
         loss, probs, _ = loss_and_gradients(params, features[batch], targets[batch])
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
-        if on_batch is not None:
-            on_batch(labels[batch], probs)
+        epoch_probs[batch] = probs
         params._stack.sgd_step(config.learning_rate, config.momentum)
         total += loss * probs.shape[0]
-    return total / n
+    return total / n, labels, epoch_probs
 
 
 def _counts(predictions: np.ndarray, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,16 +293,17 @@ def fit(
         raise DimensionError("train and val splits must share feature count and class count")
     params = init_params((train.n_features, *config.hidden, train.num_classes), seed)
     run = _RunState(strategy, train.num_classes)
-    on_batch = run.smoother.update_batch if run.smoother is not None else None
     for epoch in range(1, config.epochs + 1):
-        train_loss = train_epoch(params, train, run.table(epoch), config, seed, epoch, on_batch)
+        loss, labels, probs = train_epoch(params, train, run.table(epoch), config, seed, epoch)
+        if run.smoother is not None:
+            run.smoother.update_batch(labels, probs)
         # perfbench/tracing.py's HOOKS pin this one evaluate call per epoch.
         _, val_probs, _ = evaluate(params, val)
         try:
             scores = _stack_scores(val_probs[None], val.labels[None], config.ece_bins)
         except _RunError as exc:
             raise exc.error from None
-        run.fold(epoch, train_loss, *(score[0] for score in scores))
+        run.fold(epoch, loss, *(score[0] for score in scores))
     return params, run.metrics, run.tables
 
 
@@ -337,7 +334,7 @@ class _RunState:
         val_confusion: np.ndarray,
     ) -> None:
         """Record the epoch's metrics, then fold its validation counts (cpls)
-        or its training batches (ols) into the next epoch's table. A cpls
+        or its training predictions (ols) into the next epoch's table. A cpls
         tracker binds a new ``normalized`` array every epoch, so ``tables``
         keeps each one without a copy."""
         phase = self.strategy.phase(epoch)
@@ -460,7 +457,7 @@ class _ParamStack:
         self, x: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each run's mean batch loss, an (R,) array, and the (R, n, C)
-        probabilities, a new array; the gradients go into ``grad``: per sample
+        probabilities; the gradients go into ``grad``: per sample
         probs - target at the logits, then the chain rule through ReLU layers."""
         logits, activations = self.forward(x)
         probs = softmax_rows_inplace(logits)
@@ -509,14 +506,13 @@ def _fit_stack(
     each: run r is ``strategies[r // S]`` with ``seeds[r % S]`` for S seeds.
 
     Each run keeps its own targets and ``_RunState``; a seed's runs share its
-    shuffled training split, drawn once per epoch. An ols smoother is fed a
-    copy of its run's slice of the step's probabilities, and the validation
-    pass is one stacked forward and one ``_stack_scores`` per epoch. Returns,
-    per run, the triple ``fit`` returns: its parameters, its metrics and, for
-    cpls, the tracker's table after each epoch. A non-finite loss raises
-    ``_RunError`` naming, of the runs it shows in at that step, the one of the
-    first strategy and then the lowest seed; an error in one run's validation
-    pass names that run.
+    shuffled training split, drawn once per epoch. An ols smoother is fed its
+    run's whole epoch in one call, and the validation pass is one stacked
+    forward and one ``_stack_scores`` per epoch. Returns, per run, the triple
+    ``fit`` returns: its parameters, its metrics and, for cpls, the tracker's
+    table after each epoch. A non-finite loss raises ``_RunError`` naming, of
+    the runs it shows in at that step, the one of the first strategy and then
+    the lowest seed; an error in one run's validation pass names that run.
     """
     train, val = splits[0]
     shapes = (train.features.shape, val.features.shape)
@@ -527,14 +523,16 @@ def _fit_stack(
     initial = [init_params(sizes, seed) for seed in seeds]
     stack = _ParamStack(initial[0]._layout, np.stack([p.flat for _ in strategies for p in initial]))
     runs = [_RunState(strategy, num_classes) for strategy in strategies for _ in splits]
-    smoothers = [(r, run.smoother) for r, run in enumerate(runs) if run.smoother is not None]
     count = len(runs)
+    ols = np.flatnonzero([run.smoother is not None for run in runs])
     # the order in which a non-finite loss names runs, and each run's seed row
     blame = [(place, seed) for place in range(len(strategies)) for seed in seeds]
     rows = np.arange(count) % len(seeds)
     # Every epoch refills the same buffers, one row per seed.
     features = np.empty((len(seeds), n, train.n_features))
     labels = np.empty((len(seeds), n), dtype=train.labels.dtype)
+    # row i holds run ols[i]'s probabilities of each sample at its step
+    ols_probs = np.empty((ols.size, n, num_classes))
     tables = np.empty((count, num_classes, num_classes))
     # row r * C + y of tables_flat is run r's target for label y
     tables_flat = tables.reshape(-1, num_classes)
@@ -552,19 +550,19 @@ def _fit_stack(
         totals = np.zeros(count)
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             batch = slice(start, start + config.batch_size)
-            batch_labels = labels[rows, batch]
-            targets = np.take(tables_flat, batch_labels + offsets, axis=0)
+            targets = np.take(tables_flat, labels[rows, batch] + offsets, axis=0)
             losses, probs = stack.loss_and_gradients(features[rows, batch], targets)
             finite = np.isfinite(losses)
             if not finite.all():
                 index = min(np.flatnonzero(~finite).tolist(), key=blame.__getitem__)
                 error = NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
                 raise _RunError(index, error)
-            for index, smoother in smoothers:
-                smoother.update_batch(batch_labels[index], probs[index].copy())
+            ols_probs[:, batch] = probs[ols]
             stack.sgd_step(config.learning_rate, config.momentum)
             totals += losses * probs.shape[1]
         train_losses = (totals / n).tolist()
+        for index, epoch_probs in zip(ols.tolist(), ols_probs):
+            runs[index].smoother.update_batch(labels[rows[index]], epoch_probs)
 
         val_probs = softmax_rows_inplace(stack.forward(val_features)[0])
         scores = _stack_scores(val_probs, val_labels, config.ece_bins)

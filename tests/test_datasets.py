@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -425,6 +426,22 @@ class TestCsv:
         negative.write_text("f0,label\n1.0,-1\n")
         with pytest.raises(ParseError, match="row 2"):
             load_csv(negative)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # float() and int() read 1_0 as 10 and a full-width 1 as 1
+            ("1_0,0", "non-numeric feature value '1_0'"),
+            ("\uff11.5,0", "non-numeric feature value '\uff11.5'"),
+            ("1.0,1_0", "non-integer label '1_0'"),
+            ("1.0,\uff11", "non-integer label '\uff11'"),
+        ],
+    )
+    def test_cells_must_be_plain_ascii_numbers(self, tmp_path, row, message):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"f0,label\n0.5,0\n{row}\n2.0,1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"cells.csv: row 3: {re.escape(message)}$"):
+            load_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"

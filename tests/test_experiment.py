@@ -18,6 +18,7 @@ from smoothlab import (
     LabeledDataset,
     ParseError,
     SplitSpec,
+    TargetStrategy,
     TrainConfig,
     generate_confusable_blobs,
     load_csv,
@@ -30,7 +31,14 @@ from smoothlab import (
 )
 from smoothlab.cli import main
 from smoothlab.datasets import write_csv
-from smoothlab.experiment import _KEYS, _chunks, _stacks, config_from_values, parse_kv_text
+from smoothlab.experiment import (
+    _KEYS,
+    _build,
+    _chunks,
+    _stacks,
+    config_from_values,
+    parse_kv_text,
+)
 from smoothlab.smoothing import _KIND_FIELDS, STRATEGY_KINDS
 
 FAST_CONFIG = """
@@ -160,6 +168,27 @@ class TestConfigParsing:
         # it used to reach config_from_values as "unknown config keys: " naming nothing
         with pytest.raises(ParseError, match="exp.cfg: line 2: expected key=value"):
             parse_kv_text("seeds = 1\n= 5\n", "exp.cfg")
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            # int() and float() read 0_1 as 1.0, 1_2 as 12 and a full-width 5 as 5
+            ("train.learning_rate", "0_1", "expected a number, got '0_1'"),
+            ("seeds", "1_2", "expected an integer, got '1_2'"),
+            ("train.epochs", "\uff15", "expected an integer, got '\uff15'"),
+            ("split.train", "0.\u0667", "expected a number, got '0.\u0667'"),
+            ("data.overlap", "0:1_0", "expected an integer, got '1_0'"),
+        ],
+    )
+    def test_numbers_must_be_plain_ascii(self, key, value, expected):
+        with pytest.raises(ConfigError, match=f"^config key {re.escape(f'{key}: {expected}')}$"):
+            config_from_values({key: value})
+
+    def test_non_integer_warmup_is_named_by_its_key(self):
+        settings = {"cpls.beta": 0.5, "cpls.warmup": 2.5}
+        message = "config key cpls.warmup: warmup_epochs must be an integer, got 2.5"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _build(TargetStrategy, settings, "cpls", "cpls")
 
     def test_defaults(self):
         cfg = config_from_values({})
@@ -690,6 +719,10 @@ class TestSeedWorkers:
         # seeds 3,1 stack on one worker and 2 runs alone on the other; at one
         # seed per stack, three tasks run on the two workers
         import smoothlab.experiment as experiment
+
+        # a warning in a spawned worker fails its compare, as one in this
+        # process does under the filterwarnings setting
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
 
         cfg_path = write_config(
             tmp_path, "strategies = hard,ols,cpls", train_epochs=2, seeds="3,1,2"

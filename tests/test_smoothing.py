@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ class TestTargetStrategy:
             TargetStrategy("ols", warmup_epochs=-1)
         with pytest.raises(DomainError):
             TargetStrategy("nope")
+
+    @pytest.mark.parametrize("kind", ["ols", "cpls"])
+    @pytest.mark.parametrize("warmup", [2.5, 2.0, "2"])
+    def test_warmup_must_be_an_integer(self, kind, warmup):
+        # a warmup of 2.5 used to train as a warmup of 2
+        given = {"beta": 0.5} if kind == "cpls" else {}
+        message = f"warmup_epochs must be an integer, got {warmup!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            TargetStrategy(kind, warmup_epochs=warmup, **given)
+        assert TargetStrategy(kind, warmup_epochs=np.int64(2), **given).warmup_epochs == 2
 
 
 class TestTargets:
@@ -371,22 +382,29 @@ class TestOnlineLabelSmoother:
         epochs=st.integers(1, 3),
     )
     def test_epoch_fold_equals_per_batch_folds_bit_for_bit(self, c, sizes, seed, epochs):
-        """``advance_epoch`` folds the recorded batches with one add.at; the
-        oracle folds each batch as it comes. The targets agree to the bit."""
+        """``update_batch`` folds its rows with one add.at, called once per
+        batch or once over the epoch's batches concatenated; the oracle folds
+        each batch as it comes. The three smoothers' targets agree to the bit."""
         rng = np.random.default_rng(seed)
-        deferred, per_batch = OnlineLabelSmoother(c), OnlineLabelSmoother(c)
+        each_batch, per_batch = OnlineLabelSmoother(c), OnlineLabelSmoother(c)
+        whole_epoch = OnlineLabelSmoother(c)
         for _ in range(epochs):
+            epoch_labels, epoch_probs = [np.empty(0, dtype=np.int64)], [np.empty((0, c))]
             for size in sizes:
                 # coarse probabilities make argmax ties and repeated rows common
                 probs = rng.dirichlet(np.ones(c), size=size).round(1)
                 probs /= probs.sum(axis=1, keepdims=True)
                 agree = rng.random(size) < 0.6
                 labels = np.where(agree, probs.argmax(axis=1), rng.integers(0, c, size))
-                deferred.update_batch(labels, probs)
+                each_batch.update_batch(labels, probs)
                 smoother_update_batch(per_batch, labels, probs)
-            deferred.advance_epoch()
-            per_batch.advance_epoch()
-            assert deferred.targets.tobytes() == per_batch.targets.tobytes()
+                epoch_labels.append(labels)
+                epoch_probs.append(probs)
+            whole_epoch.update_batch(np.concatenate(epoch_labels), np.concatenate(epoch_probs))
+            for smoother in (each_batch, per_batch, whole_epoch):
+                smoother.advance_epoch()
+            assert each_batch.targets.tobytes() == per_batch.targets.tobytes()
+            assert whole_epoch.targets.tobytes() == per_batch.targets.tobytes()
 
 
 class TestLossGradients:

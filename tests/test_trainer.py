@@ -228,7 +228,7 @@ class TestTrainEpoch:
         ds = tiny_dataset()
         params = init_params((4, 6, 3), 0)
         before = [w.copy() for w in params.weights]
-        loss = train_epoch(params, ds, np.eye(3), make_config(lr=0.0), seed=0, epoch=1)
+        loss, _, _ = train_epoch(params, ds, np.eye(3), make_config(lr=0.0), seed=0, epoch=1)
         assert math.isfinite(loss) and loss > 0
         for w, old in zip(params.weights, before):
             assert np.array_equal(w, old)
@@ -238,9 +238,11 @@ class TestTrainEpoch:
         cfg = make_config()
         a = init_params((4, 6, 3), 1)
         b = init_params((4, 6, 3), 1)
-        la = train_epoch(a, ds, np.eye(3), cfg, seed=0, epoch=2)
-        lb = train_epoch(b, ds, np.eye(3), cfg, seed=0, epoch=2)
+        la, labels_a, probs_a = train_epoch(a, ds, np.eye(3), cfg, seed=0, epoch=2)
+        lb, labels_b, probs_b = train_epoch(b, ds, np.eye(3), cfg, seed=0, epoch=2)
         assert la == lb
+        assert np.array_equal(labels_a, labels_b)
+        assert probs_a.tobytes() == probs_b.tobytes()
         for x, y in zip(a.weights, b.weights):
             assert np.array_equal(x, y)
 
@@ -265,9 +267,11 @@ class TestTrainEpoch:
 def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, seed, epoch):
     """One SGD epoch written the straightforward way, updating the four lists:
     per-batch fancy indexing, out-of-place forward, softmax and backward, and
-    a per-layer momentum step. Returns the mean training loss."""
+    a per-layer momentum step. Returns the mean training loss, the shuffled
+    labels and each batch's probabilities, stacked in the epoch's order."""
     order = np.random.default_rng([seed, epoch]).permutation(ds.n_samples)
     total = 0.0
+    batch_probs = []
     for start in range(0, ds.n_samples, config.batch_size):
         idx = order[start : start + config.batch_size]
         x, targets = ds.features[idx], table[ds.labels[idx]]
@@ -277,6 +281,7 @@ def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, seed, epoc
         logits = activations[-1] @ weights[-1].T + biases[-1]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
+        batch_probs.append(probs)
         loss = float(-(targets * np.log(np.maximum(probs, 1e-12))).sum(axis=1).mean())
         delta = (probs - targets) / idx.size
         grads_w, grads_b = [None] * len(weights), [None] * len(weights)
@@ -291,7 +296,7 @@ def reference_epoch(weights, biases, w_vel, b_vel, ds, table, config, seed, epoc
             weights[layer] -= config.learning_rate * w_vel[layer]
             biases[layer] -= config.learning_rate * b_vel[layer]
         total += loss * idx.size
-    return total / ds.n_samples
+    return total / ds.n_samples, ds.labels[order], np.concatenate(batch_probs)
 
 
 class TestFlatBuffers:
@@ -331,7 +336,7 @@ class TestEmptyInputs:
 
 class TestBufferContracts:
     """What the step's buffers promise callers: the gradient lives in one
-    buffer per params, and every batch's probabilities are a new array."""
+    buffer per params."""
 
     def test_gradient_is_the_params_buffer_and_the_next_call_overwrites_it(self):
         ds = tiny_dataset()
@@ -348,34 +353,10 @@ class TestBufferContracts:
         _, _, alone = loss_and_gradients(fresh, ds.features[10:], targets[10:])
         assert np.array_equal(second, alone)
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 36])
-    def test_on_batch_never_gets_the_same_probs_twice_in_an_epoch(self, batch_size):
-        # The ols smoother keeps every batch's arrays until the epoch ends, so
-        # none may be reused or written after it was handed over.
-        ds = tiny_dataset(seed=2)
-        params = init_params((4, 6, 3), 4)
-        seen, copies = [], []
-
-        def on_batch(labels, probs):
-            seen.append((labels, probs))
-            copies.append((labels.copy(), probs.copy()))
-
-        config = make_config(batch_size=batch_size)
-        for epoch in (1, 2):
-            train_epoch(params, ds, np.eye(3), config, 4, epoch, on_batch)
-        assert len(seen) == 2 * -(-ds.n_samples // batch_size)
-        held = [probs for _, probs in seen]
-        assert len({id(probs) for probs in held}) == len(held)
-        assert not any(
-            np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1 :]
-        )
-        for (labels, probs), (labels_then, probs_then) in zip(seen, copies):
-            assert np.array_equal(labels, labels_then)
-            assert probs.tobytes() == probs_then.tobytes()
-
 
 class TestBitExactOracle:
-    """train_epoch on the flat buffers equals ``reference_epoch`` bit for bit."""
+    """train_epoch on the flat buffers equals ``reference_epoch`` bit for bit,
+    the epoch's labels and probabilities it returns included."""
 
     @pytest.mark.parametrize("sizes", [(4, 3), (4, 6, 3), (4, 6, 5, 3)])
     @pytest.mark.parametrize("batch_size", [1, 7, 36])  # 7 leaves a ragged last batch of 1
@@ -389,8 +370,13 @@ class TestBitExactOracle:
         lists = (params.weights, params.biases, *params.split(params.flat_velocity))
         reference = [[a.copy() for a in arrays] for arrays in lists]
         for epoch in (1, 2, 3):
-            loss = train_epoch(params, ds, table, config, 4, epoch)
-            assert loss == reference_epoch(*reference, ds, table, config, 4, epoch)
+            loss, labels, probs = train_epoch(params, ds, table, config, 4, epoch)
+            want_loss, want_labels, want_probs = reference_epoch(
+                *reference, ds, table, config, 4, epoch
+            )
+            assert loss == want_loss
+            assert np.array_equal(labels, want_labels)
+            assert probs.tobytes() == want_probs.tobytes()
         for got, want in zip(lists, reference):
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -876,6 +862,31 @@ class TestFitStack:
             _fit_stack(splits, make_config(), KINDS[::-1], seeds)
         assert caught.value.index == 2  # the first strategy's run of seed 2
         assert str(caught.value.error) == "non-finite training loss at epoch 1, batch 0"
+
+    def test_smoother_gets_each_epoch_in_one_call_in_both_trainers(self, monkeypatch):
+        fed = []
+        fold = OnlineLabelSmoother.update_batch
+
+        def counted(smoother, labels, probs):
+            fed.append((smoother, labels.shape, probs.shape))
+            fold(smoother, labels, probs)
+
+        monkeypatch.setattr(OnlineLabelSmoother, "update_batch", counted)
+        seeds = [7, 4]
+        splits = [split_blob(seed=s, classes=4, dim=3, overlap=((0, 1),))[:2] for s in seeds]
+        n = splits[0][0].n_samples
+        assert n % 16 != 0  # a ragged last batch every epoch
+        config = make_config(epochs=3, lr=0.1, batch_size=16)
+        ols = TargetStrategy("ols", warmup_epochs=1)
+        _fit_stack(splits, config, [HARD, ols, cpls(0.5, 1)], seeds)
+        # once per ols run per epoch, the whole epoch each time
+        assert len(fed) == 2 * 3
+        assert len({id(smoother) for smoother, *_ in fed}) == 2
+        assert all(shapes == [(n,), (n, 4)] for _, *shapes in fed)
+        fed.clear()
+        fit(*splits[0], config, ols, seeds[0])
+        assert len(fed) == 3
+        assert all(shapes == [(n,), (n, 4)] for _, *shapes in fed)
 
     def test_splits_of_different_shapes_rejected(self):
         splits = [split_blob(seed=1)[:2], split_blob(seed=2, per_class=30)[:2]]
