@@ -17,7 +17,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed override (replaces the config seed list)")
+        p.add_argument(
+            "--seed", help="the seeds key: one seed or a comma list (train and generate use the first)"
+        )
 
     p_gen = sub.add_parser("generate", help="write synthetic train/val/test CSVs and a manifest")
     add_common(p_gen)
@@ -42,7 +44,7 @@ def _load_config(args):
     if args.out:
         overrides["out"] = args.out
     if args.seed is not None:
-        overrides["seeds"] = str(args.seed)
+        overrides["seeds"] = args.seed
     if getattr(args, "strategy", None):
         overrides["strategies"] = args.strategy
     return parse_config(args.config, overrides)

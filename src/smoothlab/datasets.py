@@ -37,9 +37,14 @@ def _plain_number(text: str, parse):
     return parse(text)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int = 1) -> None:
     """Raise DomainError unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, Integral):
+    if not _is_int(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
@@ -63,8 +68,7 @@ class LabeledDataset:
                 f"labels must be 1-D with one entry per sample: "
                 f"{labels.shape} labels vs {feats.shape[0]} rows"
             )
-        if self.num_classes < 2:
-            raise DomainError(f"num_classes must be >= 2, got {self.num_classes}")
+        _check_count("num_classes", self.num_classes, least=2)
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise DomainError(
                 f"labels must lie in [0, {self.num_classes}), "
@@ -100,16 +104,13 @@ class BlobSpec:
     overlap_pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise DomainError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.samples_per_class < 1:
-            raise DomainError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
-        if self.dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dimension}")
-        pairs = tuple((int(a), int(b)) for a, b in self.overlap_pairs)
+        _check_count("num_classes", self.num_classes, least=2)
+        _check_count("samples_per_class", self.samples_per_class)
+        _check_count("dimension", self.dimension)
+        pairs = tuple((a, b) for a, b in self.overlap_pairs)
         paired: set[int] = set()
         for a, b in pairs:
-            if not (0 <= a < self.num_classes and 0 <= b < self.num_classes) or a == b:
+            if not all(_is_int(c) and 0 <= c < self.num_classes for c in (a, b)) or a == b:
                 raise DomainError(f"overlap pair ({a}, {b}) must name two distinct valid classes")
             if a in paired or b in paired:
                 culprit = a if a in paired else b

@@ -17,6 +17,7 @@ from .datasets import (
     BlobSpec,
     LabeledDataset,
     SplitSpec,
+    _is_int,
     _plain_number,
     generate_confusable_blobs,
     load_csv,
@@ -48,6 +49,19 @@ class ExperimentConfig:
     strategies: tuple[TargetStrategy, ...]
     seeds: tuple[int, ...]
     out_dir: Path
+
+    def __post_init__(self):
+        # A repeated strategy or seed would overwrite a run dir and count twice.
+        kinds = tuple(strategy.kind for strategy in self.strategies)
+        for name, items in (("strategies", kinds), ("seeds", self.seeds)):
+            if not items:
+                raise ConfigError(f"{name}: expected at least one item")
+            for pos, value in enumerate(items):
+                if value in items[:pos]:
+                    raise ConfigError(f"{name} lists {value!r} more than once")
+        for seed in self.seeds:
+            if not (_is_int(seed) and seed >= 0):
+                raise ConfigError(f"seeds: expected non-negative integers, got {seed!r}")
 
 
 @dataclass
@@ -115,31 +129,15 @@ def _parse_kind(raw: str, key: str) -> str:
     return raw
 
 
-def _parse_seed(raw: str, key: str) -> int:
-    seed = _parse_int(raw, key)
-    if seed < 0:
-        raise ConfigError(f"config key {key}: expected non-negative integers, got {seed}")
-    return seed
-
-
-def _list_of(item: Callable, distinct: bool = False) -> Callable:
+def _list_of(item: Callable) -> Callable:
     """Parser of a comma list of ``item`` values: an empty value is no items,
-    and an empty item is an error. A ``distinct`` list needs at least one item
-    and no repeat, since a repeated strategy or seed would overwrite a run dir
-    and count twice."""
+    and an empty item is an error."""
 
     def parse(raw: str, key: str) -> tuple:
         parts = [part.strip() for part in raw.split(",")] if raw else []
         if "" in parts:
             raise ConfigError(f"config key {key}: empty item in {raw!r}")
-        items = tuple(item(part, key) for part in parts)
-        if distinct:
-            if not items:
-                raise ConfigError(f"config key {key}: expected at least one item")
-            for pos, value in enumerate(items):
-                if value in items[:pos]:
-                    raise ConfigError(f"{key} lists {value!r} more than once")
-        return items
+        return tuple(item(part, key) for part in parts)
 
     return parse
 
@@ -165,12 +163,12 @@ _KEYS: dict[str, tuple[str, Callable, str | None, str | None]] = {
     "train.learning_rate": ("0.1", _parse_float, "train", "learning_rate"),
     "train.momentum": ("0.9", _parse_float, "train", "momentum"),
     "train.ece_bins": ("10", _parse_int, "train", "ece_bins"),
-    "strategies": ("hard,vanilla,ols,cpls", _list_of(_parse_kind, distinct=True), None, None),
+    "strategies": ("hard,vanilla,ols,cpls", _list_of(_parse_kind), None, None),
     "vanilla.alpha": ("0.1", _parse_float, "vanilla", "alpha"),
     "cpls.beta": ("0.5", _parse_float, "cpls", "beta"),
     "cpls.warmup": ("5", _parse_int, "cpls", "warmup_epochs"),
     "ols.warmup": ("5", _parse_int, "ols", "warmup_epochs"),
-    "seeds": ("1,2,3,4,5,6,7,8,9,10", _list_of(_parse_seed, distinct=True), None, None),
+    "seeds": ("1,2,3,4,5,6,7,8,9,10", _list_of(_parse_int), None, None),
     "out": ("runs", _parse_text, None, None),
 }
 
@@ -580,7 +578,7 @@ def _report(run_dir: Path) -> tuple[str, list[tuple[str, int, str, str]]]:
             rows.append(
                 (
                     values["strategy"],
-                    int(values["seed"]),
+                    _parse_int(values["seed"], "seed"),
                     values["test_accuracy"],
                     values["test_ece"],
                     summary.parent / values.get("artifact.metrics", "metrics.csv"),

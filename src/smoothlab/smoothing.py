@@ -114,8 +114,7 @@ class ConfusionTracker:
     """
 
     def __init__(self, num_classes: int):
-        if num_classes < 2:
-            raise DomainError(f"num_classes must be >= 2, got {num_classes}")
+        _check_count("num_classes", num_classes, least=2)
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         self.normalized = np.eye(num_classes)
@@ -148,8 +147,7 @@ class OnlineLabelSmoother:
     """
 
     def __init__(self, num_classes: int):
-        if num_classes < 2:
-            raise DomainError(f"num_classes must be >= 2, got {num_classes}")
+        _check_count("num_classes", num_classes, least=2)
         self.num_classes = num_classes
         self.targets = np.eye(num_classes)
         self._sums = np.zeros((num_classes, num_classes))

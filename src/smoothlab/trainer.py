@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import _binned, _validated, ece
 from .errors import ConfigError, DimensionError, DomainError, NumericError
-from .datasets import LabeledDataset, _check_count
+from .datasets import LabeledDataset, _check_count, _is_int
 from .smoothing import (
     PROB_FLOOR,
     ConfusionTracker,
@@ -51,8 +51,8 @@ class TrainConfig:
     ece_bins: int
 
     def __post_init__(self):
-        if any(width < 1 for width in self.hidden):
-            raise DomainError(f"hidden widths must each be >= 1, got {self.hidden}")
+        for width in self.hidden:
+            _check_count("hidden widths", width)
         _check_count("epochs", self.epochs)
         _check_count("batch_size", self.batch_size)
         # 0 is allowed so a no-op update step can be exercised in tests.
@@ -146,13 +146,13 @@ class EpochMetrics:
 def init_params(layer_sizes: tuple[int, ...], seed: int) -> ModelParams:
     """He-normal weights (std sqrt(2 / fan_in)), zero biases, zero momentum, for
     layer sizes (d_in, h_1, .., h_k, C): ReLU hidden layers, softmax output."""
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    sizes = tuple(int(s) for s in layer_sizes)
+    if not (_is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise DomainError(f"need at least input and output sizes, got {sizes}")
-    if any(s < 1 for s in sizes):
-        raise DomainError(f"all layer sizes must be >= 1, got {sizes}")
+    for size in sizes:
+        _check_count("layer sizes", size)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

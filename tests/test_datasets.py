@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from smoothlab import (
     BlobSpec,
     ConfigError,
+    ConfusionTracker,
     DimensionError,
     DomainError,
     LabeledDataset,
+    OnlineLabelSmoother,
     ParseError,
     SplitSpec,
+    TrainConfig,
     generate_confusable_blobs,
+    init_params,
     load_csv,
     save_csv,
     standardize,
@@ -170,6 +174,48 @@ class TestBlobGeneration:
             BlobSpec(3, 5, dimension=2, overlap_pairs=((0, 0),))
         with pytest.raises(DomainError):
             BlobSpec(3, 5, dimension=2, overlap_pairs=((0, 7),))
+
+
+# Every integer input that a constructor checks: a builder from one value, the
+# words its message starts with (a config field's name first) and its least
+# value. Each is refused when fractional, a bool or below that value.
+COUNTS = {
+    "BlobSpec.num_classes": (lambda v: BlobSpec(v, 5, 2, ()), "num_classes", 2),
+    "BlobSpec.samples_per_class": (lambda v: BlobSpec(3, v, 2, ()), "samples_per_class", 1),
+    "BlobSpec.dimension": (lambda v: BlobSpec(3, 5, v, ()), "dimension", 1),
+    "BlobSpec.overlap_pairs": (lambda v: BlobSpec(3, 5, 2, ((v, 0),)), "overlap pair", 0),
+    "LabeledDataset.num_classes": (
+        lambda v: LabeledDataset(np.zeros((2, 2)), [0, 1], v), "num_classes", 2
+    ),
+    "ConfusionTracker.num_classes": (ConfusionTracker, "num_classes", 2),
+    "OnlineLabelSmoother.num_classes": (OnlineLabelSmoother, "num_classes", 2),
+    "TrainConfig.hidden": (lambda v: TrainConfig((4, v), 2, 8, 0.1, 0.9, 10), "hidden", 1),
+    "TrainConfig.epochs": (lambda v: TrainConfig((4,), v, 8, 0.1, 0.9, 10), "epochs", 1),
+    "init_params.layer_sizes": (lambda v: init_params((4, v, 3), 0), "layer sizes", 1),
+    "init_params.seed": (lambda v: init_params((4, 3), v), "seed", 0),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_non_integer_bool_or_small_count_refused_by_name(self, field, bad):
+        # int() once truncated 6.7 to a 6-unit layer and an overlap class 0.7
+        # to class 0, and True passed as 1
+        build, words, least = COUNTS[field]
+        value = {"fraction": 2.5, "bool": True, "below": least - 1}[bad]
+        with pytest.raises(DomainError, match=rf"^{words}\b"):
+            build(value)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_numpy_integers_accepted(self, field, kind):
+        build, _, least = COUNTS[field]
+        build(kind(least + 1))
+
+    def test_numpy_integer_sizes_and_seed_draw_the_same_params(self):
+        given = init_params((np.int64(4), np.int32(6), 3), np.int64(7))
+        assert given.flat.tobytes() == init_params((4, 6, 3), 7).flat.tobytes()
 
 
 class TestSplit:

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from smoothlab import (
     run_training,
     save_csv,
 )
-from smoothlab.cli import main
+from smoothlab.cli import _build_parser, main
 from smoothlab.datasets import write_csv
 from smoothlab.experiment import (
     _KEYS,
@@ -190,6 +191,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             _build(TargetStrategy, settings, "cpls", "cpls")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("data.classes", 2.5),
+            ("data.per_class", True),
+            ("data.dimension", 2.5),
+            ("model.hidden", (6.7,)),
+            ("train.epochs", True),
+        ],
+        ids=str,
+    )
+    def test_non_integer_count_is_named_by_its_key(self, key, value):
+        # a config file's counts are parsed integers; a directly built value
+        # is checked by the type that holds it, and named by its key
+        settings = {key: parse(text, key) for key, (text, parse, *_) in _KEYS.items()}
+        _, _, owner, field = _KEYS[key]
+        cls = {"blob": BlobSpec, "train": TrainConfig}[owner]
+        with pytest.raises(ConfigError, match=f"^config key {re.escape(key)}: {field} "):
+            _build(cls, {**settings, key: value}, owner)
+
     def test_defaults(self):
         cfg = config_from_values({})
         assert cfg.data == BlobSpec(8, 100, dimension=8, overlap_pairs=((0, 1), (2, 3)))
@@ -333,6 +354,16 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md (Library use)", "exec"), {})
     accuracy, ece_value = (float(v) for v in capsys.readouterr().out.split())
     assert 0.0 <= accuracy <= 1.0 and 0.0 <= ece_value <= 1.0
+
+
+def test_readme_command_lines_parse():
+    # The README's subcommand block must use the flags the parser defines.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\nSubcommands .*?```\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("smoothlab ")]
+    assert len(lines) >= 4
+    for line in lines:
+        _build_parser().parse_args(shlex.split(line)[1:])
 
 
 SMALL_BLOBS = {"data.classes": "3", "data.per_class": "10", "data.overlap": "0:1"}
@@ -492,6 +523,28 @@ class TestCompare:
         with pytest.raises(ConfigError, match="'cpls' more than once"):
             parse_config(path)
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seeds", (1, 1), "seeds lists 1 more than once"),
+            ("strategies", ("hard", "hard"), "strategies lists 'hard' more than once"),
+            ("seeds", (1, -3), "seeds: expected non-negative integers, got -3"),
+        ],
+        ids=["repeated-seed", "repeated-kind", "negative-seed"],
+    )
+    def test_directly_built_config_checked_before_anything_is_written(
+        self, tmp_path, field, value, message
+    ):
+        # A repeated seed once wrote a comparison.csv that counted seed 1
+        # twice; a repeated kind published --out with every run listed four
+        # times, then failed rewriting the shared records' paths twice.
+        cfg = parse_config(write_config(tmp_path, seeds="1,2"))
+        if field == "strategies":
+            value = tuple({s.kind: s for s in cfg.strategies}[kind] for kind in value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_compare(dataclasses.replace(cfg, **{field: value}))
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_used_out_dir_refused_and_left_unchanged(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -1001,6 +1054,17 @@ class TestReport:
         with pytest.raises(ParseError, match="corrupt"):
             run_report(tmp_path)
 
+    def test_summary_seed_read_as_a_config_integer(self, tmp_path, capsys):
+        # int() read seed=1_2 as seed 12
+        cfg = parse_config(write_config(tmp_path))
+        record = run_training(cfg, cfg.strategies[0], seed=1)
+        summary = record.artifacts["summary"]
+        summary.write_text(summary.read_text().replace("seed=1\n", "seed=1_2\n"))
+        assert main(["report", str(cfg.out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "corrupt run summary" in err[0]
+        assert not (cfg.out_dir / "report.csv").exists()
+
 
 class TestCli:
     def test_generate_and_report_round_trip(self, tmp_path, capsys):
@@ -1154,6 +1218,23 @@ class TestCli:
         ]
         rows = (out_dir / "comparison.csv").read_text().splitlines()[1:3]
         assert [row.split(",")[1] for row in rows] == ["0", "0"]
+
+    @pytest.mark.parametrize("seed", ["1_2", "\uff15"])
+    def test_seed_is_parsed_as_the_seeds_key(self, tmp_path, capsys, seed):
+        # --seed once read 1_2 as 12 and a full-width 5 as 5, which seeds = refuses
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--seed", seed]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config key seeds: ")
+        assert not (tmp_path / "runs").exists()
+
+    def test_seed_takes_a_list_of_seeds(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        assert main(["compare", "--config", str(cfg_path), "--seed", "3,4"]) == 0
+        rows = (tmp_path / "runs" / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows if row.split(",")[1].isdigit()] == [
+            ["hard", "3"], ["hard", "4"], ["cpls", "3"], ["cpls", "4"]
+        ]
 
     def test_train_strategy_missing_from_config_list(self, tmp_path, capsys):
         # strategies = hard,cpls in the file; ols still takes ols.warmup from it
