@@ -50,6 +50,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_seed(seed) -> None:
+    """Raise DomainError unless ``seed`` is a non-negative integer."""
+    if not (_is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature matrix (n_samples x n_features) with 0-based integer labels."""
@@ -178,6 +184,7 @@ def generate_confusable_blobs(spec: BlobSpec, seed: int) -> LabeledDataset:
     Deterministic for a given seed; class c occupies the contiguous block
     [c * samples_per_class, (c+1) * samples_per_class).
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     centers = spec.class_centers
     blocks = [
@@ -211,6 +218,7 @@ def stratified_split(
     too small to give every split a sample is refused, since a split without
     it would write artifacts that lack the class.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     picks: tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]] = ([], [], [])
     for c in range(ds.num_classes):
@@ -259,14 +267,12 @@ def write_csv(path, cells, rows, header=None) -> None:
 
 # save_csv spells each number as 4-byte words gathered from one table and then
 # deletes the padding spaces. Word kinds, 1000 words each, indexed by a 3-digit
-# group g: blank, "   g" (a leading group), " ggg" (a later group), the same
-# two ending the row's label, "-  g" (a negative leading group), and the two
-# fraction groups ".ggg" and "ggg,".
-_BLANK, _LEAD, _MID, _END_LEAD, _END_MID, _NEG, _FRAC_HI, _FRAC_LO = range(8)
-_TEMPLATES = ("    ", " %3d", " %03d", "%3d\n", "%03d\n", "-%3d", ".%03d", "%03d,")
+# group g: "   g" (a value's whole part), "-  g" (a negative one's), the two
+# fraction groups ".ggg" and "ggg,", and "  g\n" (the row's label).
+_WHOLE, _NEG, _FRAC_HI, _FRAC_LO, _LABEL = range(5)
+_TEMPLATES = (" %3d", "-%3d", ".%03d", "%03d,", "%3d\n")
 _WORDS = np.frombuffer(
-    "".join(t % g if "%" in t else t for t in _TEMPLATES for g in range(1000)).encode("ascii"),
-    dtype=np.uint32,
+    "".join(t % g for t in _TEMPLATES for g in range(1000)).encode("ascii"), dtype=np.uint32
 )
 # save_csv formats about this many values per pass, a whole number of rows;
 # its transient arrays then stay under a megabyte.
@@ -277,39 +283,11 @@ def _block_rows(n_features: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, n_features))
 
 
-def _group_count(digits: str) -> int:
-    return (len(digits) + 2) // 3
-
-
-def _groups(values: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) 3-digit groups of non-negative int64 values, most significant first."""
-    out = np.empty((values.size, width), dtype=np.int64)
-    rest = values
-    for j in range(width - 1, 0, -1):
-        high = rest // 1000
-        out[:, j] = rest - high * 1000
-        rest = high
-    out[:, 0] = rest
-    return out
-
-
-def _integer_words(groups: np.ndarray, lead) -> np.ndarray:
-    """Word indices of integers given by their groups: blanks before the first
-    non-zero group (the last group if all are zero), ``lead`` kind there."""
-    width = groups.shape[1]
-    if width == 1:
-        return lead * 1000 + groups
-    nonzero = groups[:, :-1] != 0
-    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width - 1)[:, None]
-    pos = np.arange(width)
-    kind = np.where(pos < first, _BLANK, np.where(pos == first, lead, _MID))
-    return kind * 1000 + groups
-
-
 def _format_rows(features: np.ndarray, labels: np.ndarray) -> str:
-    """The CSV lines of rows whose every |x| is below 2**50 / 10**6, each value
-    as ``"%.6f"`` and the label as ``"%d"`` write it: k = round-half-even(|x| *
-    10**6) split into digit groups."""
+    """The CSV lines of rows whose every |x| is below 999.5 and every label
+    below 1000, each value as ``"%.6f"`` and the label as ``"%d"`` write it:
+    k = round-half-even(|x| * 10**6), at most 999,500,000, spelled as one
+    3-digit whole group and two fraction groups."""
     n, d = features.shape
     scaled = np.abs(features).ravel()
     scaled *= 1e6
@@ -319,34 +297,31 @@ def _format_rows(features: np.ndarray, labels: np.ndarray) -> str:
     # ulps. Those values take k from the digits "%.6f" writes.
     slow = np.flatnonzero(~(0.5 - np.abs(scaled - k) > scaled * 4.5e-16))
     k[slow] = [int(("%.6f" % abs(v)).replace(".", "")) for v in features.ravel()[slow].tolist()]
-    # (k + 0.5) / 10**6 lies at least 5e-7 from an integer and, for k <= 2**50,
-    # within 3e-7 of its floating-point product, so floor splits k exactly;
-    # the same holds for frac and 10**3.
+    # (k + 0.5) / 10**6 lies at least 5e-7 from an integer and, for k below
+    # 10**9, within 1e-12 of its floating-point product, so floor splits k
+    # exactly; the same holds for frac and 10**3.
     whole = np.floor((k + 0.5) * 1e-6)
     frac = k - whole * 1e6
-    width = _group_count(str(int(whole.max(initial=0.0))))
-    groups = whole[:, None] if width == 1 else _groups(whole.astype(np.int64), width)
     frac_hi = np.floor((frac + 0.5) * 1e-3)
-    label = _integer_words(_groups(labels, _group_count(str(labels.max(initial=0)))), _LEAD)
-    label[:, -1] += (_END_LEAD - _LEAD) * 1000  # "   g" -> "  g\n", " ggg" -> "ggg\n"
-    words = np.empty((n, d * (width + 2) + label.shape[1]), dtype=np.int32)
-    cells = words[:, : d * (width + 2)].reshape(n, d, width + 2)  # a view: splits one axis
-    lead = _LEAD + (_NEG - _LEAD) * np.signbit(features).reshape(-1, 1)
-    cells[..., :width] = _integer_words(groups, lead).reshape(n, d, width)
-    cells[..., width] = (frac_hi + _FRAC_HI * 1000).reshape(n, d)
-    cells[..., width + 1] = (frac - frac_hi * 1000 + _FRAC_LO * 1000).reshape(n, d)
-    words[:, d * (width + 2) :] = label
+    words = np.empty((n, 3 * d + 1), dtype=np.int32)
+    cells = words[:, :-1].reshape(n, d, 3)  # a view: splits one axis
+    sign = np.signbit(features).ravel()
+    cells[..., 0] = (whole + (_WHOLE + (_NEG - _WHOLE) * sign) * 1000).reshape(n, d)
+    cells[..., 1] = (frac_hi + _FRAC_HI * 1000).reshape(n, d)
+    cells[..., 2] = (frac - frac_hi * 1000 + _FRAC_LO * 1000).reshape(n, d)
+    words[:, -1] = labels + _LABEL * 1000
     return _WORDS.take(words).tobytes().translate(None, b" ").decode("ascii")
 
 
 def save_csv(ds: LabeledDataset, path) -> None:
     """Write a dataset under the CSV contract: header f0..f{d-1},label, each
-    value as ``"%.6f"`` writes it. A matrix whose every |x| is below
-    2**50 / 10**6 is formatted a block of rows at a time by numpy; one holding
-    a larger value, nan or inf uses the row template, since the block formatter
-    gives every value of a block the digit groups of its widest one."""
+    value as ``"%.6f"`` writes it. A matrix whose every |x| is below 999.5 and
+    every label below 1000 is formatted a block of rows at a time by numpy; one
+    holding nan, inf, a larger value or a larger label uses the row template,
+    since the block formatter spells a whole part or a label as one 3-digit
+    group."""
     header = [f"f{i}" for i in range(ds.n_features)] + ["label"]
-    if not np.abs(ds.features).max(initial=0.0) < 2**50 / 1e6:
+    if not (np.abs(ds.features).max(initial=0.0) < 999.5 and ds.labels.max(initial=0) < 1000):
         rows = ((*row.tolist(), label) for row, label in zip(ds.features, ds.labels.tolist()))
         write_csv(path, ("%.6f",) * ds.n_features + ("%d",), rows, header)
         return

@@ -13,10 +13,6 @@ import numpy as np
 from .datasets import _check_count, _whole_numbers, write_csv
 from .errors import DimensionError, DomainError
 
-# Probabilities are floored before taking logs so a zero prediction yields a
-# large finite loss instead of an infinite one.
-PROB_FLOOR = 1e-12
-
 # The TargetStrategy fields each kind takes; every other field must be None.
 _KIND_FIELDS = {
     "hard": (),
@@ -25,11 +21,6 @@ _KIND_FIELDS = {
     "cpls": ("beta", "warmup_epochs"),
 }
 STRATEGY_KINDS = tuple(_KIND_FIELDS)
-
-
-def floored_log(p: np.ndarray) -> np.ndarray:
-    """log(max(p, PROB_FLOOR)); keeps every loss in the package finite."""
-    return np.log(np.maximum(p, PROB_FLOOR))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,12 @@ import numpy as np
 
 from .calibration import _binned, _validated, ece
 from .errors import ConfigError, DimensionError, DomainError, NumericError
-from .datasets import LabeledDataset, _check_count, _is_int
-from .smoothing import (
-    PROB_FLOOR,
-    ConfusionTracker,
-    OnlineLabelSmoother,
-    TargetStrategy,
-    floored_log,
-)
+from .datasets import LabeledDataset, _check_count, _check_seed
+from .smoothing import ConfusionTracker, OnlineLabelSmoother, TargetStrategy
+
+# Probabilities are floored before taking logs so a zero prediction yields a
+# large finite loss instead of an infinite one.
+PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,7 @@ class EpochMetrics:
 def init_params(layer_sizes: tuple[int, ...], seed: int) -> ModelParams:
     """He-normal weights (std sqrt(2 / fan_in)), zero biases, zero momentum, for
     layer sizes (d_in, h_1, .., h_k, C): ReLU hidden layers, softmax output."""
-    if not (_is_int(seed) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise DomainError(f"need at least input and output sizes, got {sizes}")
@@ -403,7 +400,7 @@ def _stack_scores(
         raise
     predictions, *_, eces = _binned(probs, labels, num_bins)
     picked = np.take_along_axis(probs, labels[:, :, None], axis=2)[:, :, 0]
-    val_losses = -np.add.reduce(floored_log(picked), axis=1) / n
+    val_losses = -np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)), axis=1) / n
     accuracies, confusions = _counts(predictions, labels, c)
     # the accuracy as evaluate types it, a numpy float
     return val_losses.tolist(), list(accuracies), eces.tolist(), confusions

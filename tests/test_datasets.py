@@ -24,7 +24,8 @@ from smoothlab import (
     standardize,
     stratified_split,
 )
-from smoothlab.datasets import _apportion, _block_rows, write_csv
+from smoothlab import datasets
+from smoothlab.datasets import _apportion, _block_rows, _format_rows, write_csv
 
 from oracles import save_csv as row_template_save_csv
 
@@ -34,17 +35,24 @@ def small_blob(dim=2, per_class=10, classes=2, overlap=()):
 
 
 # Finite values on which "%.6f" is easy to get wrong. save_csv formats a block
-# of values below 2**50 / 10**6 with numpy, and a matrix holding a "huge" value
-# (2**50 / 10**6 or more) by the row template; every other kind stays below it.
-VALUE_KINDS = (
-    "tie", "near_half", "zero", "tiny_negative", "log_uniform", "subnormal", "edge", "huge"
+# of rows with numpy when every |x| is below 999.5 and every label below 1000,
+# and any other matrix by the row template. The kinds of FAST_KINDS stay below
+# 999.5; most draws of "tie", "near_half" and "log_uniform", the large EDGES and
+# every "huge" value lie above it.
+FAST_KINDS = (
+    "small_tie", "small_near_half", "zero", "tiny_negative", "small_log_uniform",
+    "subnormal", "small_edge",
 )
+VALUE_KINDS = (*FAST_KINDS, "tie", "near_half", "log_uniform", "edge", "huge")
 EDGES = np.array(
     [
         0.0, -0.0, 5e-324, -2.2250738585072014e-308, -4.9999999999999e-7, 5e-7, -1e-9,
         1 / 128, -3 / 128, 0.0000015, 0.5e-6, 999.9999995, -999999.9999995,
         np.nextafter(2**50 / 1e6, 0),
     ]
+)
+SMALL_EDGES = np.array(
+    [*EDGES[np.abs(EDGES) < 999.5], np.nextafter(999.5, 0), np.nextafter(-999.5, 0), 999.4999995]
 )
 HUGE = np.array(
     [
@@ -60,7 +68,9 @@ def hard_values(rng, size, kinds):
     near_half: (j + 0.5)/10**6 and the floats one ulp either side of it;
     zero: 0.0 and -0.0; tiny_negative: in (-5e-7, 0], printed "-0.000000";
     log_uniform: magnitudes from 1e-9 to 1e9; subnormal: below 2**-1022;
-    edge, huge: the fixed values of EDGES, HUGE."""
+    edge, huge: the fixed values of EDGES, HUGE; small_tie, small_near_half,
+    small_log_uniform (magnitudes from 1e-9 to 999) and small_edge (SMALL_EDGES):
+    the same below 999.5."""
     pick = rng.integers(len(kinds), size=size)
     out = np.empty(size)
     for i, kind in enumerate(kinds):
@@ -68,22 +78,38 @@ def hard_values(rng, size, kinds):
         sign = rng.choice([-1.0, 1.0], m)
         if kind == "tie":
             values = rng.integers(-(2**27), 2**27, m) / 128
-        elif kind == "near_half":
-            half = (rng.integers(-(10**12), 10**12, m) + 0.5) / 1e6
+        elif kind == "small_tie":
+            values = rng.integers(-127_935, 127_936, m) / 128  # |j| / 128 <= 999.4921875
+        elif kind in ("near_half", "small_near_half"):
+            top = 10**12 if kind == "near_half" else 999_499_999
+            half = (rng.integers(-top, top, m) + 0.5) / 1e6
             step = rng.integers(-1, 2, m)
             values = np.where(step == 0, half, np.nextafter(half, np.copysign(np.inf, step)))
         elif kind == "zero":
             values = sign * 0.0
         elif kind == "tiny_negative":
             values = -rng.uniform(0.0, 5e-7, m)
-        elif kind == "log_uniform":
-            values = sign * 10.0 ** rng.uniform(-9, 9, m)
+        elif kind in ("log_uniform", "small_log_uniform"):
+            top = 9 if kind == "log_uniform" else math.log10(999)
+            values = sign * 10.0 ** rng.uniform(-9, top, m)
         elif kind == "subnormal":
             values = sign * rng.integers(1, 2**52, m, dtype=np.uint64).view(np.float64)
         else:
-            values = rng.choice(EDGES if kind == "edge" else HUGE, m)
+            values = rng.choice({"edge": EDGES, "small_edge": SMALL_EDGES, "huge": HUGE}[kind], m)
         out[pick == i] = values
     return out
+
+
+def _count_blocks(monkeypatch) -> list[int]:
+    """The row count of each block save_csv hands to _format_rows from now on."""
+    blocks = []
+
+    def counted(features, labels):
+        blocks.append(len(features))
+        return _format_rows(features, labels)
+
+    monkeypatch.setattr(datasets, "_format_rows", counted)
+    return blocks
 
 
 class TestLabeledDataset:
@@ -176,9 +202,10 @@ class TestBlobGeneration:
             BlobSpec(3, 5, dimension=2, overlap_pairs=((0, 7),))
 
 
-# Every integer input that a constructor checks: a builder from one value, the
-# words its message starts with (a config field's name first) and its least
-# value. Each is refused when fractional, a bool or below that value.
+# Every integer input that a constructor or a data function checks: a builder
+# from one value, the words its message starts with (a config field's name
+# first) and its least value. Each is refused when fractional, a bool or below
+# that value.
 COUNTS = {
     "BlobSpec.num_classes": (lambda v: BlobSpec(v, 5, 2, ()), "num_classes", 2),
     "BlobSpec.samples_per_class": (lambda v: BlobSpec(3, v, 2, ()), "samples_per_class", 1),
@@ -193,6 +220,16 @@ COUNTS = {
     "TrainConfig.epochs": (lambda v: TrainConfig((4,), v, 8, 0.1, 0.9, 10), "epochs", 1),
     "init_params.layer_sizes": (lambda v: init_params((4, v, 3), 0), "layer sizes", 1),
     "init_params.seed": (lambda v: init_params((4, 3), v), "seed", 0),
+    "generate_confusable_blobs.seed": (
+        lambda v: generate_confusable_blobs(BlobSpec(3, 5, 2, ()), v), "seed", 0
+    ),
+    "stratified_split.seed": (
+        lambda v: stratified_split(
+            generate_confusable_blobs(BlobSpec(3, 5, 2, ()), 0), SplitSpec(0.6, 0.2, 0.2), v
+        ),
+        "seed",
+        0,
+    ),
 }
 
 
@@ -216,6 +253,15 @@ class TestCounts:
     def test_numpy_integer_sizes_and_seed_draw_the_same_params(self):
         given = init_params((np.int64(4), np.int32(6), 3), np.int64(7))
         assert given.flat.tobytes() == init_params((4, 6, 3), 7).flat.tobytes()
+
+    def test_numpy_integer_seeds_draw_the_same_data(self):
+        spec, fractions = BlobSpec(3, 5, 2, ()), SplitSpec(0.6, 0.2, 0.2)
+        given = generate_confusable_blobs(spec, np.int64(7))
+        plain = generate_confusable_blobs(spec, 7)
+        assert given.features.tobytes() == plain.features.tobytes()
+        splits = zip(stratified_split(given, fractions, np.int64(3)), stratified_split(plain, fractions, 3))
+        for a, b in splits:
+            assert a.features.tobytes() == b.features.tobytes()
 
 
 class TestSplit:
@@ -415,6 +461,65 @@ class TestCsv:
         ds = LabeledDataset(features, rng.integers(0, top_label + 1, n), top_label + 1)
         save_csv(ds, tmp_path / "fast.csv")
         row_template_save_csv(ds, tmp_path / "spec.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        rows=st.sampled_from(["one", "block", "block+1", "few"]),
+        kinds=st.lists(st.sampled_from(FAST_KINDS), min_size=1, unique=True),
+        top_label=st.sampled_from([1, 9, 999]),
+    )
+    @example(seed=0, d=3, rows="few", kinds=["small_edge"], top_label=999)
+    @example(seed=1, d=4, rows="block+1", kinds=["small_tie", "small_near_half"], top_label=9)
+    def test_format_rows_matches_row_template_below_the_bound(
+        self, tmp_path, seed, d, rows, kinds, top_label
+    ):
+        # Every |x| below 999.5 and every label below 1000: save_csv writes
+        # each block of rows through _format_rows, which gives the oracle's lines.
+        rng = np.random.default_rng(seed)
+        n = {"one": 1, "block": _block_rows(d), "block+1": _block_rows(d) + 1}.get(rows, 7)
+        features = hard_values(rng, n * d, kinds).reshape(n, d)
+        labels = rng.integers(0, top_label + 1, n)
+        labels[rng.integers(n)] = top_label
+        ds = LabeledDataset(features, labels, top_label + 1)
+        row_template_save_csv(ds, tmp_path / "spec.csv")
+        spec = (tmp_path / "spec.csv").read_bytes()
+        assert _format_rows(features, labels).encode("ascii") == spec.split(b"\n", 1)[1]
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = _count_blocks(mp)
+            save_csv(ds, tmp_path / "fast.csv")
+        assert blocks == [min(n - start, _block_rows(d)) for start in range(0, n, _block_rows(d))]
+        assert (tmp_path / "fast.csv").read_bytes() == spec
+
+    @pytest.mark.parametrize(
+        "value, label, blocks",
+        [
+            (np.nextafter(999.5, 0), 999, [2]),
+            (999.5, 0, []),
+            (-999.5, 0, []),
+            (1e300, 0, []),
+            (0.5, 1000, []),
+            (math.nan, 0, []),
+            (-math.inf, 0, []),
+        ],
+        ids=["just-below", "999.5", "-999.5", "1e300", "label-1000", "nan", "-inf"],
+    )
+    def test_block_formatter_taken_exactly_below_the_bound(
+        self, tmp_path, monkeypatch, value, label, blocks
+    ):
+        # Any other matrix gets the same bytes from the row template.
+        written = _count_blocks(monkeypatch)
+        features = np.array([[value, -0.0], [0.5, np.nextafter(-999.5, 0)]])
+        ds = LabeledDataset(features, [label, 1], 1001)
+        save_csv(ds, tmp_path / "fast.csv")
+        row_template_save_csv(ds, tmp_path / "spec.csv")
+        assert written == blocks
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
 
     @settings(

@@ -1,9 +1,10 @@
-"""Every file a tiny compare writes, pinned by its SHA-256.
+"""Every file a tiny compare and a tiny generate write, pinned by its SHA-256.
 
-Refactors of the trainer and the orchestration promise byte-identical
-artifacts; this test holds them to it file by file. A change that is meant to
-alter the outputs regenerates ``golden/tiny_compare.sha256`` with the command
-in ``golden/tiny_compare.cfg`` and says why in its change notes.
+Refactors of the trainer, the CSV writer and the orchestration promise
+byte-identical artifacts; these tests hold them to it file by file. A change
+that is meant to alter the outputs regenerates ``golden/tiny_compare.sha256``
+or ``golden/tiny_generate.sha256`` with the commands in
+``golden/tiny_compare.cfg`` and says why in its change notes.
 
 The config has two seeds, so the digests are checked with the seeds run in
 this process and on two worker processes, from the ``python -m smoothlab``
@@ -26,9 +27,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(experiment.__file__).resolve().parents[1]
 
 
-def assert_matches_golden(out):
+def assert_matches_golden(out, digests="tiny_compare.sha256", files=44):
     want = {}
-    for line in (GOLDEN / "tiny_compare.sha256").read_text(encoding="utf-8").splitlines():
+    for line in (GOLDEN / digests).read_text(encoding="utf-8").splitlines():
         digest, name = line.split("  ", 1)
         want[name] = digest
     got = {
@@ -38,7 +39,7 @@ def assert_matches_golden(out):
     }
     assert sorted(got) == sorted(want)
     assert [name for name in sorted(want) if got[name] != want[name]] == []
-    assert len(want) == 44
+    assert len(want) == files
 
 
 def test_tiny_compare_matches_golden_digests(tmp_path, capsys):
@@ -46,6 +47,14 @@ def test_tiny_compare_matches_golden_digests(tmp_path, capsys):
     assert main(["compare", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]) == 0
     capsys.readouterr()
     assert_matches_golden(out)
+
+
+def test_tiny_generate_matches_golden_digests(tmp_path, capsys):
+    # the three splits through save_csv, and the manifest
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(GOLDEN / "tiny_compare.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert_matches_golden(out, "tiny_generate.sha256", 4)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
