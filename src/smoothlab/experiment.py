@@ -441,75 +441,113 @@ def _run_stack(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[RunRecord]
     return records
 
 
-def _stacks(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
-    """The seeds in the stacks a compare runs, in config order: one chunk
-    per worker (see ``_chunks``), each cut into as few stacks as hold at most
-    ``_stack_cap`` runs, that is that many over the number of strategies in
-    seeds (at least one), whose sizes differ by at most one."""
+def _plan(cfg: ExperimentConfig, workers: int) -> list[list[tuple[int, ...]]]:
+    """The seeds in the stacks a compare runs, in config order, as one list
+    of stacks per worker: each worker's chunk (see ``_chunks``) cut into as
+    few stacks as hold at most ``_stack_cap`` runs, that is that many over the
+    number of strategies in seeds (at least one), whose sizes differ by at
+    most one."""
     data = cfg.data
     width = data.dimension if isinstance(data, BlobSpec) else data.n_features
     runs = _stack_cap((width, *cfg.train.hidden, data.num_classes), cfg.train.batch_size)
     cap = max(1, runs // len(cfg.strategies))  # in seeds, each one run per strategy
-    chunks = _chunks(cfg.seeds, workers)
-    return [stack for chunk in chunks for stack in _chunks(chunk, -(-len(chunk) // cap))]
+    return [_chunks(chunk, -(-len(chunk) // cap)) for chunk in _chunks(cfg.seeds, workers)]
+
+
+# The program of a worker child. Its stdin holds the caller's sys.path, so it
+# imports the same smoothlab, and then what ``_work`` reads. Once the outcome
+# is out, every file the child wrote is closed, so it exits without the
+# interpreter's teardown, which would only delay the caller's reaping.
+_BOOTSTRAP = (
+    "import os, pickle, sys\n"
+    "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
+    "from smoothlab.experiment import _work\n"
+    "_work()\n"
+    "sys.stderr.flush()\n"
+    "os._exit(0)\n"
+)
+
+
+def _work() -> None:
+    """A worker child's task: read ``(cfg, stacks)`` from stdin, run the
+    stacks in order, and write one pickled outcome to stdout, the records or
+    the first exception. Closing fd 1 right after it ends the parent's read."""
+    import pickle
+
+    cfg, stacks = pickle.load(sys.stdin.buffer)
+    try:
+        outcome = [record for stack in stacks for record in _run_stack(cfg, stack)]
+    except Exception as exc:
+        outcome = exc
+    with open(1, "wb") as out:
+        pickle.dump(outcome, out)
 
 
 def _run_seeds(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Every stack's records (see ``_run_stack``), in the order of ``_stacks``.
+    """Every stack's records (see ``_run_stack``), in the order of ``_plan``.
 
-    The seeds are independent, so they run on one worker process per usable
-    CPU, up to one per seed, each stack as one task. The stacks run in this
-    process, as one worker's chunk, when there is a single worker, or when the
-    main module's __file__ names no file that a worker could run.
-    Workers are spawned, not forked, so none inherits this process's BLAS
-    thread pool; each starts with ``cpus // workers`` BLAS threads, so the
-    workers' threads together use each CPU once.
-    The first failure in config order is raised, and the stacks already
-    running finish before this returns.
+    The seeds are independent, so they run on one worker per usable CPU, up
+    to one per seed. A single worker's stacks run in this process. Otherwise
+    each worker is a fresh child interpreter that runs its chunk's stacks
+    (``_work``), fed over its stdin and reporting over its stdout; none
+    inherits this process's BLAS thread pool, and each has ``cpus // workers``
+    BLAS threads in its environment, so the workers' threads together use
+    each CPU once. Every child is reaped before this returns or raises, and
+    killed first if this process raises or is interrupted. The first failure
+    in config order is raised; a child that exits without an outcome is a
+    RuntimeError naming its seeds and its exit status.
     """
     cpus = _usable_cpus()
     workers = min(len(cfg.seeds), cpus)
-    # A spawned worker first runs the main module from its file; a program read
-    # from stdin (``python - < script.py``) has a __file__ that names no file.
-    main_file = getattr(sys.modules["__main__"], "__file__", None)
-    if main_file is not None and not os.path.isfile(main_file):
-        workers = 1
-    stacks = _stacks(cfg, workers)
+    plan = _plan(cfg, workers)
     if workers == 1:
-        return [record for stack in stacks for record in _run_stack(cfg, stack)]
+        return [record for stack in plan[0] for record in _run_stack(cfg, stack)]
 
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
+    import subprocess
 
-    guard = (
-        "each worker re-imports the main module, so a script that calls run_compare on "
-        'more than one seed must make that call under if __name__ == "__main__":'
-    )
-    if getattr(multiprocessing.current_process(), "_inheriting", False):
-        # A spawned worker is running an unguarded main module. Refuse before a
-        # pool exists: this worker may be killed when another one dies, and a
-        # pool's semaphores would then be left for the resource tracker.
-        raise RuntimeError(f"run_compare called while a worker started; {guard}")
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    # this interpreter's -W, -X, -O, ... flags, as multiprocessing passes them on
+    command = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _BOOTSTRAP]
+    env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers)))}
+    children = []
     try:
-        # A spawned worker takes this process's environment as it stands when
-        # the worker starts, and the pool starts its workers inside submit.
-        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cpus // workers))))
-        try:
-            futures = [pool.submit(_run_stack, cfg, stack) for stack in stacks]
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-        return [record for future in futures for record in future.result()]
-    except BrokenProcessPool as exc:
-        raise RuntimeError(f"a compare worker process died ({exc}); {guard}") from exc
+        # Every child starts before any is fed, so their start-ups overlap. The
+        # pipes are unbuffered, so closing one to a killed child flushes nothing.
+        for _ in plan:
+            children.append(
+                subprocess.Popen(
+                    command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0, env=env
+                )
+            )
+        for child, stacks in zip(children, plan):
+            try:
+                child.stdin.write(pickle.dumps(sys.path) + pickle.dumps((cfg, stacks)))
+            except BrokenPipeError:
+                pass  # the child is gone; reading its outcome says how it ended
+            child.stdin.close()
+        records = []
+        for child, stacks in zip(children, plan):
+            data = child.stdout.read()
+            if not data:
+                seeds = ",".join(str(seed) for stack in stacks for seed in stack)
+                raise RuntimeError(
+                    f"the worker running seeds={seeds} exited with status {child.wait()} "
+                    "without an outcome"
+                )
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            records += outcome
+        return records
+    except BaseException:
+        for child in children:
+            child.kill()
+        raise
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for child in children:
+            child.stdin.close()
+            child.stdout.close()
+            child.wait()
 
 
 def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
@@ -527,9 +565,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     their paths name files under the output directory.
 
     The seeds run in parallel worker processes where more than one CPU is
-    usable (see ``_run_seeds``); every output byte is the same either way. A
-    script that calls this on more than one seed must do so under
-    ``if __name__ == "__main__":``.
+    usable (see ``_run_seeds``); every output byte is the same either way.
     """
     if len(cfg.strategies) < 2:
         raise ConfigError("compare needs at least 2 strategies")

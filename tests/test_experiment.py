@@ -36,7 +36,7 @@ from smoothlab.experiment import (
     _KEYS,
     _build,
     _chunks,
-    _stacks,
+    _plan,
     config_from_values,
     parse_kv_text,
 )
@@ -653,18 +653,18 @@ class TestStacks:
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiment, "_stack_cap", lambda sizes, batch_size: cap)
-            stacks = _stacks(cfg, workers)
+            plan = _plan(cfg, workers)
         most = max(1, cap // kinds)  # seeds, each one run per strategy
+        stacks = [stack for mine in plan for stack in mine]
         assert [seed for stack in stacks for seed in stack] == seeds
         assert all(1 <= len(stack) <= most for stack in stacks)
         # the stacks of each worker's chunk: as few as the cap allows, even sizes
-        rest = iter(stacks)
-        for chunk in _chunks(tuple(seeds), workers):
-            mine = [next(rest) for _ in range(-(-len(chunk) // most))]
+        assert len(plan) == workers
+        for chunk, mine in zip(_chunks(tuple(seeds), workers), plan):
+            assert len(mine) == -(-len(chunk) // most)
             assert tuple(seed for stack in mine for seed in stack) == chunk
             sizes = [len(stack) for stack in mine]
             assert max(sizes) - min(sizes) <= 1
-        assert next(rest, None) is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_plans_of_the_benchmark_workloads(self, workers):
@@ -682,9 +682,9 @@ class TestStacks:
                 "seeds": "1,2",
             }
         )
-        halves = [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)]
-        assert _stacks(default, workers) == ([tuple(range(1, 11))] if workers == 1 else halves)
-        assert _stacks(wide, workers) == [(1,), (2,)]
+        halves = [[(1, 2, 3, 4, 5)], [(6, 7, 8, 9, 10)]]
+        assert _plan(default, workers) == ([[tuple(range(1, 11))]] if workers == 1 else halves)
+        assert _plan(wide, workers) == ([[(1,), (2,)]] if workers == 1 else [[(1,)], [(2,)]])
 
     def test_non_finite_loss_names_the_lowest_failing_seed(self, tmp_path, monkeypatch):
         import smoothlab.experiment as experiment
@@ -765,15 +765,29 @@ class TestStacks:
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+@pytest.fixture
+def children(monkeypatch):
+    """The child processes started in this test, in the order they started."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
 class TestSeedWorkers:
-    """Compares whose seeds run on worker processes."""
+    """Compares whose seeds run on worker child processes."""
 
     def test_uneven_chunks_give_the_bytes_of_one_process(self, tmp_path, monkeypatch):
         # seeds 3,1 stack on one worker and 2 runs alone on the other; at one
-        # seed per stack, three tasks run on the two workers
+        # seed per stack, the first worker runs two stacks
         import smoothlab.experiment as experiment
 
-        # a warning in a spawned worker fails its compare, as one in this
+        # a warning in a worker child fails its compare, as one in this
         # process does under the filterwarnings setting
         monkeypatch.setenv("PYTHONWARNINGS", "error")
 
@@ -785,7 +799,7 @@ class TestSeedWorkers:
             monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
             if one_seed_stacks:
                 monkeypatch.setattr(experiment, "_stack_cap", lambda sizes, batch_size: 1)
-                assert _stacks(parse_config(cfg_path), cpus) == [(3,), (1,), (2,)]
+                assert _plan(parse_config(cfg_path), cpus) == [[(3,), (1,)], [(2,)]]
             out = tmp_path / f"cpus{cpus}{'-one-seed-stacks' * one_seed_stacks}"
             assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
             files = [p for p in out.rglob("*") if p.is_file()]
@@ -795,10 +809,8 @@ class TestSeedWorkers:
         assert [row.split(",")[1] for row in rows] == ["3", "1", "2"] * 3
 
     def test_failure_in_the_last_stack_on_a_worker_names_its_run_and_leaves_nothing(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, children
     ):
-        import multiprocessing
-
         import smoothlab.experiment as experiment
 
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
@@ -813,17 +825,15 @@ class TestSeedWorkers:
             seeds="1,2,3",
         )
         cfg = parse_config(cfg_path)
-        assert _stacks(cfg, 2) == [(1,), (2,), (3,)]
+        assert _plan(cfg, 2) == [[(1,), (2,)], [(3,)]]
         with pytest.raises(RuntimeError, match=r"^run failed for strategy=hard seed=3: "):
             run_compare(cfg)
-        assert multiprocessing.active_children() == []
+        assert len(children) == 2 and all(child.returncode is not None for child in children)
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_failure_in_a_worker_names_the_first_run_and_leaves_nothing(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, children
     ):
-        import multiprocessing
-
         import smoothlab.experiment as experiment
 
         # two workers whatever this machine's CPU count
@@ -836,52 +846,89 @@ class TestSeedWorkers:
         # have turned the overflow warning into the error in this process.
         with pytest.raises(RuntimeError, match=r"^run failed for strategy=hard seed=1: "):
             run_compare(cfg)
-        assert multiprocessing.active_children() == []
+        assert len(children) == 2 and all(child.returncode is not None for child in children)
         assert dict(os.environ) == environ
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
-    def test_worker_running_an_unguarded_main_refuses_before_making_a_pool(
-        self, tmp_path, monkeypatch
+    def test_worker_that_exits_without_an_outcome_names_its_seeds_and_status(
+        self, tmp_path, monkeypatch, children
     ):
-        # A worker killed while its own pool existed left that pool's semaphores
-        # to the resource tracker, whose warning could then end the output.
-        import concurrent.futures
-        import multiprocessing
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiment, "_BOOTSTRAP", "import sys; sys.exit(3)")
+        cfg = parse_config(write_config(tmp_path, seeds="1,2,3"))
+        message = "the worker running seeds=1,2 exited with status 3 without an outcome"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_compare(cfg)
+        assert len(children) == 2 and all(child.returncode is not None for child in children)
+        # neither the output directory nor the hidden sibling it was built in
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_interrupt_while_two_workers_run_kills_and_reaps_both(
+        self, tmp_path, monkeypatch, children
+    ):
+        import signal
 
         import smoothlab.experiment as experiment
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made")
+        class Interrupted:
+            """A child's stdout whose reader is interrupted while both run."""
 
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def read(self):
+                assert [child.poll() for child in children] == [None, None]
+                raise KeyboardInterrupt
+
+            def close(self):
+                self.pipe.close()
+
+        class Started(subprocess.Popen):  # the fixture's recording Popen
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.stdout = Interrupted(self.stdout)
+
+        monkeypatch.setattr(subprocess, "Popen", Started)
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        # how a spawned worker looks while it runs the main module
-        monkeypatch.setattr(multiprocessing.current_process(), "_inheriting", True, raising=False)
         cfg = parse_config(write_config(tmp_path, seeds="1,2"))
-        with pytest.raises(RuntimeError, match=r"^run_compare called while a worker started; "):
+        with pytest.raises(KeyboardInterrupt):
             run_compare(cfg)
-        assert multiprocessing.active_children() == []
+        assert [child.returncode for child in children] == [-signal.SIGKILL] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
-    def test_script_without_main_guard_fails_naming_the_guard(self, tmp_path):
-        import smoothlab
-        from smoothlab.experiment import _usable_cpus
+    def test_unguarded_script_compares_on_two_workers_and_leaves_no_child(self, tmp_path):
+        # A worker child runs the compare's own bootstrap, not the caller's main
+        # module, so a script needs no if __name__ == "__main__": guard.
+        from test_golden import GOLDEN, SRC, assert_matches_golden
 
-        if _usable_cpus() < 2:
-            pytest.skip("a one-CPU process runs every seed in-process")
+        out = tmp_path / "out"
         script = tmp_path / "unguarded.py"
         script.write_text(
+            "import subprocess\n"
+            "import smoothlab.experiment as experiment\n"
             "from smoothlab import parse_config, run_compare\n"
-            f"run_compare(parse_config({str(write_config(tmp_path, seeds='1,2'))!r}))\n"
+            "started = []\n"
+            "class Recorded(subprocess.Popen):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "        started.append(self)\n"
+            "subprocess.Popen = Recorded\n"
+            "experiment._usable_cpus = lambda: 2\n"
+            f"cfg = parse_config({str(GOLDEN / 'tiny_compare.cfg')!r}, {{'out': {str(out)!r}}})\n"
+            "run_compare(cfg)\n"
+            "print([child.returncode for child in started])\n"
         )
-        src = Path(smoothlab.__file__).resolve().parents[1]
-        # The output pipes stay open while any worker lives, so returning within
-        # the timeout also shows that no worker outlived the script.
+        # The children write their errors into the captured stderr, so
+        # returning within the timeout also shows that none outlived the script.
         proc = subprocess.run(
             [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
         )
-        assert proc.returncode != 0
-        assert 'if __name__ == "__main__":' in proc.stderr.splitlines()[-1]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[0, 0]"]
+        assert_matches_golden(out)
 
 
 def write_feature_csv(path):

@@ -7,7 +7,7 @@ or ``golden/tiny_generate.sha256`` with the commands in
 ``golden/tiny_compare.cfg`` and says why in its change notes.
 
 The config has two seeds, so the digests are checked with the seeds run in
-this process and on two worker processes, from the ``python -m smoothlab``
+this process and on two worker children, from the ``python -m smoothlab``
 command line, from a program read on stdin, and on a rerun into the output
 directory of a compare that was interrupted.
 """
@@ -102,23 +102,32 @@ def test_module_command_line_matches_golden_digests(tmp_path):
 
 
 def test_program_read_on_stdin_matches_golden_digests(tmp_path):
-    # A spawned worker cannot re-run a program read from stdin, so its two
-    # seeds run in the calling process, whatever the CPU count.
+    # A worker child runs the compare's own bootstrap, never the caller's main
+    # module, so a program read from stdin runs its two seeds on two children.
     out = tmp_path / "out"
     program = (
+        "import subprocess\n"
         "import sys\n"
         "import smoothlab.experiment as experiment\n"
         "from smoothlab.cli import main\n"
-        "if __name__ == '__main__':\n"
-        "    experiment._usable_cpus = lambda: 2\n"
-        f"    sys.exit(main(['compare', '--config', {str(GOLDEN / 'tiny_compare.cfg')!r}, "
-        f"'--out', {str(out)!r}]))\n"
+        "started = []\n"
+        "class Recorded(subprocess.Popen):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "        started.append(self)\n"
+        "subprocess.Popen = Recorded\n"
+        "experiment._usable_cpus = lambda: 2\n"
+        f"code = main(['compare', '--config', {str(GOLDEN / 'tiny_compare.cfg')!r}, "
+        f"'--out', {str(out)!r}])\n"
+        "print([child.returncode for child in started])\n"
+        "sys.exit(code)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-"], input=program, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0]"
     assert_matches_golden(out)
 
 

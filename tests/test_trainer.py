@@ -825,6 +825,18 @@ class TestFitStack:
         config = make_config(epochs=4, lr=0.1, batch_size=16, hidden=hidden)
         assert_stack_matches_fit(splits, config, kinds, seeds)
 
+    @pytest.mark.parametrize("classes", [8, 9])
+    @pytest.mark.parametrize("seeds", [[7, 4], [9, 2, 5]], ids=str)
+    def test_eight_or_more_classes_match_fit_per_run(self, seeds, classes):
+        # From 8 classes on, numpy sums the class axis with its 8-accumulator
+        # pairwise loop, as at the benchmark workloads' 8 and 32 classes; 9
+        # leaves one class over.
+        overlap = ((0, 1), (2, 3))
+        splits = [split_blob(seed=s, classes=classes, dim=3, overlap=overlap)[:2] for s in seeds]
+        assert splits[0][0].n_samples % 24 != 0  # a remainder batch every epoch
+        config = make_config(epochs=4, lr=0.1, batch_size=24, hidden=(32,))
+        assert_stack_matches_fit(splits, config, KINDS, seeds)
+
     @pytest.mark.parametrize(
         "kinds", [[kind] for kind in KINDS] + [KINDS], ids=[k.kind for k in KINDS] + ["every-kind"]
     )
