@@ -332,6 +332,17 @@ def save_csv(ds: LabeledDataset, path) -> None:
             fh.write(_format_rows(ds.features[start:stop], ds.labels[start:stop]))
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, without a leading byte order mark; a file
+    that is not UTF-8 raises ParseError naming it and its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        where = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise ParseError(f"{path}: not UTF-8 text: {where}") from None
+
+
 def load_csv(path) -> LabeledDataset:
     """Parse a feature CSV (header f0..f{d-1},label) into a LabeledDataset.
 
@@ -340,8 +351,7 @@ def load_csv(path) -> LabeledDataset:
     1-based file row that caused them.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")

@@ -19,6 +19,7 @@ from .datasets import (
     SplitSpec,
     _is_int,
     _plain_number,
+    _read_text,
     generate_confusable_blobs,
     load_csv,
     save_csv,
@@ -216,7 +217,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
     """Read a config file; ``overrides`` set keys over the file's values. A
     relative ``data.csv`` in the file is read from the file's directory."""
     path = Path(path)
-    values = parse_kv_text(path.read_text(encoding="utf-8-sig"), str(path))
+    values = parse_kv_text(_read_text(path), str(path))
     if values.get("data.csv"):
         values["data.csv"] = str(path.parent / values["data.csv"])
     return config_from_values({**values, **(overrides or {})})
@@ -495,7 +496,8 @@ def _run_seeds(cfg: ExperimentConfig) -> list[RunRecord]:
     each CPU once. Every child is reaped before this returns or raises, and
     killed first if this process raises or is interrupted. The first failure
     in config order is raised; a child that exits without an outcome is a
-    RuntimeError naming its seeds and its exit status.
+    RuntimeError naming its seeds and its exit status, as is one whose
+    outcome does not unpickle.
     """
     cpus = _usable_cpus()
     workers = min(len(cfg.seeds), cpus)
@@ -528,13 +530,14 @@ def _run_seeds(cfg: ExperimentConfig) -> list[RunRecord]:
         records = []
         for child, stacks in zip(children, plan):
             data = child.stdout.read()
-            if not data:
+            try:
+                outcome = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError) as exc:  # no outcome, or one cut short
                 seeds = ",".join(str(seed) for stack in stacks for seed in stack)
                 raise RuntimeError(
                     f"the worker running seeds={seeds} exited with status {child.wait()} "
                     "without an outcome"
-                )
-            outcome = pickle.loads(data)
+                ) from exc
             if isinstance(outcome, BaseException):
                 raise outcome
             records += outcome
@@ -609,7 +612,7 @@ def _report(run_dir: Path) -> tuple[str, list[tuple[str, int, str, str]]]:
         raise ConfigError(f"no runs found under {run_dir}")
     rows = []
     for summary in summaries:
-        values = parse_kv_text(summary.read_text(encoding="utf-8"), str(summary))
+        values = parse_kv_text(_read_text(summary), str(summary))
         try:
             rows.append(
                 (

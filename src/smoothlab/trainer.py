@@ -6,11 +6,13 @@ target for label y), so the per-batch work is always plain soft-target
 cross-entropy. ``fit`` keeps only the per-epoch state the strategy's kind
 reads: the confusion tracker for cpls, the online-smoothing accumulator for ols.
 
-``_ParamStack`` holds the only forward pass, gradient and SGD step, and
-``_stack_scores`` the only validation scoring (over ``calibration``'s binning),
-each for R runs at once; the per-run functions run them at R=1. ``_fit_stack``
+``_ParamStack`` holds the only parameter layout, forward pass, gradient and
+SGD step, and ``_stack_scores`` the only validation scoring (over
+``calibration``'s binning), each for R runs at once; the per-run functions run
+them at R=1, and a ``ModelParams`` is a one-run stack's row. ``_fit_stack``
 trains every strategy's runs of several seeds in lockstep with one batched
 validation pass per epoch, and gives each run the bits ``fit`` gives it alone.
+It alone keeps what only a stack needs: which run a failure belongs to.
 Both are held to ``reference_epoch`` in the trainer tests and to
 ``tests/oracles.py``.
 """
@@ -67,12 +69,12 @@ class ModelParams:
 
     The constructor copies the given arrays into a flat float64 buffer that the
     instance owns: ``flat`` holds every weight matrix and then every bias,
-    layer by layer, and the two lists are views into it. ``_stack`` is the
-    one-run ``_ParamStack`` over ``flat`` that trains it; ``flat_velocity``
-    (the momentum, starting at zero) and ``flat_grad`` (where
-    ``loss_and_gradients`` writes each gradient) are its row 0, in the same
-    layout. Each layer needs 2-D weights, one bias per weight row, and the
-    previous layer's outputs as its inputs, or ``DimensionError`` names it.
+    layer by layer. ``_stack`` is the one-run ``_ParamStack`` over ``flat``
+    that trains it and owns the layout: the two lists are row 0 of its views,
+    and ``flat_velocity`` (the momentum, starting at zero) and ``flat_grad``
+    (where ``loss_and_gradients`` writes each gradient) are its row 0. Each
+    layer needs 2-D weights, one bias per weight row, and the previous
+    layer's outputs as its inputs, or ``DimensionError`` names it.
     """
 
     weights: list[np.ndarray]
@@ -81,7 +83,6 @@ class ModelParams:
     flat_velocity: np.ndarray = field(init=False, repr=False)
     flat_grad: np.ndarray = field(init=False, repr=False)
     _stack: _ParamStack = field(init=False, repr=False)
-    _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < len(self.weights) == len(self.biases):
@@ -99,24 +100,17 @@ class ModelParams:
                 message = f"weights take {shape[1]} inputs, but layer {layer - 1} gives {inputs}"
                 raise DimensionError(f"layer {layer}: {message}")
             inputs = shape[0]
-        self._layout = []
-        stop = 0
-        for shape in [np.shape(a) for a in self.weights + self.biases]:
-            start, stop = stop, stop + math.prod(shape)
-            self._layout.append((start, stop, shape))
-        self.flat = np.concatenate(
-            [np.asarray(a, dtype=np.float64).ravel() for a in self.weights + self.biases]
-        )
-        self._stack = _ParamStack(self._layout, self.flat[None])
+        arrays = self.weights + self.biases
+        self.flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+        self._stack = _ParamStack([np.shape(a) for a in arrays], self.flat[None])
         self.flat_velocity = self._stack.velocity[0]
         self.flat_grad = self._stack.grad[0]
         self.weights, self.biases = self.split(self.flat)
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a flat buffer in this layout."""
-        views = [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
-        half = len(views) // 2
-        return views[:half], views[half:]
+        weights, biases = self._stack.views(flat[None])
+        return [w[0] for w in weights], [b[0, 0] for b in biases]
 
     @property
     def num_layers(self) -> int:
@@ -281,7 +275,9 @@ def fit(
     the latest one; an ols run folds the epoch's correct training predictions
     into the next epoch's targets. Returns the parameters, the metrics of each
     epoch and, for cpls, the tracker's table after each epoch (empty for every
-    other kind): the per-run triple of ``_fit_stack``.
+    other kind): the per-run triple of ``_fit_stack``. A non-finite training
+    loss raises ``NumericError``, and validation probabilities that ``ece``
+    would refuse raise its error, naming the row.
     The network maps train.n_features inputs through ``config.hidden`` to
     train.num_classes outputs; its initial parameters are drawn from those
     sizes and the seed.
@@ -296,10 +292,7 @@ def fit(
             run.smoother.update_batch(labels, probs)
         # perfbench/tracing.py's HOOKS pin this one evaluate call per epoch.
         _, val_probs, _ = evaluate(params, val)
-        try:
-            scores = _stack_scores(val_probs[None], val.labels[None], config.ece_bins)
-        except _RunError as exc:
-            raise exc.error from None
+        scores = _stack_scores(val_probs[None], val.labels[None], config.ece_bins)
         run.fold(epoch, loss, *(score[0] for score in scores))
     return params, run.metrics, run.tables
 
@@ -385,19 +378,11 @@ def _stack_scores(
     feeds the ``_counts`` of ``evaluate``. At R=1 this is ``fit``'s pass.
 
     The probabilities are checked as the public ``ece`` checks them, all runs
-    at once; when that fails, ``ece`` is called run by run, and the first run
-    it fails on raises ``_RunError`` with that run's index and message.
+    at once as one (R * n, C) matrix, and a failure raises its public error;
+    at R=1 that is the run's own check and message.
     """
-    count, n, c = probs.shape
-    try:
-        _validated(probs.reshape(-1, c), labels.ravel())
-    except (DimensionError, DomainError):
-        for index in range(count):
-            try:
-                ece(probs[index], labels[index], num_bins)
-            except (DimensionError, DomainError) as exc:
-                raise _RunError(index, exc) from exc
-        raise
+    n, c = probs.shape[1:]
+    _validated(probs.reshape(-1, c), labels.ravel())
     predictions, *_, eces = _binned(probs, labels, num_bins)
     picked = np.take_along_axis(probs, labels[:, :, None], axis=2)[:, :, 0]
     val_losses = -np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)), axis=1) / n
@@ -407,9 +392,10 @@ def _stack_scores(
 
 
 class _ParamStack:
-    """The parameters, momentum and gradients of R runs as (R, P) stacks, row r
-    in run r's ``ModelParams.flat`` layout, with per-layer (R, out, in) weight
-    and (R, 1, out) bias views.
+    """The parameters, momentum and gradients of R runs as (R, P) stacks, with
+    per-layer (R, out, in) weight and (R, 1, out) bias views. ``shapes`` gives
+    each weight's and then each bias's shape, layer by layer, and so the
+    layout of a row, which is run r's ``ModelParams.flat``.
 
     ``flat`` is the (R, P) parameter buffer, updated in place. Every product
     is ``np.matmul`` over the stack, which hands each run's 2-D product to
@@ -418,22 +404,23 @@ class _ParamStack:
     every ``ModelParams`` trains through.
     """
 
-    def __init__(self, layout: list[tuple[int, int, tuple[int, ...]]], flat: np.ndarray):
-        self._layout = layout
+    def __init__(self, shapes: list[tuple[int, ...]], flat: np.ndarray):
+        self._shapes = shapes
         self.flat = flat
         self.velocity = np.zeros_like(self.flat)
         self.grad = np.zeros_like(self.flat)
         self.step = np.empty_like(self.flat)
-        self.weights, self.biases = self._views(self.flat)
+        self.weights, self.biases = self.views(self.flat)
         self.weights_t = [w.transpose(0, 2, 1) for w in self.weights]
-        self.grad_weights, self.grad_biases = self._views(self.grad)
+        self.grad_weights, self.grad_biases = self.views(self.grad)
 
-    def _views(self, stack: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def views(self, stack: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of an (R, P) stack in this layout."""
         count = stack.shape[0]
-        views = [
-            stack[:, start:stop].reshape(count, -1, shape[-1])
-            for start, stop, shape in self._layout
-        ]
+        views, stop = [], 0
+        for shape in self._shapes:
+            start, stop = stop, stop + math.prod(shape)
+            views.append(stack[:, start:stop].reshape(count, -1, shape[-1]))
         half = len(views) // 2
         return views[:half], views[half:]
 
@@ -507,9 +494,10 @@ def _fit_stack(
     run's whole epoch in one call, and the validation pass is one stacked
     forward and one ``_stack_scores`` per epoch. Returns, per run, the triple
     ``fit`` returns: its parameters, its metrics and, for cpls, the tracker's
-    table after each epoch. A non-finite loss raises ``_RunError`` naming, of
-    the runs it shows in at that step, the one of the first strategy and then
-    the lowest seed; an error in one run's validation pass names that run.
+    table after each epoch. A non-finite loss raises ``_RunError`` naming
+    the first run, in the stack's order, that shows one at that step. When the
+    stacked validation check fails, ``ece`` checks the runs one by one, and
+    the first it fails on raises ``_RunError`` with that run's message.
     """
     train, val = splits[0]
     shapes = (train.features.shape, val.features.shape)
@@ -518,13 +506,12 @@ def _fit_stack(
     n, num_classes = train.n_samples, train.num_classes
     sizes = (train.n_features, *config.hidden, num_classes)
     initial = [init_params(sizes, seed) for seed in seeds]
-    stack = _ParamStack(initial[0]._layout, np.stack([p.flat for _ in strategies for p in initial]))
+    layout = [a.shape for a in initial[0].weights + initial[0].biases]
+    stack = _ParamStack(layout, np.stack([p.flat for _ in strategies for p in initial]))
     runs = [_RunState(strategy, num_classes) for strategy in strategies for _ in splits]
     count = len(runs)
     ols = np.flatnonzero([run.smoother is not None for run in runs])
-    # the order in which a non-finite loss names runs, and each run's seed row
-    blame = [(place, seed) for place in range(len(strategies)) for seed in seeds]
-    rows = np.arange(count) % len(seeds)
+    rows = np.arange(count) % len(seeds)  # each run's seed row
     # Every epoch refills the same buffers, one row per seed.
     features = np.empty((len(seeds), n, train.n_features))
     labels = np.empty((len(seeds), n), dtype=train.labels.dtype)
@@ -551,7 +538,7 @@ def _fit_stack(
             losses, probs = stack.loss_and_gradients(features[rows, batch], targets)
             finite = np.isfinite(losses)
             if not finite.all():
-                index = min(np.flatnonzero(~finite).tolist(), key=blame.__getitem__)
+                index = int(np.flatnonzero(~finite)[0])
                 error = NumericError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
                 raise _RunError(index, error)
             ols_probs[:, batch] = probs[ols]
@@ -562,7 +549,15 @@ def _fit_stack(
             runs[index].smoother.update_batch(labels[rows[index]], epoch_probs)
 
         val_probs = softmax_rows_inplace(stack.forward(val_features)[0])
-        scores = _stack_scores(val_probs, val_labels, config.ece_bins)
+        try:
+            scores = _stack_scores(val_probs, val_labels, config.ece_bins)
+        except (DimensionError, DomainError):
+            for index in range(count):
+                try:
+                    ece(val_probs[index], val_labels[index], config.ece_bins)
+                except (DimensionError, DomainError) as exc:
+                    raise _RunError(index, exc) from exc
+            raise
         for run, train_loss, *score in zip(runs, train_losses, *scores):
             run.fold(epoch, train_loss, *score)
     return [(stack.params_of(index), run.metrics, run.tables) for index, run in enumerate(runs)]

@@ -686,26 +686,53 @@ class TestStacks:
         assert _plan(default, workers) == ([[tuple(range(1, 11))]] if workers == 1 else halves)
         assert _plan(wide, workers) == ([[(1,), (2,)]] if workers == 1 else [[(1,)], [(2,)]])
 
-    def test_non_finite_loss_names_the_lowest_failing_seed(self, tmp_path, monkeypatch):
-        import smoothlab.experiment as experiment
+    @staticmethod
+    def poison(monkeypatch, seeds):
+        """Give every run of ``seeds`` a NaN initial weight."""
         import smoothlab.trainer as trainer
 
         real_init = trainer.init_params
 
-        def poison(sizes, seed):
+        def poisoned(sizes, seed):
             params = real_init(sizes, seed)
-            if seed in (3, 2):
+            if seed in seeds:
                 params.weights[0][0, 0] = np.nan
             return params
 
+        monkeypatch.setattr(trainer, "init_params", poisoned)
+
+    def test_non_finite_loss_names_the_first_failing_seed_in_config_order(
+        self, tmp_path, monkeypatch
+    ):
+        import smoothlab.experiment as experiment
+
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(trainer, "init_params", poison)
+        self.poison(monkeypatch, {3, 2})
         cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
         message = (
-            "run failed for strategy=hard seed=2: non-finite training loss at epoch 1, batch 0"
+            "run failed for strategy=hard seed=3: non-finite training loss at epoch 1, batch 0"
         )
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             run_compare(cfg)
+
+    def test_non_finite_loss_names_the_same_run_whatever_the_worker_count(
+        self, tmp_path, monkeypatch
+    ):
+        from smoothlab.experiment import _run_stack
+
+        self.poison(monkeypatch, {3, 2})
+        cfg = parse_config(write_config(tmp_path, seeds="3,1,2"))
+        assert _plan(cfg, 1) == [[(3, 1, 2)]] and _plan(cfg, 2) == [[(3, 1)], [(2,)]]
+        named = []
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError) as caught:
+                for stack in (stack for mine in _plan(cfg, workers) for stack in mine):
+                    _run_stack(cfg, stack)
+            named.append(str(caught.value))
+        message = (
+            "run failed for strategy=hard seed=3: non-finite training loss at epoch 1, batch 0"
+        )
+        assert named == [message, message]
 
     def test_failure_of_the_whole_stack_names_every_seed(self, tmp_path, monkeypatch):
         import smoothlab.experiment as experiment
@@ -863,6 +890,29 @@ class TestSeedWorkers:
             run_compare(cfg)
         assert len(children) == 2 and all(child.returncode is not None for child in children)
         # neither the output directory nor the hidden sibling it was built in
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_worker_whose_outcome_does_not_unpickle_names_its_seeds_and_status(
+        self, tmp_path, monkeypatch, capsys, children
+    ):
+        import pickle
+
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        # an outcome cut short, as a child that fails while writing it leaves
+        bootstrap = "import os, pickle\nos.write(1, pickle.dumps([1, 2, 3])[:-3])\n"
+        monkeypatch.setattr(experiment, "_BOOTSTRAP", bootstrap)
+        cfg_path = write_config(tmp_path, seeds="1,2,3")
+        message = "the worker running seeds=1,2 exited with status 0 without an outcome"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$") as caught:
+            run_compare(parse_config(cfg_path))
+        assert isinstance(caught.value.__cause__, pickle.UnpicklingError)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert len(children) == 4 and all(child.returncode is not None for child in children)
+        # neither an output directory nor the hidden sibling it was built in
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_interrupt_while_two_workers_run_kills_and_reaps_both(
@@ -1053,6 +1103,40 @@ class TestCsvSource:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "data.csv is set" in err[0]
         assert not (tmp_path / "runs").exists()
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 fails its command naming the file and
+    the offset of its first bad byte, and nothing is written."""
+
+    def test_config_fails_compare(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        cfg_path.write_bytes(b"# caf\xe9\n" + cfg_path.read_bytes())
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg_path}: not UTF-8 text: byte 0xe9 at offset 5"]
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_csv_cell_fails_train(self, tmp_path, capsys):
+        csv_path = write_feature_csv(tmp_path / "feats.csv")
+        data = csv_path.read_bytes()
+        first_cell = data.index(b"\n") + 1
+        csv_path.write_bytes(data[:first_cell] + b"\xe9" + data[first_cell:])
+        cfg_path = write_config(tmp_path, "data.csv = feats.csv")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {csv_path}: not UTF-8 text: byte 0xe9 at offset {first_cell}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "feats.csv"]
+
+    def test_run_summary_fails_report(self, tmp_path, capsys):
+        cfg = parse_config(write_config(tmp_path))
+        summary = run_training(cfg, cfg.strategies[0], seed=1).artifacts["summary"]
+        summary.write_bytes(summary.read_bytes().replace(b"=hard", b"=h\xe9rd"))
+        assert main(["report", str(cfg.out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {summary}: not UTF-8 text: byte 0xe9 at offset 10"]
+        assert not (cfg.out_dir / "report.csv").exists()
 
 
 class TestReport:

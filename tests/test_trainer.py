@@ -855,25 +855,41 @@ class TestFitStack:
 
         monkeypatch.setattr(smoothlab.trainer, "init_params", poisoned)
 
-    def test_non_finite_loss_names_the_lowest_failing_seed(self, monkeypatch):
+    def test_non_finite_loss_names_the_first_failing_seed_in_config_order(self, monkeypatch):
         self.poison(monkeypatch, {4, 2})
         seeds = [4, 3, 2]
         splits = [split_blob(seed=s)[:2] for s in seeds]
         with pytest.raises(_RunError) as caught:
             _fit_stack(splits, make_config(), [HARD], seeds)
-        assert seeds[caught.value.index] == 2
+        assert seeds[caught.value.index] == 4
         assert isinstance(caught.value.error, NumericError)
         assert str(caught.value.error) == "non-finite training loss at epoch 1, batch 0"
 
-    def test_non_finite_loss_names_the_first_strategy_then_the_lowest_seed(self, monkeypatch):
+    def test_non_finite_loss_names_the_first_strategy_then_the_first_failing_seed(
+        self, monkeypatch
+    ):
         # every strategy's run of a poisoned seed fails at the same step
-        self.poison(monkeypatch, {4, 2})
+        self.poison(monkeypatch, {3, 2})
         seeds = [4, 3, 2]
         splits = [split_blob(seed=s)[:2] for s in seeds]
         with pytest.raises(_RunError) as caught:
             _fit_stack(splits, make_config(), KINDS[::-1], seeds)
-        assert caught.value.index == 2  # the first strategy's run of seed 2
+        assert caught.value.index == 1  # the first strategy's run of seed 3
         assert str(caught.value.error) == "non-finite training loss at epoch 1, batch 0"
+
+    @pytest.mark.parametrize("place, row", [(0, 0), (2, 3), (1, 4)])
+    def test_non_finite_validation_entry_names_its_run_and_row(self, place, row):
+        seeds = [7, 4, 9]
+        splits = [split_blob(seed=s)[:2] for s in seeds]
+        train, val = splits[place]
+        features = val.features.copy()
+        features[row, 0] = np.nan
+        splits[place] = (train, LabeledDataset(features, val.labels, val.num_classes))
+        with np.errstate(invalid="ignore"), pytest.raises(_RunError) as caught:
+            _fit_stack(splits, make_config(epochs=1), [HARD, cpls(0.5, 1)], seeds)
+        assert caught.value.index == place  # the first strategy's run of that seed
+        assert isinstance(caught.value.error, DomainError)
+        assert str(caught.value.error) == f"row {row} of probs has a non-finite entry"
 
     def test_smoother_gets_each_epoch_in_one_call_in_both_trainers(self, monkeypatch):
         fed = []
@@ -978,14 +994,3 @@ class TestStackScores:
             ]:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()  # the bits
-
-    @pytest.mark.parametrize("run, row", [(0, 0), (2, 3), (1, 4)])
-    def test_non_finite_entry_names_its_run_and_row(self, run, row):
-        probs = np.full((3, 5, 4), 0.25)
-        probs[run, row, 1] = np.nan
-        labels = np.zeros((3, 5), dtype=np.int64)
-        with pytest.raises(_RunError) as caught:
-            _stack_scores(probs, labels, 10)
-        assert caught.value.index == run
-        assert isinstance(caught.value.error, DomainError)
-        assert str(caught.value.error) == f"row {row} of probs has a non-finite entry"
