@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .calibration import ece, reliability_bins, write_reliability_csv
 from .datasets import (
     BlobSpec,
@@ -256,10 +258,22 @@ def prepare_splits(
     return standardize(train, val, test)
 
 
+def _refuse_compare_tree(out_dir: Path, command: str) -> None:
+    """Refuse an output directory that holds a compare's table: a compare's
+    report lists only the runs it made, and nothing writes into its tree."""
+    if (out_dir / "comparison.csv").exists():
+        raise ConfigError(
+            f"output directory {out_dir} holds a compare's runs; {command} into a new one"
+        )
+
+
 def run_generate(cfg: ExperimentConfig) -> dict[str, Path]:
-    """Write raw train/val/test CSVs plus a manifest of the blob spec and first seed."""
+    """Write raw train/val/test CSVs plus a manifest of the blob spec and first
+    seed. An output directory that holds a compare's table is refused before
+    anything is written; one that holds an earlier generate's files is not."""
     if not isinstance(cfg.data, BlobSpec):
         raise ConfigError("generate writes synthetic data, but data.csv is set")
+    _refuse_compare_tree(cfg.out_dir, "generate")
     seed = cfg.seeds[0]
     out = cfg.out_dir
     ds = generate_confusable_blobs(cfg.data, seed)
@@ -365,22 +379,16 @@ def _emit_run(
 
 
 def run_training(cfg: ExperimentConfig, strategy: TargetStrategy, seed: int) -> RunRecord:
-    """Standalone single run: prepare splits for the seed, then train and emit.
+    """Standalone single run: the one-run stack of ``strategy`` and ``seed``
+    (see ``_run_stack``), so it writes the bytes a compare writes for that run
+    and names a failure as a compare does.
 
-    A run directory that already holds a file, or an output directory that
-    holds a compare's table, is refused before anything is written, so no
-    run's artifacts sit beside those of an earlier one and no compare's report
-    lists a run it did not make.
+    An output directory that holds a compare's table is refused before
+    anything is written, so no compare's report lists a run it did not make;
+    ``_run_stack`` refuses a run directory that already holds a file.
     """
-    if (cfg.out_dir / "comparison.csv").exists():
-        raise ConfigError(
-            f"output directory {cfg.out_dir} holds a compare's runs; train into a new one"
-        )
-    run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
-    if run_dir.is_dir() and any(run_dir.iterdir()):
-        raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
-    splits = prepare_splits(cfg, seed)
-    return run_single(splits, cfg, strategy, seed, run_dir)
+    _refuse_compare_tree(cfg.out_dir, "train")
+    return _run_stack(replace(cfg, strategies=(strategy,), seeds=(seed,)), (seed,))[0]
 
 
 # The thread-count variables of the BLAS builds numpy ships with or links to.
@@ -403,42 +411,52 @@ def _chunks(items, count: int) -> list:
 
 
 def _run_stack(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[RunRecord]:
-    """Every strategy's run of ``seeds`` on their prepared splits, strategy by
-    strategy in config order and seed by seed within each: trained in lockstep
-    (``_fit_stack``), or each alone (``run_single``) for one seed, then
-    emitted in that order. A failure names the strategy and the seed of the
-    run that owns it, or every strategy and seed of the stack when no single
-    run does; a failure to prepare the splits is raised as it is."""
+    """Every strategy's run of ``seeds``, strategy by strategy in config order
+    and seed by seed within each, each into ``<out>/<kind>_seed<seed>``: the
+    one path of every run, a compare's or a ``train``'s.
+
+    A run directory that already holds a file is refused before any split is
+    prepared. The runs are then trained on their prepared splits in lockstep
+    (``_fit_stack``), or each alone (``run_single``) for one seed, and
+    emitted in that order. Training and emission run with numpy's overflow
+    and invalid warnings off: each such value ends in the trainer's
+    ``NumericError`` or ``ece``'s ``DomainError``, which this reports. A
+    failure names the strategy and the seed of the run that owns it, or every
+    strategy and seed of the stack when no single run does; a failure to
+    prepare the splits, which warns as numpy does, is raised as it is."""
+    runs = [(strategy, seed) for strategy in cfg.strategies for seed in seeds]
+    run_dirs = [cfg.out_dir / f"{strategy.kind}_seed{seed}" for strategy, seed in runs]
+    for run_dir in run_dirs:
+        if run_dir.is_dir() and any(run_dir.iterdir()):
+            raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
     splits = [prepare_splits(cfg, seed) for seed in seeds]
-    runs = [
-        (strategy, split, seed) for strategy in cfg.strategies for split, seed in zip(splits, seeds)
-    ]
 
     def failed(strategy: TargetStrategy, seed: int, error: Exception) -> RuntimeError:
         return RuntimeError(f"run failed for strategy={strategy.kind} seed={seed}: {error}")
 
-    fitted = None
-    if len(seeds) > 1:
-        try:
-            fitted = _fit_stack([(t, v) for t, v, _ in splits], cfg.train, cfg.strategies, seeds)
-        except _RunError as exc:
-            strategy, _, seed = runs[exc.index]
-            raise failed(strategy, seed, exc.error) from exc.error
-        except Exception as exc:
-            kinds = ",".join(strategy.kind for strategy in cfg.strategies)
-            raise RuntimeError(
-                f"run failed for strategies={kinds} seeds={','.join(map(str, seeds))}: {exc}"
-            ) from exc
-    records = []
-    for index, (strategy, split, seed) in enumerate(runs):
-        run_dir = cfg.out_dir / f"{strategy.kind}_seed{seed}"
-        try:
-            if fitted is None:
-                records.append(run_single(split, cfg, strategy, seed, run_dir))
-            else:
-                records.append(_emit_run(split[2], cfg, strategy, seed, run_dir, *fitted[index]))
-        except Exception as exc:
-            raise failed(strategy, seed, exc) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = None
+        if len(seeds) > 1:
+            try:
+                fitted = _fit_stack([s[:2] for s in splits], cfg.train, cfg.strategies, seeds)
+            except _RunError as exc:
+                strategy, seed = runs[exc.index]
+                raise failed(strategy, seed, exc.error) from exc.error
+            except Exception as exc:
+                kinds = ",".join(strategy.kind for strategy in cfg.strategies)
+                raise RuntimeError(
+                    f"run failed for strategies={kinds} seeds={','.join(map(str, seeds))}: {exc}"
+                ) from exc
+        records = []
+        for r, ((strategy, seed), run_dir) in enumerate(zip(runs, run_dirs)):
+            split = splits[r % len(seeds)]  # run r's seed, as in _fit_stack
+            try:
+                if fitted is None:
+                    records.append(run_single(split, cfg, strategy, seed, run_dir))
+                else:
+                    records.append(_emit_run(split[2], cfg, strategy, seed, run_dir, *fitted[r]))
+            except Exception as exc:
+                raise failed(strategy, seed, exc) from exc
     return records
 
 

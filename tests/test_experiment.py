@@ -17,6 +17,7 @@ from smoothlab import (
     ConfigError,
     DomainError,
     LabeledDataset,
+    NumericError,
     ParseError,
     SplitSpec,
     TargetStrategy,
@@ -869,8 +870,7 @@ class TestSeedWorkers:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         environ = dict(os.environ)
         cfg = parse_config(write_config(tmp_path, "train.learning_rate = 1e300", seeds="1,2"))
-        # Only the prefix: the rest is the worker's message, where pytest would
-        # have turned the overflow warning into the error in this process.
+        # Only the prefix: TestDivergingRun pins a whole diverging run's line.
         with pytest.raises(RuntimeError, match=r"^run failed for strategy=hard seed=1: "):
             run_compare(cfg)
         assert len(children) == 2 and all(child.returncode is not None for child in children)
@@ -979,6 +979,65 @@ class TestSeedWorkers:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[0, 0]"]
         assert_matches_golden(out)
+
+
+# A config whose learning rate overflows every run's first steps.
+DIVERGING_CONFIG = """
+seeds = 3,4,1
+strategies = hard,cpls
+train.learning_rate = 1e300
+data.per_class = 20
+train.epochs = 2
+"""
+DIVERGED = "run failed for strategy=hard seed=3: non-finite training loss at epoch 1, batch 1"
+
+
+class TestDivergingRun:
+    """A run whose training overflows is reported once, by name, with no
+    numpy warning, by every command and whatever the worker count."""
+
+    @pytest.fixture
+    def cfg_path(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(DIVERGING_CONFIG)
+        return path
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+    def test_compare_prints_one_error_line(self, tmp_path, cfg_path, capfd, monkeypatch, cpus):
+        import smoothlab.experiment as experiment
+
+        # the worker children write to the inherited fd 2, which capfd reads
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capfd.readouterr() == ("", f"error: {DIVERGED}\n")
+        # neither the output directory nor the hidden sibling it was built in
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_train_prints_the_same_line(self, tmp_path, cfg_path, capfd):
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capfd.readouterr() == ("", f"error: {DIVERGED}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_run_training_raises_the_named_failure_chained_to_the_trainers(self, cfg_path):
+        cfg = parse_config(cfg_path)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(DIVERGED)}$") as caught:
+            run_training(cfg, cfg.strategies[0], 3)
+        assert isinstance(caught.value.__cause__, NumericError)
+        assert not cfg.out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    def test_warnings_as_errors_change_nothing(self, tmp_path, cfg_path, command):
+        from test_golden import SRC
+
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "smoothlab", command, "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {DIVERGED}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 def write_feature_csv(path):
@@ -1224,6 +1283,21 @@ class TestCli:
         assert f"run directory {run_dir} is not empty" in capsys.readouterr().err
         after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         assert after == before
+
+    def test_generate_into_a_compare_dir_refused_and_left_unchanged(self, tmp_path, capsys):
+        # the splits and manifest would land in the compare's published tree
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        mix = tmp_path / "mix"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(mix)]) == 0
+        capsys.readouterr()
+        before = {p: p.is_file() and p.read_bytes() for p in mix.rglob("*")}
+        assert main(["generate", "--config", str(cfg_path), "--out", str(mix)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: output directory {mix} holds a compare's runs; generate into a new one"
+        ]
+        assert {p: p.is_file() and p.read_bytes() for p in mix.rglob("*")} == before
 
     def test_train_into_a_compare_dir_refused_and_left_unchanged(self, tmp_path, capsys):
         # the run would join the compare's in report, though its table never counted it

@@ -66,6 +66,22 @@ def test_digests_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch
     assert_matches_golden(out)
 
 
+def test_train_writes_the_run_directory_compare_writes(tmp_path, capsys, monkeypatch):
+    # in-process, seeds 1,2 train as one lockstep stack; train runs seed 2 alone
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    config = str(GOLDEN / "tiny_compare.cfg")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", config, "--out", str(out)]) == 0
+    for kind in ("hard", "vanilla", "ols", "cpls"):
+        trained = tmp_path / kind
+        argv = ["--config", config, "--out", str(trained), "--strategy", kind, "--seed", "2"]
+        assert main(["train", *argv]) == 0
+        want = {p.name: p.read_bytes() for p in (out / f"{kind}_seed2").iterdir()}
+        assert [p.name for p in trained.iterdir()] == [f"{kind}_seed2"]
+        assert {p.name: p.read_bytes() for p in (trained / f"{kind}_seed2").iterdir()} == want
+    capsys.readouterr()
+
+
 def test_rerun_after_an_interrupted_compare_matches_golden_digests(tmp_path, capsys, monkeypatch):
     # interrupted in-process after two of its eight runs were written
     real_emit, emitted = experiment._emit_run, []
