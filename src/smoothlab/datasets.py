@@ -243,8 +243,8 @@ def stratified_split(
 
 @contextmanager
 def _csv_file(path, header, columns: int):
-    """Open ``path`` under the one artifact CSV contract: UTF-8, every line
-    ending in LF, and the optional header line written first."""
+    """Open ``path`` under the one contract of every file smoothlab writes:
+    UTF-8, every line ending in LF, and the optional header line written first."""
     if header is not None and len(header) != columns:
         raise DimensionError(f"{len(header)} header fields for {columns} columns")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -257,9 +257,9 @@ def write_csv(path, cells, rows, header=None) -> None:
     """Write the one artifact CSV format: comma-joined cells, one line per row.
 
     ``cells`` holds one %-conversion per column (``"%.6f"`` for a 6 dp float,
-    ``"%d"`` for an integer, ``"%s"`` for text); each row is a tuple of Python
-    scalars formatted by the one line template they make. Rows are streamed,
-    never joined into one string."""
+    ``"%d"`` for an integer, ``"%s"`` for text, ``"%s=%s"`` for a key=value
+    line); each row is a tuple of Python scalars formatted by the one line
+    template they make. Rows are streamed, never joined into one string."""
     line = ",".join(cells) + "\n"
     with _csv_file(path, header, len(cells)) as fh:
         fh.writelines(line % row for row in rows)
@@ -402,12 +402,17 @@ def standardize(train: LabeledDataset, *others: LabeledDataset) -> tuple[Labeled
 
     Zero-variance columns are centered but not scaled. The identical transform
     is applied to every additional split so no statistics leak out of train.
+    A column whose train mean or std is not finite, or that has a standardized
+    value in any split that is not finite, is refused: DomainError names the
+    first such column. numpy warns of the overflow as the caller's
+    ``np.errstate`` has it.
     """
     if train.n_samples == 0:
         raise DomainError("train split is empty")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     scale = np.where(std > 0.0, std, 1.0)
+    finite = np.isfinite(mean) & np.isfinite(std)
     out = []
     for ds in (train, *others):
         if ds.n_features != train.n_features:
@@ -415,4 +420,8 @@ def standardize(train: LabeledDataset, *others: LabeledDataset) -> tuple[Labeled
                 f"cannot standardize: expected {train.n_features} features, got {ds.n_features}"
             )
         out.append(LabeledDataset((ds.features - mean) / scale, ds.labels, ds.num_classes))
+        finite &= np.isfinite(out[-1].features).all(axis=0)
+    if not finite.all():
+        column = int(np.argmin(finite))
+        raise DomainError(f"cannot standardize column {column} (f{column}): its values overflow")
     return tuple(out)

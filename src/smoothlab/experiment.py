@@ -230,20 +230,15 @@ def write_manifest(blob: BlobSpec, seed: int, path: Path) -> None:
     # precision, for readers outside the package; nothing reads it back.
     centers = ";".join(":".join(repr(float(v)) for v in row) for row in blob.class_centers)
     overlap = ",".join(f"{a}:{b}" for a, b in blob.overlap_pairs)
-    path.write_text(
-        "\n".join(
-            [
-                f"blob.classes={blob.num_classes}",
-                f"blob.per_class={blob.samples_per_class}",
-                f"blob.dimension={blob.dimension}",
-                f"blob.overlap={overlap}",
-                f"blob.centers={centers}",
-                f"seed={seed}",
-            ]
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    rows = [
+        ("blob.classes", blob.num_classes),
+        ("blob.per_class", blob.samples_per_class),
+        ("blob.dimension", blob.dimension),
+        ("blob.overlap", overlap),
+        ("blob.centers", centers),
+        ("seed", seed),
+    ]
+    write_csv(path, ("%s=%s",), rows)
 
 
 def prepare_splits(
@@ -293,16 +288,15 @@ def run_generate(cfg: ExperimentConfig) -> dict[str, Path]:
 
 
 def _write_summary(record: RunRecord, path: Path) -> None:
-    lines = [
-        f"strategy={record.strategy}",
-        f"seed={record.seed}",
-        f"test_accuracy={record.test_accuracy:.6f}",
-        f"test_ece={record.test_ece:.6f}",
-        f"epochs={len(record.metrics)}",
+    rows = [
+        ("strategy", record.strategy),
+        ("seed", record.seed),
+        ("test_accuracy", "%.6f" % record.test_accuracy),
+        ("test_ece", "%.6f" % record.test_ece),
+        ("epochs", len(record.metrics)),
     ]
-    for name in sorted(record.artifacts):
-        lines.append(f"artifact.{name}={record.artifacts[name].name}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows += ((f"artifact.{name}", record.artifacts[name].name) for name in sorted(record.artifacts))
+    write_csv(path, ("%s=%s",), rows)
 
 
 def run_single(
@@ -418,23 +412,23 @@ def _run_stack(cfg: ExperimentConfig, seeds: tuple[int, ...]) -> list[RunRecord]
     A run directory that already holds a file is refused before any split is
     prepared. The runs are then trained on their prepared splits in lockstep
     (``_fit_stack``), or each alone (``run_single``) for one seed, and
-    emitted in that order. Training and emission run with numpy's overflow
-    and invalid warnings off: each such value ends in the trainer's
-    ``NumericError`` or ``ece``'s ``DomainError``, which this reports. A
-    failure names the strategy and the seed of the run that owns it, or every
-    strategy and seed of the stack when no single run does; a failure to
-    prepare the splits, which warns as numpy does, is raised as it is."""
+    emitted in that order. Preparing, training and emission run with numpy's
+    overflow and invalid warnings off: each such value ends in
+    ``standardize``'s, ``ece``'s or the trainer's named error, which this
+    reports. A failure names the strategy and the seed of the run that owns
+    it, or every strategy and seed of the stack when no single run does; a
+    failure to prepare the splits is raised as it is."""
     runs = [(strategy, seed) for strategy in cfg.strategies for seed in seeds]
     run_dirs = [cfg.out_dir / f"{strategy.kind}_seed{seed}" for strategy, seed in runs]
     for run_dir in run_dirs:
         if run_dir.is_dir() and any(run_dir.iterdir()):
             raise ConfigError(f"run directory {run_dir} is not empty; train into a new one")
-    splits = [prepare_splits(cfg, seed) for seed in seeds]
 
     def failed(strategy: TargetStrategy, seed: int, error: Exception) -> RuntimeError:
         return RuntimeError(f"run failed for strategy={strategy.kind} seed={seed}: {error}")
 
     with np.errstate(over="ignore", invalid="ignore"):
+        splits = [prepare_splits(cfg, seed) for seed in seeds]
         fitted = None
         if len(seeds) > 1:
             try:

@@ -601,6 +601,24 @@ class TestCsv:
             load_csv(path)
 
 
+@st.composite
+def overflowing_splits(draw):
+    """Train, val and test matrices of one width whose values run from
+    subnormal to 1e308, so some columns overflow the train mean, the train
+    std or a standardized value, and others do not."""
+    d = draw(st.integers(1, 4))
+    value = st.one_of(
+        st.floats(-10, 10),
+        st.floats(-1e308, 1e308),
+        st.sampled_from([0.0, 5e-324, -1e-300, 1e154, -1e200, 1e200, 1e308, -1e308]),
+    )
+    rows = [draw(st.integers(1, 6)), draw(st.integers(0, 4)), draw(st.integers(0, 4))]
+    return [
+        np.array(draw(st.lists(value, min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
+        for n in rows
+    ]
+
+
 class TestStandardize:
     def test_constant_column_zeroed(self):
         feats = np.column_stack([np.full(6, 3.0), np.arange(6, dtype=float)])
@@ -628,3 +646,34 @@ class TestStandardize:
         ds = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DomainError):
             standardize(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices=overflowing_splits())
+    @example(matrices=[np.array([[1e200], [-1e200]]), np.zeros((0, 1)), np.zeros((0, 1))])
+    @example(matrices=[np.array([[1.0, 1e308], [2.0, -1e308]]), np.ones((1, 2)), np.ones((1, 2))])
+    @example(matrices=[np.array([[0.0], [5e-324]]), np.array([[1e300]]), np.zeros((0, 1))])
+    @example(matrices=[np.array([[1.0, 3.0], [2.0, 3.0]]), np.ones((2, 2)), np.ones((1, 2))])
+    def test_refuses_the_first_column_it_cannot_scale(self, matrices):
+        # a column is bad when its train mean or std, or one of its
+        # standardized values in any split, is not finite
+        with np.errstate(all="ignore"):
+            mean, std = matrices[0].mean(axis=0), matrices[0].std(axis=0)
+            expected = [(x - mean) / np.where(std > 0, std, 1.0) for x in matrices]
+            bad = [
+                j
+                for j in range(mean.size)
+                if not (np.isfinite(mean[j]) and np.isfinite(std[j]))
+                or not all(np.isfinite(e[:, j]).all() for e in expected)
+            ]
+            splits = [LabeledDataset(x, np.arange(len(x)) % 2, 2) for x in matrices]
+            try:
+                out = standardize(*splits)
+            except DomainError as exc:
+                column = bad[0] if bad else None
+                message = f"cannot standardize column {column} (f{column}): its values overflow"
+                assert str(exc) == message
+                return
+        assert bad == []
+        for got, want in zip(out, expected):
+            # bit for bit, so every output byte of ordinary data is unchanged
+            assert np.array_equal(got.features.view(np.int64), want.view(np.int64))

@@ -1040,6 +1040,92 @@ class TestDivergingRun:
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+OVERFLOWED = "error: cannot standardize column 0 (f0): its values overflow\n"
+# cli.main with experiment._usable_cpus patched to the given count, as
+# `python -m smoothlab` runs it; the workers inherit the interpreter's -W flags.
+PATCHED_CLI = (
+    "import sys\n"
+    "import smoothlab.experiment as experiment\n"
+    "from smoothlab.cli import main\n"
+    "experiment._usable_cpus = lambda: {cpus}\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+class TestOverflowingCsvColumn:
+    """A data.csv column whose values overflow standardization is refused
+    once, by name, before anything is written, by every command, whatever
+    the worker count and with warnings as errors."""
+
+    @pytest.fixture(params=[1e200, 1e308], ids=["1e200", "1e308"])
+    def cfg_path(self, tmp_path, request):
+        # f0 holds +-magnitude, so its variance (or its mean) overflows
+        rows = [(request.param * (-1) ** (i % 3), (i % 7) / 10, i % 2) for i in range(60)]
+        write_csv(tmp_path / "big.csv", ("%r", "%r", "%d"), rows, ("f0", "f1", "label"))
+        path = tmp_path / "exp.cfg"
+        path.write_text("data.csv = big.csv\ntrain.epochs = 3\n")
+        return path
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_one_error_line_names_the_column(
+        self, tmp_path, cfg_path, capfd, monkeypatch, command, cpus
+    ):
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capfd.readouterr() == ("", OVERFLOWED)
+        # no run directory, no output directory and no hidden sibling
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "exp.cfg"]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_warnings_as_errors_change_nothing(self, tmp_path, cfg_path, command, cpus):
+        from test_golden import SRC
+
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", PATCHED_CLI.format(cpus=cpus), command,
+             "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", OVERFLOWED)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "exp.cfg"]
+
+
+def test_every_written_file_is_opened_with_lf_line_endings(tmp_path, monkeypatch):
+    """Every file a command writes is opened with ``newline="\\n"``, so no
+    platform gives it CRLF line endings: pathlib opens through ``io.open``,
+    ``datasets._csv_file`` through the builtin."""
+    import builtins
+    import io
+
+    import smoothlab.experiment as experiment
+
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    real_open = io.open
+    opened = []
+
+    def recording_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None,
+                       *args, **kwargs):
+        if set(mode) & set("wax+"):
+            opened.append((Path(file).name, newline))
+        return real_open(file, mode, buffering, encoding, errors, newline, *args, **kwargs)
+
+    cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "one")]) == 0
+    assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["report", str(tmp_path / "one")]) == 0
+    monkeypatch.undo()
+    names = {name for name, _ in opened}
+    assert {"manifest.txt", "summary.txt", "comparison.csv", "report.csv"} <= names
+    assert [entry for entry in opened if entry[1] != "\n"] == []
+
+
 def write_feature_csv(path):
     """A 3-class, 2-feature CSV of 60 rows, for configs with a CSV source."""
     blobs = generate_confusable_blobs(BlobSpec(3, 20, dimension=2, overlap_pairs=()), seed=0)
