@@ -69,11 +69,15 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
+    """One run's results: its strategy kind and seed, its test accuracy and
+    ECE, and the paths of the artifacts it wrote by name. The per-epoch
+    metrics live in its ``metrics.csv`` artifact (and in ``fit``'s return
+    value), not here."""
+
     strategy: str
     seed: int
     test_accuracy: float
     test_ece: float
-    metrics: list[EpochMetrics]
     artifacts: dict[str, Path] = field(default_factory=dict)
 
 
@@ -287,13 +291,13 @@ def run_generate(cfg: ExperimentConfig) -> dict[str, Path]:
     return paths
 
 
-def _write_summary(record: RunRecord, path: Path) -> None:
+def _write_summary(record: RunRecord, epochs: int, path: Path) -> None:
     rows = [
         ("strategy", record.strategy),
         ("seed", record.seed),
         ("test_accuracy", "%.6f" % record.test_accuracy),
         ("test_ece", "%.6f" % record.test_ece),
-        ("epochs", len(record.metrics)),
+        ("epochs", epochs),
     ]
     rows += ((f"artifact.{name}", record.artifacts[name].name) for name in sorted(record.artifacts))
     write_csv(path, ("%s=%s",), rows)
@@ -363,11 +367,10 @@ def _emit_run(
         seed=seed,
         test_accuracy=test_accuracy,
         test_ece=test_ece,
-        metrics=metrics,
         artifacts=artifacts,
     )
     summary = run_dir / "summary.txt"
-    _write_summary(record, summary)
+    _write_summary(record, len(metrics), summary)
     record.artifacts["summary"] = summary
     return record
 
@@ -572,12 +575,14 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     bit-identical initial parameters (``fit`` draws them from the layer sizes
     and the seed alone); only the loss targets differ. An output directory
     that already exists is refused before anything is written. The tree is
-    built in a hidden sibling of it and renamed to it once the table and
-    ``report.csv`` are written, so the output directory appears whole or not
-    at all, no report mixes runs of two invocations, and nothing writes into
-    it afterwards; a compare that fails or is interrupted removes the
-    sibling. The records are returned in the order of the table's rows, and
-    their paths name files under the output directory.
+    built in a hidden directory beside it, or beside its nearest existing
+    ancestor when its parent is missing, and renamed to it once the table and
+    ``report.csv`` are written; its missing parents are made just before the
+    rename. So the output directory appears whole or not at all, no report
+    mixes runs of two invocations, and nothing writes into it afterwards; a
+    compare that fails or is interrupted removes the hidden directory and
+    leaves no parent behind. The records are returned in the order of the
+    table's rows, and their paths name files under the output directory.
 
     The seeds run in parallel worker processes where more than one CPU is
     usable (see ``_run_seeds``); every output byte is the same either way.
@@ -587,8 +592,8 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
     out = cfg.out_dir.resolve()
     if out.exists():
         raise ConfigError(f"output directory {cfg.out_dir} already exists; compare into a new one")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.parent / f".{out.name}.{os.urandom(4).hex()}"
+    base = next(parent for parent in out.parents if parent.exists())
+    tmp = base / f".{out.name}.{os.urandom(4).hex()}"
     tmp.mkdir()
     try:
         stacked = _run_seeds(replace(cfg, out_dir=tmp))
@@ -604,6 +609,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[Path, list[RunRecord]]:
         header = ("strategy", "seed", "test_accuracy", "test_ece_x100")
         write_csv(tmp / "comparison.csv", ("%s", "%s", "%.6f", "%.6f"), rows, header)
         run_report(tmp)
+        out.parent.mkdir(parents=True, exist_ok=True)
         os.rename(tmp, out)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -629,14 +635,16 @@ def _report(run_dir: Path) -> tuple[str, list[tuple[str, int, str, str]]]:
             rows.append(
                 (
                     values["strategy"],
-                    _parse_int(values["seed"], "seed"),
+                    _plain_number(values["seed"], int),
                     values["test_accuracy"],
                     values["test_ece"],
                     summary.parent / values.get("artifact.metrics", "metrics.csv"),
                 )
             )
         except (KeyError, ValueError) as exc:
-            raise ParseError(f"{summary}: corrupt run summary ({exc})") from None
+            # a KeyError names the missing field; a ValueError is the seed's
+            field = "" if isinstance(exc, KeyError) else "seed: "
+            raise ParseError(f"{summary}: corrupt run summary ({field}{exc})") from None
     rows.sort(key=lambda r: (r[0], r[1]))
 
     header = f"{'strategy':<10} {'seed':>6} {'test_accuracy':>14} {'test_ece':>10}  metrics"

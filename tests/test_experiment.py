@@ -1094,6 +1094,107 @@ class TestOverflowingCsvColumn:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "exp.cfg"]
 
 
+def snapshot(root):
+    """Every entry under ``root``, hidden ones included, with a file's bytes."""
+    return sorted((p, p.is_file() and p.read_bytes()) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-workers"])
+class TestMissingOutParents:
+    """A compare into an ``--out`` whose parents are missing makes them only
+    when it publishes: a compare that fails or is interrupted leaves nothing."""
+
+    NESTED = ("nest", "deeper", "out")
+
+    def test_failing_compare_leaves_nothing(self, tmp_path, capfd, monkeypatch, cpus):
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        cfg_path = write_config(tmp_path, "train.learning_rate = 1e300", seeds="1,2")
+        before = snapshot(tmp_path)
+        out = tmp_path.joinpath(*self.NESTED)
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run failed for strategy=hard seed=1: ")
+        assert snapshot(tmp_path) == before
+
+    def test_interrupted_compare_leaves_nothing(self, tmp_path, monkeypatch, cpus):
+        import smoothlab.experiment as experiment
+
+        def interrupted(run_dir):
+            raise KeyboardInterrupt  # after every run, just before the publish
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiment, "run_report", interrupted)
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        before = snapshot(tmp_path)
+        out = tmp_path.joinpath(*self.NESTED)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--config", str(cfg_path), "--out", str(out)])
+        assert snapshot(tmp_path) == before
+
+    def test_successful_compare_publishes_the_tree_of_a_flat_out(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        import smoothlab.experiment as experiment
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        cfg_path = write_config(tmp_path, train_epochs=2, seeds="1,2")
+        nested, flat = tmp_path.joinpath(*self.NESTED), tmp_path / "flat"
+        for out in (nested, flat):
+            assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "flat", "nest"]
+        assert [p.name for p in nested.parent.iterdir()] == ["out"]
+        trees = [[(p.relative_to(out), b) for p, b in snapshot(out)] for out in (nested, flat)]
+        assert trees[0] == trees[1]
+
+
+def test_compare_out_under_a_regular_file_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    import smoothlab.experiment as experiment
+
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiment, "_run_seeds", no_run)
+    cfg_path = write_config(tmp_path, seeds="1,2")
+    (tmp_path / "file").write_text("")
+    before = snapshot(tmp_path)
+    out = tmp_path / "file" / "sub" / "out"
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / "file") in err[0]
+    assert snapshot(tmp_path) == before
+
+
+def test_records_carry_no_per_epoch_metrics(tmp_path, monkeypatch):
+    # the per-epoch history is each run's metrics.csv; a worker's outcome
+    # pickles its records, so they carry only the table's inputs
+    import pickle
+
+    import smoothlab.experiment as experiment
+
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 1)
+    _, records = run_compare(parse_config(write_config(tmp_path, seeds="1,2")))
+    fields = [f.name for f in dataclasses.fields(records[0])]
+    assert fields == ["strategy", "seed", "test_accuracy", "test_ece", "artifacts"]
+    assert len(records) == 4 and b"EpochMetrics" not in pickle.dumps(records)
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_summary_epochs_counts_the_metrics_rows(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, train_epochs=3, seeds="1,2")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summaries = sorted(out.glob("*/summary.txt"))
+    assert len(summaries) == {"train": 1, "compare": 4}[command]
+    for summary in summaries:
+        epochs = parse_kv_text(summary.read_text())["epochs"]
+        rows = (summary.parent / "metrics.csv").read_text().splitlines()[1:]
+        assert epochs == "3" and len(rows) == 3
+
+
 def test_every_written_file_is_opened_with_lf_line_endings(tmp_path, monkeypatch):
     """Every file a command writes is opened with ``newline="\\n"``, so no
     platform gives it CRLF line endings: pathlib opens through ``io.open``,
@@ -1340,6 +1441,20 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "corrupt run summary" in err[0]
         assert not (cfg.out_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "seed, why",
+        [("1.5", "invalid literal for int() with base 10: '1.5'"),
+         ("1_2", "not a plain ASCII number: '1_2'")],
+        ids=["1.5", "1_2"],
+    )
+    def test_corrupt_seed_is_named_as_the_summarys_field(self, tmp_path, capsys, seed, why):
+        # it was reported as "config key seed: expected an integer, got ..."
+        cfg = parse_config(write_config(tmp_path))
+        summary = run_training(cfg, cfg.strategies[0], seed=1).artifacts["summary"]
+        summary.write_text(summary.read_text().replace("seed=1\n", f"seed={seed}\n"))
+        assert main(["report", str(cfg.out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {summary}: corrupt run summary (seed: {why})\n"
 
 
 class TestCli:
